@@ -9,12 +9,12 @@ ablations, Grad-CAM inspection, and a CLI.
 """
 
 from .layers import LayerSpec, ShapeError, NonFiniteError
-from .network import (ArchConfig, Network, build, conv_feature_shapes,
-                      extract_features, preset, vgg16, vgg_small, vgg_tiny)
+from .network import (ArchConfig, Network, build, conv_feature_shapes, preset,
+                      vgg16, vgg_small, vgg_tiny)
 from .optim import Adam
-from .losses import (ATConfig, MemoryEstimate, aggregate, at_loss,
-                     at_loss_and_grad, cross_entropy_and_grad, estimate_memory,
-                     gram, sigmoid_mse, squared_cosine, total_loss)
+from .losses import (ATConfig, MemoryEstimate, aggregate, at_loss_and_grad,
+                     cross_entropy_and_grad, estimate_memory, gram, similarity,
+                     total_loss)
 from .checkpoint import (CheckpointError, CorruptFileError,
                          FingerprintMismatchError, VersionMismatchError,
                          init_from, load, save)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -183,64 +185,29 @@ def _parse_layer_grid(text: str):
     return [int(t) for t in text.split(",") if t.strip() != ""]
 
 
-def _sweep_child(payload):
-    """Runs one sweep point in a worker process."""
-    cfg_dict, out_dir, run_dir = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    data = prepare_data(cfg, Path(out_dir))
-    result = training.train(cfg.train, data, run_dir)
-    return {"val_acc": result.val_accuracy, "test_acc": result.test_accuracy,
-            "train_acc": result.metrics[result.best_epoch].train_acc,
-            "val_loss": float(min(m.val_ce + m.val_at for m in result.metrics)),
-            "out_dir": str(run_dir)}
-
-
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args, with_at_flags=True)
     if bool(args.layers) == bool(args.betas):
         raise ConfigError("sweep needs exactly one of --layers or --betas")
     if args.layers:
         grid = _parse_layer_grid(args.layers)
-        label = "layer"
-        make = lambda v: replace(cfg.train, at=replace(cfg.train.at, layers=(int(v),)))
+        label, sweep = "layer", training.sweep_layers
     else:
         grid = [float(t) for t in args.betas.split(",") if t.strip() != ""] \
             if args.betas != "default" else list(training.DEFAULT_BETA_GRID)
-        label = "beta"
-        make = lambda v: replace(cfg.train, at=replace(cfg.train.at, beta=float(v)))
+        label, sweep = "beta", training.sweep_betas
     if not grid:
         raise ConfigError("sweep grid is empty")
     out_dir = Path(cfg.output_dir)
     _echo_config(cfg, out_dir)
-
-    if args.jobs > 1:
-        payloads = []
-        for v in grid:
-            child = ExperimentConfig(train=make(v), data=cfg.data,
-                                     output_dir=str(out_dir / f"{label}_{v}"))
-            payloads.append((child.to_dict(), str(out_dir), str(out_dir / f"{label}_{v}")))
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_sweep_child, payloads))
-        rows = [training.SweepRow(value=float(v), best=False, **r)
-                for v, r in zip(grid, results)]
-        key = ((lambda r: r.val_acc) if args.select_by == "val_accuracy"
-               else (lambda r: -r.val_loss))
-        max(rows, key=key).best = True
-        import csv as _csv
-        with open(out_dir / "sweep.csv", "w", newline="") as f:
-            w = _csv.writer(f)
-            w.writerow([label, "train_acc", "val_acc", "test_acc", "val_loss", "best"])
-            for r in rows:
-                w.writerow([r.value, f"{r.train_acc:.4f}", f"{r.val_acc:.4f}",
-                            f"{r.test_acc:.4f}", f"{r.val_loss:.6f}", int(r.best)])
-    else:
-        data = prepare_data(cfg, out_dir)
-        if label == "layer":
-            rows = training.sweep_layers(cfg.train, data, out_dir, grid,
-                                         select_by=args.select_by)
-        else:
-            rows = training.sweep_betas(cfg.train, data, out_dir, grid,
-                                        select_by=args.select_by)
+    # data is materialized once here; workers receive it with each point
+    data = prepare_data(cfg, out_dir)
+    pool = (ProcessPoolExecutor(max_workers=args.jobs,
+                                mp_context=multiprocessing.get_context("spawn"))
+            if args.jobs > 1 else nullcontext())
+    with pool as executor:
+        rows = sweep(cfg.train, data, out_dir, grid, select_by=args.select_by,
+                     executor=executor)
     print(f"{label:>8}  train_acc  val_acc  test_acc  best")
     for r in rows:
         mark = "  <-- best" if r.best else ""
@@ -280,9 +247,12 @@ def cmd_estimate_memory(args) -> int:
         frames, bins = (int(t) for t in args.input_size.lower().split("x"))
     except ValueError as e:
         raise ConfigError(f"--input-size must look like 126x129: {e}") from e
-    arch = preset(args.arch, (frames, bins), args.classes)
-    est = estimate_memory(arch, args.batch, args.at_layer,
-                          bytes_per_number=args.bytes_per_number)
+    try:
+        est = estimate_memory(preset(args.arch, (frames, bins), args.classes),
+                              args.batch, args.at_layer,
+                              bytes_per_number=args.bytes_per_number)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     if args.as_json:
         print(json.dumps(est.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK

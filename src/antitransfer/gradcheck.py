@@ -15,8 +15,8 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from . import layers as L
-from .losses import (ATConfig, at_loss_and_grad, cross_entropy_and_grad,
-                     total_loss)
+from .losses import (ATConfig, aggregate, at_loss_and_grad,
+                     cross_entropy_and_grad, total_loss)
 from .network import ArchConfig, Network, build
 
 
@@ -138,18 +138,19 @@ def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
     labels = np.array([0, 2])
     cfg = ATConfig(layers=(at_layer,), beta=beta, similarity=similarity)
 
+    _, ptaps = extractor.forward(x, taps=cfg.layers)
+    paggs = {k: aggregate(ptaps[k], cfg.aggregation) for k in cfg.layers}
+
     def loss_fn():
         logits, taps = net.forward(x, taps=cfg.layers)
-        _, ptaps = extractor.forward(x, taps=cfg.layers)
-        terms = [at_loss_and_grad(taps[k], ptaps[k], cfg)[0] for k in cfg.layers]
+        terms = [at_loss_and_grad(taps[k], paggs[k], cfg)[0] for k in cfg.layers]
         return total_loss(logits, labels, terms)
 
     logits, taps = net.forward(x, taps=cfg.layers)
-    _, ptaps = extractor.forward(x, taps=cfg.layers)
     _, dce = cross_entropy_and_grad(logits, labels)
     inject = {}
     for k in cfg.layers:
-        _, g = at_loss_and_grad(taps[k], ptaps[k], cfg)
+        _, g = at_loss_and_grad(taps[k], paggs[k], cfg)
         if g is not None:
             inject[k] = -g if flip_at_grad_sign else g
     net.backward(dce, tap_grad_in=inject)
@@ -196,9 +197,6 @@ def run_oracle_suite(flip_at_grad_sign: bool = False) -> List[GradCheckReport]:
     dense_l = L.Dense(L.dense(5), 10, rng, name="dense")
     reports.append(_layer_check("dense", dense_l, rng.standard_normal((3, 10)), rng))
 
-    soft = L.Softmax()
-    reports.append(_layer_check("softmax layer", soft, rng.standard_normal((3, 4)), rng))
-
     drop = L.Dropout(L.dropout(0.5), name="dropout")
     reports.append(_layer_check("dropout (fixed mask)", drop,
                                 rng.standard_normal((3, 12)), rng,
@@ -225,14 +223,14 @@ def run_oracle_suite(flip_at_grad_sign: bool = False) -> List[GradCheckReport]:
             scale = 0.35 if (similarity == "sigmoid_mse"
                              and aggregation in ("gram", "sum")) else 1.0
             ft = base_t * scale
-            fp = base_p * scale
             cfg = ATConfig(layers=(1,), beta=1.3, similarity=similarity,
                            aggregation=aggregation)
+            agg_p = aggregate(base_p * scale, aggregation)
 
-            def at_fn(ft=ft, fp=fp, cfg=cfg):
-                return at_loss_and_grad(ft, fp, cfg)[0]
+            def at_fn(ft=ft, agg_p=agg_p, cfg=cfg):
+                return at_loss_and_grad(ft, agg_p, cfg)[0]
 
-            _, g = at_loss_and_grad(ft, fp, cfg)
+            _, g = at_loss_and_grad(ft, agg_p, cfg)
             if flip_at_grad_sign:
                 g = -g
             reports.append(gradcheck(

@@ -8,7 +8,7 @@ than accumulating, and are skipped entirely for frozen layers.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ def check_finite(x: np.ndarray, where: str) -> None:
 # Layer specifications
 # ---------------------------------------------------------------------------
 
-LAYER_KINDS = ("conv2d", "maxpool2d", "dense", "relu", "dropout", "flatten", "softmax")
+LAYER_KINDS = ("conv2d", "maxpool2d", "dense", "relu", "dropout", "flatten")
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,13 @@ class LayerSpec:
         spec.validate()
         return spec
 
+    @property
+    def pad(self) -> int:
+        """Per-side zero padding of a conv2d: (kernel - 1) // 2 for 'same'."""
+        if self.padding == "same":
+            return (self.kernel - 1) // 2
+        return int(self.padding or 0)
+
     def signature(self) -> dict:
         """Geometry-affecting fields only; used for architecture fingerprints."""
         sig = {"kind": self.kind}
@@ -126,8 +133,24 @@ def flatten() -> LayerSpec:
     return LayerSpec(kind="flatten")
 
 
-def softmax() -> LayerSpec:
-    return LayerSpec(kind="softmax")
+def output_hw(spec: LayerSpec, h: int, w: int) -> Tuple[int, int]:
+    """Output extent of a conv2d or maxpool2d spec on an h x w input.
+
+    Ceil-mode pooling keeps a last window that overhangs the right/bottom
+    edge. Raises ShapeError when the output would be smaller than 1x1.
+    """
+    k, s = spec.kernel, spec.stride
+    if spec.kind == "conv2d":
+        p = spec.pad
+        oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    elif spec.ceil_mode:
+        oh, ow = -(-(h - k) // s) + 1, -(-(w - k) // s) + 1
+    else:
+        oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    if oh < 1 or ow < 1:
+        raise ShapeError(f"{spec.kind} (kernel {k}, stride {s}) on a {h}x{w} "
+                         f"input collapses to {oh}x{ow}")
+    return oh, ow
 
 
 # ---------------------------------------------------------------------------
@@ -154,12 +177,6 @@ class Layer:
         raise NotImplementedError
 
 
-def _resolve_pad(padding: Union[str, int, None], kernel: int) -> int:
-    if padding == "same":
-        return (kernel - 1) // 2
-    return int(padding or 0)
-
-
 class Conv2D(Layer):
     """2-D convolution, NCHW layout, square kernel, zero padding.
 
@@ -175,7 +192,7 @@ class Conv2D(Layer):
         self.out_channels = spec.channels
         self.kernel = spec.kernel
         self.stride = spec.stride
-        self.pad = _resolve_pad(spec.padding, spec.kernel)
+        self.pad = spec.pad
         # Kaiming-uniform, fan-in mode (gain sqrt(2) for the ReLU that follows)
         fan_in = in_channels * spec.kernel * spec.kernel
         bound = np.sqrt(6.0 / fan_in)
@@ -193,17 +210,11 @@ class Conv2D(Layer):
     def grads(self):
         return {"weight": self.gW, "bias": self.gb}
 
-    def out_hw(self, h: int, w: int) -> tuple:
-        k, s, p = self.kernel, self.stride, self.pad
-        return ((h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1)
-
     def forward(self, x, train, rng):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
-        oh, ow = self.out_hw(h, w)
-        if oh < 1 or ow < 1:
-            raise ShapeError(f"{self.name}: input {h}x{w} too small for kernel {self.kernel}")
+        oh, ow = output_hw(self.spec, h, w)
         p = self.pad
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         self._xp = xp
@@ -250,21 +261,11 @@ class MaxPool2D(Layer):
         self.name = name
         self.kernel = spec.kernel
         self.stride = spec.stride
-        self.ceil_mode = spec.ceil_mode
-
-    def out_hw(self, h: int, w: int) -> tuple:
-        k, s = self.kernel, self.stride
-        if self.ceil_mode:
-            return (-(-(h - k) // s) + 1, -(-(w - k) // s) + 1)
-        return ((h - k) // s + 1, (w - k) // s + 1)
 
     def forward(self, x, train, rng):
         n, c, h, w = x.shape
         k, s = self.kernel, self.stride
-        if h < k or w < k:
-            if not self.ceil_mode or h < 1 or w < 1:
-                raise ShapeError(f"{self.name}: input {h}x{w} smaller than kernel {k}")
-        oh, ow = self.out_hw(h, w)
+        oh, ow = output_hw(self.spec, h, w)
         hp, wp = (oh - 1) * s + k, (ow - 1) * s + k
         if (hp, wp) != (h, w):
             xp = np.full((n, c, hp, wp), -np.inf, dtype=x.dtype)
@@ -375,18 +376,6 @@ class Flatten(Layer):
         return dout.reshape(self._shape)
 
 
-class Softmax(Layer):
-    def forward(self, x, train, rng):
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        self._y = e / e.sum(axis=1, keepdims=True)
-        return self._y
-
-    def backward(self, dout):
-        y = self._y
-        return y * (dout - (dout * y).sum(axis=1, keepdims=True))
-
-
 def make_layer(spec: LayerSpec, in_channels: int, in_features: int,
                rng: np.random.Generator, dtype, name: str) -> Layer:
     """Instantiate the layer object for a spec given the incoming geometry."""
@@ -402,6 +391,4 @@ def make_layer(spec: LayerSpec, in_channels: int, in_features: int,
         return Dropout(spec, name=name)
     if spec.kind == "flatten":
         return Flatten()
-    if spec.kind == "softmax":
-        return Softmax()
     raise ValueError(f"unknown layer kind {spec.kind!r}")

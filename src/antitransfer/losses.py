@@ -109,84 +109,54 @@ def aggregate(feature: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _aggregate_with_grad(feature: np.ndarray, kind: str):
-    """Returns (aggregated, pullback) where pullback maps dL/d(aggregated)
-    back to dL/d(feature)."""
+    """Returns (aggregate(feature, kind), pullback) where pullback maps
+    dL/d(aggregated) back to dL/d(feature)."""
+    out = aggregate(feature, kind)
     b, c, x, y = feature.shape
     if kind == "gram":
         flat = feature.reshape(b, c, x * y)
-        g = flat @ flat.transpose(0, 2, 1)
 
         def pullback(dg):
             m = dg + dg.transpose(0, 2, 1)
             return (m @ flat).reshape(b, c, x, y)
-
-        return g, pullback
-    if kind == "mean":
-        return feature.mean(axis=1), lambda da: np.repeat(
-            da[:, None] / c, c, axis=1)
-    if kind == "sum":
-        return feature.sum(axis=1), lambda da: np.repeat(da[:, None], c, axis=1)
-    if kind == "max":
-        arg = feature.argmax(axis=1)
-        out = np.take_along_axis(feature, arg[:, None], axis=1)[:, 0]
-
+    elif kind == "mean":
+        def pullback(da):
+            return np.repeat(da[:, None] / c, c, axis=1)
+    elif kind == "sum":
+        def pullback(da):
+            return np.repeat(da[:, None], c, axis=1)
+    elif kind == "max":
         def pullback(da):
             df = np.zeros_like(feature)
-            np.put_along_axis(df, arg[:, None], da[:, None], axis=1)
+            np.put_along_axis(df, feature.argmax(axis=1)[:, None], da[:, None],
+                              axis=1)
             return df
-
-        return out, pullback
-    if kind == "comp_mul":
-        if np.any(feature < 0):
-            raise ValueError("comp_mul requires nonnegative activations")
-        powed = feature ** COMP_MUL_EXPONENT
-        out = np.prod(powed, axis=1)
-
+    else:  # comp_mul
         def pullback(da):
             # d prod / d v_c = a * prod / v_c for v_c > 0; zero activations get
             # a zero subgradient (the true derivative is unbounded there)
             pos = feature > 0
             safe = np.where(pos, feature, 1.0)
             return da[:, None] * COMP_MUL_EXPONENT * out[:, None] / safe * pos
-
-        return out, pullback
-    raise ValueError(f"unknown aggregation {kind!r}")
+    return out, pullback
 
 
 # ---------------------------------------------------------------------------
 # Similarity
 # ---------------------------------------------------------------------------
 
-def squared_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared cosine of the flattened tensors, in [0, 1].
+def similarity(v: np.ndarray, w: np.ndarray, kind: str
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row similarity of (batch, m) arrays, and its gradient w.r.t. v.
 
-    Returns 0 when either norm is below 1e-12: an all-zero representation is
-    treated as maximally dissimilar rather than dividing by ~0.
+    squared_cosine is the squared cosine of each row pair, in [0, 1]; a row
+    whose norm is below 1e-12 is treated as maximally dissimilar (0, zero
+    gradient) rather than dividing by ~0. sigmoid_mse is the logistic of the
+    negative mean squared error: 0.5 at equality, falling monotonically
+    towards 0 as the rows move apart.
     """
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    v = a.ravel()
-    w = b.ravel()
-    nv = np.linalg.norm(v)
-    nw = np.linalg.norm(w)
-    if nv < DEGENERATE_NORM or nw < DEGENERATE_NORM:
-        return 0.0
-    cos = float(v @ w) / (nv * nw)
-    return cos * cos
-
-
-def sigmoid_mse(a: np.ndarray, b: np.ndarray) -> float:
-    """Logistic of the negative mean squared error: 0.5 at equality, falling
-    monotonically towards 0 as the tensors move apart."""
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
-    e = np.exp(-mse)  # mse >= 0, so this never overflows
-    return float(e / (1.0 + e))
-
-
-def _similarity_with_grad(v: np.ndarray, w: np.ndarray, kind: str):
-    """Per-sample similarity of flattened (b, m) rows plus d(sim)/dv."""
+    if v.shape != w.shape:
+        raise ShapeError(f"shape mismatch {v.shape} vs {w.shape}")
     if kind == "squared_cosine":
         nv = np.linalg.norm(v, axis=1)
         nw = np.linalg.norm(w, axis=1)
@@ -215,48 +185,32 @@ def _similarity_with_grad(v: np.ndarray, w: np.ndarray, kind: str):
 # Anti-transfer loss
 # ---------------------------------------------------------------------------
 
-def at_loss_and_grad(trained: np.ndarray, pretrained: np.ndarray, config: ATConfig
-                     ) -> Tuple[float, Optional[np.ndarray]]:
+def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
+                     config: ATConfig) -> Tuple[float, Optional[np.ndarray]]:
     """Single-layer anti-transfer term and its gradient w.r.t. the trained map.
 
-    Aggregates both maps per sample, compares with the configured similarity,
-    averages over the batch and scales by beta (negated for
-    direction='encourage'). The pretrained map is a constant: no gradient
-    exists for it. beta == 0 short-circuits to (0.0, None) so a zero-weight
-    run is arithmetically identical to not having the term at all.
+    agg_pretrained is aggregate(pretrained_map, config.aggregation): the
+    frozen side is a constant of the run, so callers aggregate it once. The
+    trained map is aggregated per sample, compared with the configured
+    similarity, averaged over the batch and scaled by beta (negated for
+    direction='encourage'). No gradient exists for the pretrained side.
+    beta == 0 short-circuits to (0.0, None) so a zero-weight run is
+    arithmetically identical to not having the term at all.
     """
-    if trained.shape != pretrained.shape:
-        raise ShapeError(
-            f"feature maps disagree: {trained.shape} vs {pretrained.shape} "
-            "(architectures are incompatible at this layer)")
     if config.beta == 0.0:
         return 0.0, None
     b = trained.shape[0]
     agg_t, pullback = _aggregate_with_grad(trained, config.aggregation)
-    agg_p = aggregate(pretrained, config.aggregation)
-    sims, dv = _similarity_with_grad(agg_t.reshape(b, -1), agg_p.reshape(b, -1),
-                                     config.similarity)
+    if agg_t.shape != agg_pretrained.shape:
+        raise ShapeError(
+            f"aggregated maps disagree: {agg_t.shape} vs {agg_pretrained.shape} "
+            "(architectures are incompatible at this layer)")
+    sims, dv = similarity(agg_t.reshape(b, -1), agg_pretrained.reshape(b, -1),
+                          config.similarity)
     sign = -1.0 if config.direction == "encourage" else 1.0
     loss = sign * config.beta * float(np.mean(sims))
     dagg = (sign * config.beta / b) * dv.reshape(agg_t.shape)
     return loss, pullback(dagg).astype(trained.dtype)
-
-
-def at_loss(trained: np.ndarray, pretrained: np.ndarray, config: ATConfig) -> float:
-    """Anti-transfer term for one layer (value only)."""
-    return at_loss_and_grad(trained, pretrained, config)[0]
-
-
-def pretrained_side_grad(trained: np.ndarray, pretrained: np.ndarray,
-                         config: ATConfig) -> np.ndarray:
-    """Gradient of the anti-transfer term w.r.t. the pre-trained map.
-
-    Identically zero by contract: the pre-trained extractor is frozen and the
-    loss treats its features as constants. Exposed so the contract is testable.
-    """
-    if trained.shape != pretrained.shape:
-        raise ShapeError(f"feature maps disagree: {trained.shape} vs {pretrained.shape}")
-    return np.zeros_like(pretrained)
 
 
 # ---------------------------------------------------------------------------

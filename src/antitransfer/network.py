@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .layers import (Layer, LayerSpec, ShapeError, check_finite, conv2d,
-                     dense, dropout, flatten, make_layer, maxpool2d, relu)
+                     dense, dropout, flatten, make_layer, maxpool2d,
+                     output_hw, relu)
 
 
 @dataclass
@@ -148,11 +149,11 @@ class Network:
         self.finite_checks = True
         rng = np.random.default_rng([int(seed), 0x1A17])
         self.layers: List[Layer] = []
-        self.shapes = self._propagate_shapes(arch)
+        shapes = _propagate_shapes(arch)
         conv_i = 0
         dense_i = 0
         for pos, spec in enumerate(arch.layers):
-            c_in, h_in, w_in = self.shapes[pos]
+            c_in, h_in, w_in = shapes[pos]
             if spec.kind == "conv2d":
                 conv_i += 1
                 name = f"conv{conv_i}"
@@ -173,38 +174,6 @@ class Network:
                 if pos + 1 < len(arch.layers) and arch.layers[pos + 1].kind == "relu":
                     tap = pos + 1
                 self.tap_positions[k] = tap
-
-    @staticmethod
-    def _propagate_shapes(arch: ArchConfig) -> List[Tuple]:
-        """Shape entering each layer; (channels, h, w) or (features, None, None)."""
-        shapes = []
-        c, h, w = arch.input_shape
-        feats = None
-        for spec in arch.layers:
-            shapes.append((c, h, w) if feats is None else (feats, None, None))
-            if spec.kind == "conv2d":
-                k, s = spec.kernel, spec.stride
-                p = (k - 1) // 2 if spec.padding == "same" else int(spec.padding or 0)
-                c = spec.channels
-                h = (h + 2 * p - k) // s + 1
-                w = (w + 2 * p - k) // s + 1
-                if h < 1 or w < 1:
-                    raise ShapeError(f"{spec.kind} output collapses to {h}x{w}")
-            elif spec.kind == "maxpool2d":
-                k, s = spec.kernel, spec.stride
-                if spec.ceil_mode:
-                    h = -(-(h - k) // s) + 1
-                    w = -(-(w - k) // s) + 1
-                else:
-                    h = (h - k) // s + 1
-                    w = (w - k) // s + 1
-            elif spec.kind == "flatten":
-                feats = c * h * w
-            elif spec.kind == "dense":
-                if feats is None:
-                    raise ShapeError("dense layer before flatten")
-                feats = spec.units
-        return shapes
 
     # -- weights ------------------------------------------------------------
 
@@ -304,27 +273,35 @@ class Network:
         return captured
 
 
+def _propagate_shapes(arch: ArchConfig) -> List[Tuple]:
+    """Shape entering each layer, then the network's output shape; entries
+    are (channels, h, w), or (features, None, None) from flatten on. Raises
+    ShapeError when a conv or pool output is smaller than 1x1."""
+    c, h, w = arch.input_shape
+    feats = None
+    shapes = [(c, h, w)]
+    for spec in arch.layers:
+        if spec.kind in ("conv2d", "maxpool2d"):
+            h, w = output_hw(spec, h, w)
+            if spec.kind == "conv2d":
+                c = spec.channels
+        elif spec.kind == "flatten":
+            feats = c * h * w
+        elif spec.kind == "dense":
+            if feats is None:
+                raise ShapeError("dense layer before flatten")
+            feats = spec.units
+        shapes.append((c, h, w) if feats is None else (feats, None, None))
+    return shapes
+
+
 def conv_feature_shapes(arch: ArchConfig) -> List[Tuple[int, int, int]]:
     """(channels, h, w) of each conv layer's output, indexed 1..K as list[0..]."""
-    shapes = Network._propagate_shapes(arch)
-    out = []
-    for pos, spec in enumerate(arch.layers):
-        if spec.kind != "conv2d":
-            continue
-        c, h, w = shapes[pos]
-        k, s = spec.kernel, spec.stride
-        p = (k - 1) // 2 if spec.padding == "same" else int(spec.padding or 0)
-        out.append((spec.channels, (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1))
-    return out
+    shapes = _propagate_shapes(arch)
+    return [shapes[pos + 1] for pos, spec in enumerate(arch.layers)
+            if spec.kind == "conv2d"]
 
 
 def build(arch: ArchConfig, seed: int = 0, dtype=np.float64) -> Network:
     """Deterministically initialize a network for the given architecture."""
     return Network(arch, seed=seed, dtype=dtype)
-
-
-def extract_features(net: Network, x: np.ndarray, layer_indices: Sequence[int]
-                     ) -> Dict[int, np.ndarray]:
-    """Eval-mode feature maps at the given conv indices; never mutates weights."""
-    _, tapped = net.forward(x, train=False, taps=layer_indices)
-    return tapped

@@ -15,6 +15,7 @@ import csv
 import json
 import os
 import time
+from concurrent.futures import Executor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,8 +25,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from .audio import NormStats, compute_norm_stats
 from .data import Dataset, load_split_dir
-from .losses import (ATConfig, _aggregate_with_grad, _similarity_with_grad,
-                     aggregate, cross_entropy_and_grad)
+from .losses import ATConfig, aggregate, cross_entropy_and_grad
+from .losses import at_loss_and_grad as _at_term
 from .network import Network, build, conv_feature_shapes, preset
 from .optim import Adam
 
@@ -179,25 +180,6 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
 # ---------------------------------------------------------------------------
 # Anti-transfer plumbing
 # ---------------------------------------------------------------------------
-
-def _at_term(trained_feature: np.ndarray, agg_pretrained: np.ndarray,
-             cfg: ATConfig) -> Tuple[float, Optional[np.ndarray]]:
-    """Anti-transfer term against a precomputed pretrained-side aggregate."""
-    if cfg.beta == 0.0:
-        return 0.0, None
-    b = trained_feature.shape[0]
-    agg_t, pullback = _aggregate_with_grad(trained_feature, cfg.aggregation)
-    if agg_t.shape != agg_pretrained.shape:
-        raise ValueError(f"aggregated shapes disagree: {agg_t.shape} vs "
-                         f"{agg_pretrained.shape}")
-    sims, dv = _similarity_with_grad(agg_t.reshape(b, -1),
-                                     agg_pretrained.reshape(b, -1),
-                                     cfg.similarity)
-    sign = -1.0 if cfg.direction == "encourage" else 1.0
-    loss = sign * cfg.beta * float(np.mean(sims))
-    dagg = (sign * cfg.beta / b) * dv.reshape(agg_t.shape)
-    return loss, pullback(dagg).astype(trained_feature.dtype)
-
 
 def _precompute_extractor_aggs(extractor: Network, x: np.ndarray,
                                at_cfg: ATConfig, batch_size: int
@@ -486,31 +468,36 @@ class SweepRow:
     best: bool = False
 
 
-def _sweep(base_config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
-           values: Sequence, make_cfg, label: str,
-           select_by: str = "val_accuracy") -> List[SweepRow]:
+def _sweep_point(cfg: TrainConfig, data: Dict[str, Dataset], run_dir: Path
+                 ) -> Tuple[float, float, float, float]:
+    """Train one sweep point; module-level so a process pool can pickle it.
+    Returns (train_acc at the best epoch, val_acc, test_acc, best val loss)."""
+    result = train(cfg, data, run_dir)
+    return (result.metrics[result.best_epoch].train_acc, result.val_accuracy,
+            result.test_accuracy,
+            float(min(m.val_ce + m.val_at for m in result.metrics)))
+
+
+def _sweep(data: Dict[str, Dataset], out_dir: Path, values: Sequence,
+           make_cfg, label: str,
+           select_by: str = "val_accuracy",
+           executor: Optional[Executor] = None) -> List[SweepRow]:
     if not values:
         raise ValueError(f"empty {label} sweep grid")
+    if select_by not in ("val_accuracy", "val_loss"):
+        raise ValueError("select_by must be val_accuracy or val_loss")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: List[SweepRow] = []
-    for v in values:
-        cfg = make_cfg(v)
-        run_dir = out_dir / f"{label}_{v}"
-        result = train(cfg, data, run_dir)
-        rows.append(SweepRow(
-            value=float(v),
-            train_acc=result.metrics[result.best_epoch].train_acc,
-            val_acc=result.val_accuracy,
-            test_acc=result.test_accuracy,
-            val_loss=float(min(m.val_ce + m.val_at for m in result.metrics)),
-            out_dir=str(run_dir)))
+    run_dirs = [out_dir / f"{label}_{v}" for v in values]
+    points = (executor.map if executor else map)(
+        _sweep_point, [make_cfg(v) for v in values], [data] * len(values),
+        run_dirs)
+    rows = [SweepRow(float(v), *point, out_dir=str(run_dir))
+            for v, point, run_dir in zip(values, points, run_dirs)]
     if select_by == "val_accuracy":
         best_i = max(range(len(rows)), key=lambda i: rows[i].val_acc)
-    elif select_by == "val_loss":
-        best_i = min(range(len(rows)), key=lambda i: rows[i].val_loss)
     else:
-        raise ValueError("select_by must be val_accuracy or val_loss")
+        best_i = min(range(len(rows)), key=lambda i: rows[i].val_loss)
     rows[best_i].best = True
     with open(out_dir / "sweep.csv", "w", newline="") as f:
         w = csv.writer(f)
@@ -522,16 +509,17 @@ def _sweep(base_config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
 
 
 def sweep_layers(base_config: TrainConfig, data: Dict[str, Dataset], out_dir,
-                 layer_range: Sequence[int],
-                 select_by: str = "val_accuracy") -> List[SweepRow]:
-    """Train once per candidate anti-transfer layer; flag the best row."""
+                 layer_range: Sequence[int], select_by: str = "val_accuracy",
+                 executor: Optional[Executor] = None) -> List[SweepRow]:
+    """Train once per candidate anti-transfer layer; flag the best row.
+    Points run through executor.map when an executor is given."""
     layer_range = list(layer_range)
 
     def make_cfg(k):
         return replace(base_config, at=replace(base_config.at, layers=(int(k),)))
 
-    return _sweep(base_config, data, out_dir, layer_range, make_cfg, "layer",
-                  select_by)
+    return _sweep(data, out_dir, layer_range, make_cfg, "layer", select_by,
+                  executor)
 
 
 DEFAULT_BETA_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
@@ -539,10 +527,12 @@ DEFAULT_BETA_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
 def sweep_betas(base_config: TrainConfig, data: Dict[str, Dataset], out_dir,
                 betas: Sequence[float] = DEFAULT_BETA_GRID,
-                select_by: str = "val_accuracy") -> List[SweepRow]:
-    """Train once per anti-transfer weight; flag the best row."""
+                select_by: str = "val_accuracy",
+                executor: Optional[Executor] = None) -> List[SweepRow]:
+    """Train once per anti-transfer weight; flag the best row.
+    Points run through executor.map when an executor is given."""
     def make_cfg(b):
         return replace(base_config, at=replace(base_config.at, beta=float(b)))
 
-    return _sweep(base_config, data, out_dir, list(betas), make_cfg, "beta",
-                  select_by)
+    return _sweep(data, out_dir, list(betas), make_cfg, "beta", select_by,
+                  executor)

@@ -140,18 +140,16 @@ class TestBuildDeterminism:
         b = build(preset("vgg-tiny", (16, 17), 3), seed=10)
         assert a.weight_hash() != b.weight_hash()
 
-    def test_extract_features_does_not_mutate_weights(self):
-        from antitransfer.network import extract_features
+    def test_eval_forward_does_not_mutate_weights(self):
         net = build(preset("vgg-tiny", (16, 17), 3), seed=4)
         before = net.weight_hash()
         x = np.random.default_rng(0).standard_normal((2, 1, 16, 17))
-        feats = extract_features(net, x, [1, 4])
+        _, feats = net.forward(x, taps=[1, 4])
         assert set(feats) == {1, 4}
         assert feats[1].shape == (2, 16, 16, 17)
         assert net.weight_hash() == before
 
     def test_zero_input_zero_bias_gives_zero_features(self):
-        from antitransfer.network import extract_features
         net = build(preset("vgg-tiny", (16, 17), 3), seed=4)
-        feats = extract_features(net, np.zeros((1, 1, 16, 17)), [1])
+        _, feats = net.forward(np.zeros((1, 1, 16, 17)), taps=[1])
         assert np.all(feats[1] == 0.0)

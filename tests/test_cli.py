@@ -150,16 +150,20 @@ class TestSweepCommand:
 
     def test_parallel_jobs_match_sequential(self, tmp_path, orth_checkpoint,
                                             tiny_data_dir):
-        cfg = write_config(tmp_path, strategy="at",
-                           checkpoints=(orth_checkpoint,),
-                           data_dir=tiny_data_dir)
-        assert main(["sweep", "--config", str(cfg), "--layers", "1..2",
-                     "--out", str(tmp_path / "seq")]) == 0
-        assert main(["sweep", "--config", str(cfg), "--layers", "1..2",
-                     "--jobs", "2", "--out", str(tmp_path / "par")]) == 0
-        seq = (tmp_path / "seq" / "sweep.csv").read_text()
-        par = (tmp_path / "par" / "sweep.csv").read_text()
-        assert seq == par
+        # a manifest_dir source, then a synth source that each sweep
+        # generates into its own output directory
+        for data_dir in (tiny_data_dir, None):
+            cfg = write_config(tmp_path, strategy="at",
+                               checkpoints=(orth_checkpoint,),
+                               data_dir=data_dir)
+            name = "synth" if data_dir is None else "manifest"
+            seq, par = tmp_path / f"{name}_seq", tmp_path / f"{name}_par"
+            assert main(["sweep", "--config", str(cfg), "--layers", "1..2",
+                         "--out", str(seq)]) == 0
+            assert main(["sweep", "--config", str(cfg), "--layers", "1..2",
+                         "--jobs", "2", "--out", str(par)]) == 0
+            assert ((seq / "sweep.csv").read_bytes()
+                    == (par / "sweep.csv").read_bytes())
 
 
 class TestGradcheckCommand:
@@ -219,3 +223,11 @@ class TestEstimateMemoryCommand:
     def test_bad_input_size_exits_2(self):
         assert main(["estimate-memory", "--arch", "vgg16", "--batch", "1",
                      "--at-layer", "1", "--input-size", "banana"]) == 2
+
+    def test_collapsing_input_size_exits_2(self):
+        assert main(["estimate-memory", "--arch", "vgg16", "--at-layer", "13",
+                     "--input-size", "16x16"]) == 2
+
+    def test_out_of_range_layer_exits_2(self):
+        assert main(["estimate-memory", "--arch", "vgg16", "--at-layer", "14",
+                     "--input-size", "126x129"]) == 2

@@ -5,11 +5,25 @@ import numpy as np
 import pytest
 
 from antitransfer.layers import ShapeError
-from antitransfer.losses import (ATConfig, aggregate, at_loss, at_loss_and_grad,
+from antitransfer.losses import (ATConfig, aggregate, at_loss_and_grad,
                                  cross_entropy_and_grad, estimate_memory, gram,
-                                 pretrained_side_grad, sigmoid_mse,
-                                 squared_cosine, total_loss)
+                                 similarity, total_loss)
 from antitransfer.network import preset
+
+
+def squared_cosine(a, b):
+    """One pair of flat vectors through the batched similarity."""
+    return float(similarity(a[None], b[None], "squared_cosine")[0][0])
+
+
+def sigmoid_mse(a, b):
+    return float(similarity(a[None], b[None], "sigmoid_mse")[0][0])
+
+
+def at_loss(trained, pretrained, cfg):
+    """Anti-transfer value against a raw pretrained map."""
+    return at_loss_and_grad(trained, aggregate(pretrained, cfg.aggregation),
+                            cfg)[0]
 
 
 def gram_naive(feature):
@@ -127,10 +141,9 @@ class TestSimilarities:
         assert all(x > y for x, y in zip(vals, vals[1:]))
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            squared_cosine(np.zeros(3), np.zeros(4))
-        with pytest.raises(ShapeError):
-            sigmoid_mse(np.zeros(3), np.zeros(4))
+        for kind in ("squared_cosine", "sigmoid_mse"):
+            with pytest.raises(ShapeError):
+                similarity(np.zeros((1, 3)), np.zeros((1, 4)), kind)
 
 
 class TestATLoss:
@@ -152,12 +165,12 @@ class TestATLoss:
         rng = np.random.default_rng(2)
         ft = rng.standard_normal((2, 3, 4, 4))
         fp = rng.standard_normal((2, 3, 4, 4))
-        loss, grad = at_loss_and_grad(ft, fp, ATConfig(layers=(1,), beta=0.0))
+        loss, grad = at_loss_and_grad(ft, gram(fp), ATConfig(layers=(1,), beta=0.0))
         assert loss == 0.0 and grad is None
 
     def test_bounds_and_invariances_random(self):
         """1000 random pairs: range, scaling, joint channel permutation and
-        per-network spatial permutation invariance; zero pretrained gradient."""
+        per-network spatial permutation invariance."""
         rng = np.random.default_rng(3)
         beta = 1.7
         cfg = ATConfig(layers=(1,), beta=beta)
@@ -177,7 +190,6 @@ class TestATLoss:
             sp = rng.permutation(x * y)
             ft_sp = ft.reshape(1, c, -1)[:, :, sp].reshape(ft.shape)
             assert at_loss(ft_sp, fp, cfg) == pytest.approx(val, abs=1e-9)
-            assert np.all(pretrained_side_grad(ft, fp, cfg) == 0.0)
 
     def test_encourage_negates_penalize_gradient_exactly(self):
         rng = np.random.default_rng(4)
@@ -185,14 +197,17 @@ class TestATLoss:
         fp = rng.standard_normal((2, 3, 4, 5))
         pen = ATConfig(layers=(1,), beta=2.0, direction="penalize")
         enc = ATConfig(layers=(1,), beta=2.0, direction="encourage")
-        lp, gp = at_loss_and_grad(ft, fp, pen)
-        le, ge = at_loss_and_grad(ft, fp, enc)
+        lp, gp = at_loss_and_grad(ft, gram(fp), pen)
+        le, ge = at_loss_and_grad(ft, gram(fp), enc)
         assert le == pytest.approx(-lp)
         assert np.array_equal(ge, -gp)
 
     def test_shape_mismatch_is_architecture_error(self):
+        # maps differing only spatially give Grams of equal shape; a channel
+        # count mismatch is what reaches the loss
         with pytest.raises(ShapeError):
-            at_loss(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 3)), self.CFG)
+            at_loss_and_grad(np.zeros((1, 2, 3, 3)), gram(np.zeros((1, 3, 3, 3))),
+                             self.CFG)
 
     def test_gram_normalization_is_immaterial_under_cosine(self):
         """Dividing both Grams by any positive constant leaves the loss

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from antitransfer import layers as L
-from antitransfer.losses import ATConfig, at_loss_and_grad, cross_entropy_and_grad
+from antitransfer.losses import (ATConfig, aggregate, at_loss_and_grad,
+                                 cross_entropy_and_grad)
 from antitransfer.network import (ArchConfig, build, conv_feature_shapes,
                                   preset)
 
@@ -39,6 +40,14 @@ class TestPresetShapes:
         logits, taps = net.forward(x.astype(np.float32), taps=(1, 4))
         assert logits.shape == (2, 4)
         assert taps[1].shape == (2, 16, 126, 129)
+
+    def test_collapsed_pool_is_shape_error(self):
+        """vgg16's fifth pool takes 16x16 down to 0x0."""
+        arch = preset("vgg16", (16, 16), 10)
+        with pytest.raises(L.ShapeError):
+            conv_feature_shapes(arch)
+        with pytest.raises(L.ShapeError):
+            build(arch)
 
     def test_preset_conv_counts(self):
         assert preset("vgg16", (32, 32), 2).conv_count == 13
@@ -118,7 +127,8 @@ class TestGradientInjection:
         ce, dlogits = cross_entropy_and_grad(logits, self.labels)
         inject = {}
         for k in cfg.layers:
-            _, g = at_loss_and_grad(taps[k], ptaps[k], cfg)
+            _, g = at_loss_and_grad(taps[k], aggregate(ptaps[k], cfg.aggregation),
+                                    cfg)
             inject[k] = g
         self.net.backward(dlogits, tap_grad_in=inject)
         for layer in self.net.layers:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from antitransfer import checkpoint as ck
+from antitransfer import losses, training
 from antitransfer.data import load_split_dir
 from antitransfer.losses import ATConfig
 from antitransfer.training import (TrainConfig, evaluate, pretrain,
@@ -83,6 +84,12 @@ class TestScratch:
 
 
 class TestAntiTransfer:
+    def test_trainer_uses_the_checked_loss(self):
+        """The gradient oracle checks losses.at_loss_and_grad; training must
+        call that same object, and bind the names traced from outside."""
+        assert training._at_term is losses.at_loss_and_grad
+        assert training.aggregate is losses.aggregate
+
     def test_beta_zero_is_bitwise_scratch(self, tiny_data_dir, orth_checkpoint,
                                           tmp_path):
         scratch = train_on_dir(cfg_for("scratch"), tiny_data_dir, tmp_path / "s")
