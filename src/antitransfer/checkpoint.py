@@ -15,6 +15,7 @@ and compact separators, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Dict, Optional, Tuple
@@ -46,25 +47,33 @@ class FingerprintMismatchError(CheckpointError):
 
 
 def write_container(path, meta: dict, tensors: Dict[str, np.ndarray]) -> None:
+    """Write an ATCK container. The bytes go to a temporary file beside
+    `path` that then replaces it, so a crash mid-write leaves the previous
+    file intact."""
     path = Path(path)
     meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(meta_blob)))
-        f.write(meta_blob)
-        f.write(struct.pack("<I", len(tensors)))
-        for name in sorted(tensors):
-            arr = np.ascontiguousarray(tensors[name])
-            if arr.dtype not in _DTYPE_TAGS:
-                arr = arr.astype(np.float64)
-            blob = name.encode()
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
-            for extent in arr.shape:
-                f.write(struct.pack("<Q", extent))
-            f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", FORMAT_VERSION))
+            f.write(struct.pack("<I", len(meta_blob)))
+            f.write(meta_blob)
+            f.write(struct.pack("<I", len(tensors)))
+            for name in sorted(tensors):
+                arr = np.ascontiguousarray(tensors[name])
+                if arr.dtype not in _DTYPE_TAGS:
+                    arr = arr.astype(np.float64)
+                blob = name.encode()
+                f.write(struct.pack("<I", len(blob)))
+                f.write(blob)
+                f.write(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
+                for extent in arr.shape:
+                    f.write(struct.pack("<Q", extent))
+                f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _take(buf: bytes, offset: int, count: int) -> Tuple[bytes, int]:

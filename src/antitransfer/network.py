@@ -220,6 +220,14 @@ class Network:
                 rng: Optional[np.random.Generator] = None,
                 taps: Iterable[int] = ()) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
         """Run the network; returns (class scores, feature map per tapped conv)."""
+        return self._run(x, train, rng, taps, last_tap_only=False)
+
+    def tap_features(self, x: np.ndarray, taps: Iterable[int]) -> Dict[int, np.ndarray]:
+        """Eval-mode feature map per tapped conv. Stops after the deepest tap,
+        since no later layer changes them; the maps equal forward's."""
+        return self._run(x, False, None, taps, last_tap_only=True)[1]
+
+    def _run(self, x, train, rng, taps, last_tap_only: bool):
         taps = sorted(set(taps))
         for k in taps:
             if k not in self.tap_positions:
@@ -230,9 +238,10 @@ class Network:
         x = np.ascontiguousarray(x, dtype=self.dtype)
         check_finite(x, "network input")
         tap_at = {self.tap_positions[k]: k for k in taps}
+        stop = max(tap_at, default=-1) + 1 if last_tap_only else len(self.layers)
         tapped: Dict[int, np.ndarray] = {}
         out = x
-        for pos, layer in enumerate(self.layers):
+        for pos, layer in enumerate(self.layers[:stop]):
             out = layer.forward(out, train, rng)
             if self.finite_checks:
                 check_finite(out, f"activations after {layer.name or type(layer).__name__}")

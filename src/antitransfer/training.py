@@ -187,8 +187,7 @@ def _precompute_extractor_aggs(extractor: Network, x: np.ndarray,
     """Per-sample aggregated representations of the frozen extractor."""
     out: Dict[int, List[np.ndarray]] = {k: [] for k in at_cfg.layers}
     for start in range(0, len(x), batch_size):
-        _, tapped = extractor.forward(x[start:start + batch_size],
-                                      taps=at_cfg.layers)
+        tapped = extractor.tap_features(x[start:start + batch_size], at_cfg.layers)
         for k, fmap in tapped.items():
             out[k].append(aggregate(fmap, at_cfg.aggregation))
     return {k: np.concatenate(chunks) for k, chunks in out.items()}

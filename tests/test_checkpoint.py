@@ -33,6 +33,22 @@ class TestContainer:
             assert got.dtype == arr.dtype
             assert np.array_equal(got, arr)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path, tiny_net):
+        """A write that raises midway leaves the old file and no temporary."""
+        path = tmp_path / "m.atck"
+        ck.save(tiny_net, path)
+        before = path.read_bytes()
+
+        class Unwritable:
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("write interrupted")
+
+        with pytest.raises(RuntimeError):
+            ck.write_container(path, {"kind": "checkpoint"},
+                               {"a": np.zeros(3), "b": Unwritable()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.atck"]
+
     def test_truncated_file_is_corrupt(self, tmp_path, tiny_net):
         path = tmp_path / "m.atck"
         ck.save(tiny_net, path)

@@ -62,6 +62,9 @@ class TestOracleSuite:
         failed = [r.name for r in reports if not r.passed]
         assert failed
         assert all("anti-transfer" in n or "total objective" in n for n in failed)
+        # every whole-objective check, sigmoid_mse included, sees the flip
+        total = [r.name for r in reports if "total objective" in r.name]
+        assert len(total) == 4 and set(total) <= set(failed)
 
     def test_total_loss_gradcheck_both_layers_and_similarities(self):
         for layer in (1, 2):

@@ -1,7 +1,11 @@
 """Layer-level forward/backward behavior against hand-computed oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from antitransfer import layers as L
 from antitransfer.network import ArchConfig, build
@@ -129,6 +133,91 @@ def test_maxpool_ceil_padding_never_wins():
     out = pool.forward(x, train=False, rng=None)
     assert np.all(np.isfinite(out))
     assert np.all(out == -100.0)
+
+
+def test_ceil_mode_drops_window_starting_outside():
+    """Stride 3 > kernel 1 on 5 rows: a third window would start at row 6."""
+    spec = L.maxpool2d(kernel=1, stride=3)
+    assert L.output_hw(spec, 5, 5) == (2, 2)
+    x = np.arange(25.0).reshape(1, 1, 5, 5)
+    out = L.MaxPool2D(spec).forward(x, train=False, rng=None)
+    assert np.array_equal(out, x[:, :, ::3, ::3])
+
+
+def test_floor_mode_uneven_extent_keeps_input_shape():
+    """(6 - 3) % 2 != 0: the last row and column are in no window."""
+    pool = L.MaxPool2D(L.maxpool2d(kernel=3, stride=2, ceil_mode=False))
+    x = np.arange(36.0).reshape(1, 1, 6, 6)
+    out = pool.forward(x, train=False, rng=None)
+    assert np.array_equal(out, [[[[14.0, 16.0], [26.0, 28.0]]]])
+    dx = pool.backward(np.ones_like(out))
+    assert dx.shape == x.shape
+    assert dx.sum() == 4.0
+    assert not dx[:, :, 5, :].any() and not dx[:, :, :, 5].any()
+
+
+def _oracle_pool_forward(x, k, s, oh, ow):
+    """Tap-loop max pool over an -inf padded copy: the first tap in
+    row-major order that beats the running max wins."""
+    n, c, h, w = x.shape
+    hp, wp = max((oh - 1) * s + k, h), max((ow - 1) * s + k, w)
+    xp = np.full((n, c, hp, wp), -np.inf, dtype=x.dtype)
+    xp[:, :, :h, :w] = x
+    out = np.full((n, c, oh, ow), -np.inf, dtype=x.dtype)
+    arg = np.zeros((n, c, oh, ow), dtype=np.int8)
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+            better = patch > out
+            out[better] = patch[better]
+            arg[better] = i * k + j
+    return out, arg
+
+
+def _oracle_pool_backward(dout, arg, in_shape, k, s):
+    n, c, h, w = in_shape
+    oh, ow = dout.shape[2], dout.shape[3]
+    dxp = np.zeros((n, c, max((oh - 1) * s + k, h), max((ow - 1) * s + k, w)),
+                   dtype=dout.dtype)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dout * (arg == i * k + j)
+    return dxp[:, :, :h, :w]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 10),
+       w=st.integers(1, 10), k=st.integers(1, 4), s=st.integers(1, 4),
+       ceil_mode=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
+       block=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_maxpool_is_bitwise_the_tap_loop(n, c, h, w, k, s, ceil_mode, dtype,
+                                         block, seed):
+    spec = L.maxpool2d(kernel=k, stride=s, ceil_mode=ceil_mode)
+    try:
+        oh, ow = L.output_hw(spec, h, w)
+    except ShapeError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    shape = (n, c, h, w)
+    # post-ReLU input: many ties, at 0 of both signs (x * 0 is -0.0 for x < 0)
+    # and between small integers
+    pre = np.where(rng.random(shape) < 0.5, rng.integers(-2, 3, shape),
+                   rng.standard_normal(shape)).astype(dtype)
+    x = pre * (pre > 0)
+    pool = L.MaxPool2D(spec)
+    # forward in blocks of `block` samples, as it runs on large batches
+    with mock.patch.object(L, "_POOL_BLOCK_BYTES", block * x[0].nbytes):
+        out = pool.forward(x, train=False, rng=None)
+    want_out, want_arg = _oracle_pool_forward(x, k, s, oh, ow)
+    assert out.dtype == want_out.dtype
+    assert out.tobytes() == want_out.tobytes()
+    assert np.array_equal(pool._arg, want_arg)
+    dout = rng.standard_normal(out.shape).astype(dtype)
+    dout[rng.random(out.shape) < 0.3] = -0.0
+    dx = pool.backward(dout)
+    want_dx = _oracle_pool_backward(dout, want_arg, shape, k, s)
+    assert dx.dtype == want_dx.dtype and dx.shape == want_dx.shape
+    assert dx.tobytes() == want_dx.tobytes()
 
 
 class TestNetworkForward:

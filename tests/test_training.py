@@ -90,6 +90,27 @@ class TestAntiTransfer:
         assert training._at_term is losses.at_loss_and_grad
         assert training.aggregate is losses.aggregate
 
+    def test_extractor_precompute_stops_at_deepest_tap(self, monkeypatch):
+        """The precomputed Grams are byte-equal to those of a full forward,
+        and no layer past the deepest tapped conv runs."""
+        extractor = build(preset("vgg-tiny", (16, 17), 4), seed=11, dtype=np.float32)
+        x = np.random.default_rng(5).standard_normal((20, 1, 16, 17)).astype(np.float32)
+        at_cfg = ATConfig(layers=(1, 3))
+        want = {k: [] for k in at_cfg.layers}
+        for start in range(0, len(x), 8):
+            _, tapped = extractor.forward(x[start:start + 8], taps=at_cfg.layers)
+            for k in at_cfg.layers:
+                want[k].append(losses.aggregate(tapped[k], "gram"))
+
+        def not_reached(*args):
+            raise AssertionError("layer past the deepest tap ran")
+        for layer in extractor.layers[extractor.tap_positions[3] + 1:]:
+            monkeypatch.setattr(layer, "forward", not_reached)
+        got = training._precompute_extractor_aggs(extractor, x, at_cfg, 8)
+        assert sorted(got) == [1, 3]
+        for k in at_cfg.layers:
+            assert got[k].tobytes() == np.concatenate(want[k]).tobytes()
+
     def test_beta_zero_is_bitwise_scratch(self, tiny_data_dir, orth_checkpoint,
                                           tmp_path):
         scratch = train_on_dir(cfg_for("scratch"), tiny_data_dir, tmp_path / "s")
