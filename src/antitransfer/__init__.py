@@ -13,8 +13,7 @@ from .network import (ArchConfig, Network, build, conv_feature_shapes, preset,
                       vgg16, vgg_small, vgg_tiny)
 from .optim import Adam
 from .losses import (ATConfig, MemoryEstimate, aggregate, at_loss_and_grad,
-                     cross_entropy_and_grad, estimate_memory, gram, similarity,
-                     total_loss)
+                     cross_entropy_and_grad, estimate_memory, gram, similarity)
 from .checkpoint import (CheckpointError, CorruptFileError,
                          FingerprintMismatchError, VersionMismatchError,
                          init_from, load, save)
@@ -24,7 +23,7 @@ from .audio import (AudioClip, NormStats, Spectrogram, compute_norm_stats,
 from .data import (Dataset, load_dataset, load_split_dir, read_manifest,
                    split_class_wise, split_manifest, split_random,
                    write_manifest)
-from .synth import SynthSpec, cramers_v, generate, render, verify_separability
+from .synth import SynthSpec, cramers_v, generate, render
 from .training import (EpochMetrics, TrainConfig, TrainResult, evaluate,
                        pretrain, sweep_betas, sweep_layers, train,
                        train_on_dir, TrainingDivergedError)

@@ -26,8 +26,8 @@ from .config import ConfigError, ExperimentConfig, prepare_data
 from .data import read_sample
 from .gradcheck import run_oracle_suite
 from .layers import NonFiniteError
-from .losses import estimate_memory
-from .network import preset
+from .losses import AGGREGATIONS, SIMILARITIES, estimate_memory
+from .network import PRESETS, preset
 from .training import TrainingDivergedError
 
 EXIT_OK = 0
@@ -52,9 +52,8 @@ def _add_at_flags(p):
                    metavar="N", help="conv layer for the anti-transfer term "
                    "(repeat for multi-layer)")
     p.add_argument("--beta", type=float, help="anti-transfer loss weight")
-    p.add_argument("--similarity", choices=("squared_cosine", "sigmoid_mse"))
-    p.add_argument("--aggregation",
-                   choices=("gram", "mean", "sum", "max", "comp_mul"))
+    p.add_argument("--similarity", choices=SIMILARITIES)
+    p.add_argument("--aggregation", choices=AGGREGATIONS)
     p.add_argument("--checkpoint", action="append", default=None, metavar="PATH",
                    help="pretrained orthogonal checkpoint (order matters for "
                    "dual-at; overrides config)")
@@ -100,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate-memory",
                        help="anti-transfer training memory per layer choice")
-    p.add_argument("--arch", default="vgg16", choices=("vgg16", "vgg-small", "vgg-tiny"))
+    p.add_argument("--arch", default="vgg16", choices=list(PRESETS))
     p.add_argument("--input-size", default="126x129", metavar="FRAMESxBINS")
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--at-layer", type=int, action="append", required=True)
@@ -114,36 +113,30 @@ def build_parser() -> argparse.ArgumentParser:
 # Command implementations
 # ---------------------------------------------------------------------------
 
+def _given(**kw) -> dict:
+    return {k: v for k, v in kw.items() if v is not None}
+
+
 def _resolve_config(args, with_at_flags: bool) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
-    train = cfg.train
-    if args.seed is not None:
-        train = replace(train, seed=args.seed)
+    overrides = _given(seed=args.seed)
+    at = {}
     if with_at_flags:
-        at = train.at
-        if args.at_layer:
-            at = replace(at, layers=tuple(args.at_layer))
-        if args.beta is not None:
-            if args.beta < 0:
-                raise ConfigError("--beta must be >= 0; use --strategy at-inverse "
-                                  "to encourage similarity instead")
-            at = replace(at, beta=args.beta)
-        if args.similarity:
-            at = replace(at, similarity=args.similarity)
-        if args.aggregation:
-            at = replace(at, aggregation=args.aggregation)
-        train = replace(train, at=at)
-        if args.checkpoint:
-            train = replace(train, pretrained_checkpoints=tuple(args.checkpoint))
-        if args.strategy:
-            train = replace(train, strategy=_STRATEGY_FLAGS[args.strategy])
-        try:
-            train.__post_init__()  # revalidate strategy/checkpoint pairing
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    cfg = ExperimentConfig(train=train, data=cfg.data,
-                           output_dir=args.out or cfg.output_dir)
-    return cfg
+        if args.beta is not None and args.beta < 0:
+            raise ConfigError("--beta must be >= 0; use --strategy at-inverse "
+                              "to encourage similarity instead")
+        at = _given(layers=args.at_layer, beta=args.beta,
+                    similarity=args.similarity, aggregation=args.aggregation)
+        overrides.update(_given(pretrained_checkpoints=args.checkpoint,
+                                strategy=_STRATEGY_FLAGS.get(args.strategy)))
+    try:
+        # one replace: the strategy/checkpoint pairing is checked once, on
+        # the final combination
+        train = replace(cfg.train, at=replace(cfg.train.at, **at), **overrides)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    return ExperimentConfig(train=train, data=cfg.data,
+                            output_dir=args.out or cfg.output_dir)
 
 
 def _echo_config(cfg: ExperimentConfig, out_dir: Path) -> None:

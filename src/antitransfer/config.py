@@ -114,15 +114,21 @@ class ExperimentConfig:
 
 
 def prepare_data(cfg: ExperimentConfig, work_dir) -> Dict[str, Dataset]:
-    """Materialize the configured data source into train/val/test datasets."""
+    """Materialize the configured data source into train/val/test datasets.
+    Data that cannot make a dataset (a malformed manifest, a val/test label
+    the train split lacks, an unusable split) is reported as a ConfigError."""
     work_dir = Path(work_dir)
-    if cfg.data.kind == "synth":
-        data_dir = generate(cfg.data.synth, work_dir / "synth_data")
+    try:
+        if cfg.data.kind == "synth":
+            data_dir = generate(cfg.data.synth, work_dir / "synth_data")
+        elif cfg.data.kind == "manifest_dir":
+            data_dir = cfg.data.path
+        else:
+            # single manifest: split it per policy into the run directory
+            paths = split_manifest(cfg.data.path, cfg.train.split_policy,
+                                   cfg.train.seed, work_dir / "splits",
+                                   cfg.train.split_fractions)
+            data_dir = paths["train"].parent
         return load_split_dir(data_dir)
-    if cfg.data.kind == "manifest_dir":
-        return load_split_dir(cfg.data.path)
-    # single manifest: split it per policy into the run directory
-    paths = split_manifest(cfg.data.path, cfg.train.split_policy,
-                           cfg.train.seed, work_dir / "splits",
-                           cfg.train.split_fractions)
-    return load_split_dir(paths["train"].parent)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e

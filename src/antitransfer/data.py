@@ -130,11 +130,15 @@ def load_dataset(manifest_path, target_vocab: Optional[List[str]] = None,
     t_idx = {l: i for i, l in enumerate(target_vocab)}
     o_idx = {l: i for i, l in enumerate(orth_vocab)}
     n_orth = max((len(r.orth_labels) for r in rows), default=0)
-    target_ids = np.array([t_idx[r.target_label] for r in rows], dtype=np.int64)
     orth_ids = np.full((len(rows), max(n_orth, 1)), -1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        for j, l in enumerate(r.orth_labels):
-            orth_ids[i, j] = o_idx[l]
+    try:
+        target_ids = np.array([t_idx[r.target_label] for r in rows], dtype=np.int64)
+        for i, r in enumerate(rows):
+            for j, l in enumerate(r.orth_labels):
+                orth_ids[i, j] = o_idx[l]
+    except KeyError as e:
+        raise ValueError(f"{manifest_path}: label {e.args[0]!r} is not in the "
+                         "training split's vocabulary") from None
     return Dataset(x=x, target_ids=target_ids, orth_ids=orth_ids,
                    target_vocab=list(target_vocab), orth_vocab=list(orth_vocab))
 

@@ -15,9 +15,9 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from . import layers as L
-from .losses import (ATConfig, aggregate, at_loss_and_grad,
-                     cross_entropy_and_grad, total_loss)
+from .losses import ATConfig, aggregate, at_loss_and_grad, cross_entropy_and_grad
 from .network import ArchConfig, Network, build
+from .training import batch_objective
 
 
 @dataclass
@@ -130,7 +130,9 @@ def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
                          flip_at_grad_sign: bool = False,
                          beta: float = 1.0) -> GradCheckReport:
     """Check d(total objective)/d(every trainable parameter) on a two-conv
-    network with the anti-transfer term on one layer."""
+    network with the anti-transfer term on one layer. Both the loss and the
+    analytic gradient come from `training.batch_objective`, the objective
+    the trainer runs."""
     net = _two_conv_net(seed=seed)
     extractor = _two_conv_net(seed=seed + 101)
     rng = np.random.default_rng(seed + 7)
@@ -148,17 +150,12 @@ def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
     paggs = {k: aggregate(ptaps[k], cfg.aggregation) for k in cfg.layers}
 
     def loss_fn():
-        logits, taps = net.forward(x, taps=cfg.layers)
-        terms = [at_loss_and_grad(taps[k], paggs[k], cfg)[0] for k in cfg.layers]
-        return total_loss(logits, labels, terms)
+        _, ce, at_vals, _, _ = batch_objective(net, x, labels, cfg, paggs)
+        return ce + sum(at_vals.values())
 
-    logits, taps = net.forward(x, taps=cfg.layers)
-    _, dce = cross_entropy_and_grad(logits, labels)
-    inject = {}
-    for k in cfg.layers:
-        _, g = at_loss_and_grad(taps[k], paggs[k], cfg)
-        if g is not None:
-            inject[k] = -g if flip_at_grad_sign else g
+    _, _, _, dce, inject = batch_objective(net, x, labels, cfg, paggs)
+    if flip_at_grad_sign:
+        inject = {k: -g for k, g in inject.items()}
     net.backward(dce, tap_grad_in=inject)
 
     params, analytic = [], []

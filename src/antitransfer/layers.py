@@ -31,6 +31,8 @@ def check_finite(x: np.ndarray, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 LAYER_KINDS = ("conv2d", "maxpool2d", "dense", "relu", "dropout", "flatten")
+# MaxPool2D keeps the argmax tap index i*k + j in int8, so k*k - 1 <= 127
+MAX_POOL_KERNEL = 11
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,9 @@ class LayerSpec:
         elif self.kind == "maxpool2d":
             if not self.kernel or self.kernel < 1 or not self.stride or self.stride < 1:
                 raise ValueError("maxpool2d needs kernel >= 1 and stride >= 1")
+            if self.kernel > MAX_POOL_KERNEL:
+                raise ValueError(f"maxpool2d kernel {self.kernel} exceeds the "
+                                 f"limit of {MAX_POOL_KERNEL}")
         elif self.kind == "dense":
             if not self.units or self.units < 1:
                 raise ValueError("dense needs units >= 1")

@@ -1,5 +1,6 @@
-"""Anti-transfer loss: channel aggregation, similarity measures, the total
-objective, and the training-time memory estimator.
+"""Anti-transfer loss: channel aggregation, similarity measures, the
+cross-entropy, and the training-time memory estimator. The two terms are
+combined into the training objective by `training.batch_objective`.
 
 The anti-transfer term of one conv layer compares the layer's feature map in
 the network being trained against the same layer of a frozen network that was
@@ -40,6 +41,9 @@ class ATConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(int(k) for k in self.layers))
+        if not self.layers or min(self.layers) < 1:
+            raise ValueError("at layers must name at least one conv layer, "
+                             f"numbered from 1; got {list(self.layers)}")
         if self.beta < 0:
             raise ValueError("beta must be >= 0 (use direction='encourage' to flip the sign)")
         if self.similarity not in SIMILARITIES:
@@ -53,14 +57,6 @@ class ATConfig:
         return {"layers": list(self.layers), "beta": self.beta,
                 "similarity": self.similarity, "aggregation": self.aggregation,
                 "direction": self.direction}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ATConfig":
-        return ATConfig(layers=tuple(d.get("layers", (1,))),
-                        beta=d.get("beta", 1.0),
-                        similarity=d.get("similarity", "squared_cosine"),
-                        aggregation=d.get("aggregation", "gram"),
-                        direction=d.get("direction", "penalize"))
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +81,10 @@ def gram(feature: np.ndarray) -> np.ndarray:
 
 
 def aggregate(feature: np.ndarray, kind: str) -> np.ndarray:
-    """Pixel-wise channel reduction to a (batch, x, y) map.
+    """Per-sample channel reduction of a (batch, c, x, y) map.
 
+    gram returns (batch, c, c) channel Gram matrices; mean, sum, max and
+    comp_mul reduce pixel-wise over channels to a (batch, x, y) map.
     comp_mul compresses each value to v**0.001 before multiplying along the
     channel axis, so products of many small activations do not round to zero;
     it requires nonnegative inputs.
@@ -238,13 +236,6 @@ def cross_entropy_and_grad(scores: np.ndarray, labels: np.ndarray
     grad[np.arange(b), labels] -= 1.0
     grad /= b
     return loss, grad.astype(scores.dtype)
-
-
-def total_loss(scores: np.ndarray, labels: np.ndarray,
-               at_terms: Sequence[float] = ()) -> float:
-    """Cross-entropy plus the summed per-layer anti-transfer terms."""
-    ce, _ = cross_entropy_and_grad(scores, labels)
-    return ce + float(sum(at_terms))
 
 
 # ---------------------------------------------------------------------------

@@ -238,44 +238,3 @@ def cramers_v(a: np.ndarray, b: np.ndarray) -> float:
         chi2 = np.where(expected > 0, (table - expected) ** 2 / expected, 0.0).sum()
     denom = n * (min(ka, kb) - 1)
     return float(np.sqrt(chi2 / denom)) if denom > 0 else 0.0
-
-
-@dataclass
-class SeparabilityReport:
-    """Desk-scale sanity check that both factors are independently learnable
-    before any anti-transfer experiment uses the spec."""
-
-    target_accuracy: float
-    orth_accuracy: float
-    threshold: float = 0.9
-
-    @property
-    def usable(self) -> bool:
-        return (self.target_accuracy > self.threshold
-                and self.orth_accuracy > self.threshold)
-
-    def to_dict(self) -> dict:
-        return {"target_accuracy": self.target_accuracy,
-                "orth_accuracy": self.orth_accuracy,
-                "threshold": self.threshold, "usable": self.usable}
-
-
-def verify_separability(spec: SynthSpec, work_dir, max_epochs: int = 20,
-                        threshold: float = 0.9) -> SeparabilityReport:
-    """Train a small network on each factor alone (with the pairing removed,
-    rho = 0) and report both test accuracies."""
-    from dataclasses import replace
-    from .training import TrainConfig, train_on_dir
-
-    work_dir = Path(work_dir)
-    decorrelated = replace(spec, train_correlation=0.0)
-    data_dir = generate(decorrelated, work_dir / "separability_data")
-    accs = {}
-    for label_field in ("target", "orth1"):
-        cfg = TrainConfig(strategy="scratch", label_field=label_field,
-                          max_epochs=max_epochs, seed=spec.seed,
-                          arch_preset="vgg-tiny")
-        result = train_on_dir(cfg, data_dir, work_dir / f"separability_{label_field}")
-        accs[label_field] = result.test_accuracy
-    return SeparabilityReport(target_accuracy=accs["target"],
-                              orth_accuracy=accs["orth1"], threshold=threshold)

@@ -64,7 +64,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if isinstance(self.at, dict):
-            self.at = ATConfig.from_dict(self.at)
+            self.at = ATConfig(**self.at)
         self.pretrained_checkpoints = tuple(self.pretrained_checkpoints)
         self.split_fractions = tuple(self.split_fractions)
         if self.strategy not in STRATEGIES:
@@ -89,13 +89,6 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "at" in d:
-            d["at"] = ATConfig.from_dict(d["at"])
-        if "pretrained_checkpoints" in d:
-            d["pretrained_checkpoints"] = tuple(d["pretrained_checkpoints"])
-        if "split_fractions" in d:
-            d["split_fractions"] = tuple(d["split_fractions"])
         return TrainConfig(**d)
 
 
@@ -154,25 +147,44 @@ def evaluate(net: Network, x: np.ndarray, labels: np.ndarray,
     return correct / max(len(x), 1), confusion
 
 
+def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
+                    at_cfg: Optional[ATConfig] = None,
+                    aggs: Optional[Dict[int, np.ndarray]] = None,
+                    rows=slice(None), train: bool = False, rng=None):
+    """The training objective on one batch: cross-entropy plus, for each
+    tapped conv, the anti-transfer term against rows `rows` of the
+    extractor's per-sample aggregates `aggs`.
+
+    Returns (logits, ce, {layer: at value}, dlogits, {layer: gradient to
+    inject at that tap}); a zero-weight term has a value but no gradient.
+    The trainer, validation and the gradient oracle all call this.
+    """
+    taps = at_cfg.layers if at_cfg else ()
+    logits, tapped = net.forward(xb, train=train, rng=rng, taps=taps)
+    ce, dlogits = cross_entropy_and_grad(logits, yb)
+    at_vals, tap_grads = {}, {}
+    for k in taps:
+        at_vals[k], grad = _at_term(tapped[k], aggs[k][rows], at_cfg)
+        if grad is not None:
+            tap_grads[k] = grad
+    return logits, ce, at_vals, dlogits, tap_grads
+
+
 def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
                  agg_cache: Optional[Dict[int, np.ndarray]], batch_size: int):
     """Validation cross-entropy, accuracy and per-layer anti-transfer terms."""
     total_ce = 0.0
     correct = 0
     at_sums = {k: 0.0 for k in (at_cfg.layers if at_cfg else ())}
-    taps = at_cfg.layers if at_cfg else ()
     for start in range(0, len(x), batch_size):
-        xb = x[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        logits, tapped = net.forward(xb, taps=taps)
-        ce, _ = cross_entropy_and_grad(logits, yb)
-        total_ce += ce * len(xb)
+        rows = slice(start, start + batch_size)
+        yb = labels[rows]
+        logits, ce, at_vals, _, _ = batch_objective(net, x[rows], yb, at_cfg,
+                                                    agg_cache, rows)
+        total_ce += ce * len(yb)
         correct += int((logits.argmax(axis=1) == yb).sum())
-        if at_cfg:
-            for k in taps:
-                val, _ = _at_term(tapped[k], agg_cache[k][start:start + len(xb)],
-                                  at_cfg)
-                at_sums[k] += val * len(xb)
+        for k, val in at_vals.items():
+            at_sums[k] += val * len(yb)
     n = max(len(x), 1)
     return (total_ce / n, correct / n, {k: v / n for k, v in at_sums.items()})
 
@@ -287,25 +299,16 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
             ce_sum = 0.0
             at_sums = {k: 0.0 for k in taps}
             correct = 0
-            first_batch = True
             for start in range(0, n_train, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                xb = x_train[idx]
                 yb = y_train[idx]
-                net.finite_checks = first_batch
-                logits, tapped = net.forward(xb, train=True, rng=rng_dropout,
-                                             taps=taps)
-                first_batch = False
-                ce, dlogits = cross_entropy_and_grad(logits, yb)
-                inject = {}
-                batch_at = 0.0
-                for k in taps:
-                    val, grad = _at_term(tapped[k], agg_caches["train"][k][idx],
-                                         at_cfg)
+                net.finite_checks = start == 0
+                logits, ce, at_vals, dlogits, inject = batch_objective(
+                    net, x_train[idx], yb, at_cfg, agg_caches.get("train"), idx,
+                    train=True, rng=rng_dropout)
+                for k, val in at_vals.items():
                     at_sums[k] += val * len(idx)
-                    batch_at += val
-                    if grad is not None:
-                        inject[k] = grad
+                batch_at = sum(at_vals.values(), 0.0)
                 if not np.isfinite(ce + batch_at):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, samples "

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from antitransfer.data import MANIFEST_NAMES, read_manifest, write_manifest
 from antitransfer.synth import SynthSpec, generate
 from antitransfer.training import TrainConfig, pretrain
 
@@ -32,3 +33,18 @@ def orth_checkpoint(orth_data_dir, tmp_path_factory):
                       arch_preset="vgg-tiny")
     result = pretrain(cfg, orth_data_dir, tmp_path_factory.mktemp("orthmodel"))
     return result.checkpoint_path
+
+
+@pytest.fixture
+def unseen_label_dir(tiny_data_dir, tmp_path):
+    """tiny_data_dir's splits, except that one val sample carries the target
+    label "unseen", which no train sample has."""
+    out = tmp_path / "unseen_label_data"
+    out.mkdir()
+    for split, name in MANIFEST_NAMES.items():
+        rows = [replace(r, path=str(tiny_data_dir / r.path))
+                for r in read_manifest(tiny_data_dir / name)]
+        if split == "val":
+            rows[0] = replace(rows[0], target_label="unseen")
+        write_manifest(out / name, rows)
+    return out

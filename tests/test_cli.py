@@ -2,7 +2,7 @@
 
 import json
 
-from antitransfer.cli import main
+from antitransfer.cli import _resolve_config, build_parser, main
 from antitransfer.config import DataConfig, ExperimentConfig
 from antitransfer.data import read_manifest
 from antitransfer.synth import SynthSpec
@@ -86,6 +86,36 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--strategy", "at",
                      "--checkpoint", str(tmp_path / "missing.atck")])
         assert code == 3
+
+    def test_overrides_are_checked_once_in_combination(self, tmp_path):
+        """at -> dual-at with two checkpoints is valid only as a whole."""
+        cfg = write_config(tmp_path, strategy="at", checkpoints=("a.atck",))
+        args = build_parser().parse_args(
+            ["train", "--config", str(cfg), "--strategy", "dual-at",
+             "--checkpoint", "a.atck", "--checkpoint", "b.atck"])
+        train = _resolve_config(args, with_at_flags=True).train
+        assert train.strategy == "dual_at"
+        assert train.pretrained_checkpoints == ("a.atck", "b.atck")
+
+    def test_at_without_checkpoint_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--strategy", "at"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "checkpoint" in err
+
+    def test_at_layer_zero_exits_2(self, tmp_path, orth_checkpoint, capsys):
+        cfg = write_config(tmp_path, strategy="at",
+                           checkpoints=(orth_checkpoint,))
+        assert main(["train", "--config", str(cfg), "--at-layer", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "at layers" in err
+
+    def test_val_label_missing_from_train_exits_2(self, tmp_path,
+                                                  unseen_label_dir, capsys):
+        cfg = write_config(tmp_path, data_dir=unseen_label_dir)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'unseen'" in err
 
     def test_dual_at_runs_both_stages(self, tmp_path, orth_checkpoint,
                                       tiny_data_dir):

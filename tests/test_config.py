@@ -66,6 +66,21 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="n_classes"):
             ExperimentConfig.load(path)
 
+    @pytest.mark.parametrize("layers", [[], [0], [2, -1]])
+    def test_at_layers_numbered_from_one(self, tmp_path, layers):
+        d = make_config().to_dict()
+        d["train"]["at"] = {"layers": layers}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match="at layers"):
+            ExperimentConfig.load(path)
+
+    def test_partial_at_section_takes_defaults(self):
+        d = make_config().to_dict()
+        d["train"]["at"] = {"beta": 0.5}
+        at = ExperimentConfig.from_dict(d).train.at
+        assert at.layers == (1,) and at.beta == 0.5 and at.aggregation == "gram"
+
     def test_malformed_json_reports_line_number(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('{\n  "train": {},\n  "data": oops\n}\n')
@@ -94,6 +109,13 @@ class TestPrepareData:
         assert set(data) == {"train", "val", "test"}
         assert len(data["train"]) == 20
         assert (tmp_path / "synth_data" / "train_manifest.csv").exists()
+
+    def test_label_missing_from_train_is_config_error(self, tmp_path,
+                                                      unseen_label_dir):
+        cfg = make_config(str(tmp_path / "run"))
+        cfg.data = DataConfig(kind="manifest_dir", path=str(unseen_label_dir))
+        with pytest.raises(ConfigError, match="'unseen'"):
+            prepare_data(cfg, tmp_path / "run")
 
     def test_manifest_dir_source(self, tmp_path, tiny_data_dir):
         cfg = ExperimentConfig(train=TrainConfig(),

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from antitransfer.data import (ManifestRow, read_manifest, read_sample,
-                               split_class_wise, split_manifest, split_random,
-                               write_manifest, write_sample, load_dataset)
+from antitransfer.data import (ManifestRow, load_split_dir, read_manifest,
+                               read_sample, split_class_wise, split_manifest,
+                               split_random, write_manifest, write_sample,
+                               load_dataset)
 
 
 class TestSampleContainers:
@@ -46,6 +47,10 @@ class TestManifests:
         assert ds.target_ids.tolist() == [1, 0, 1]
         assert ds.orth_ids[:, 0].tolist() == [1, 0, 0]
         assert ds.x.shape == (3, 1, 2, 2)
+
+    def test_label_missing_from_train_is_named(self, unseen_label_dir):
+        with pytest.raises(ValueError, match="val_manifest.csv.*'unseen'"):
+            load_split_dir(unseen_label_dir)
 
 
 class TestSplitRandom:

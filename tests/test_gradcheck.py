@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from antitransfer import training
 from antitransfer.gradcheck import (GradCheckReport, central_differences,
                                     gradcheck, max_relative_error,
                                     run_oracle_suite, total_loss_gradcheck)
@@ -71,3 +72,18 @@ class TestOracleSuite:
             for sim in ("squared_cosine", "sigmoid_mse"):
                 report = total_loss_gradcheck(layer, sim)
                 assert report.passed, report.line()
+
+    def test_oracle_checks_the_trainers_objective(self, monkeypatch):
+        """A sign error in the anti-transfer gradient the trainer injects
+        must fail every whole-objective check."""
+        at_term = training._at_term
+
+        def ascending(trained, agg_pretrained, config):
+            val, grad = at_term(trained, agg_pretrained, config)
+            return val, -grad
+
+        monkeypatch.setattr(training, "_at_term", ascending)
+        for layer in (1, 2):
+            for sim in ("squared_cosine", "sigmoid_mse"):
+                report = total_loss_gradcheck(layer, sim)
+                assert not report.passed, report.line()

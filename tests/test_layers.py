@@ -119,6 +119,18 @@ def test_layer_spec_validation():
     L.dropout(0.0)  # p = 0 is allowed
 
 
+def test_maxpool_kernel_limited_by_int8_argmax():
+    """Tap index i*k + j must fit the int8 argmax: kernel 11 is the largest."""
+    with pytest.raises(ValueError, match="limit of 11"):
+        L.LayerSpec.from_dict({"kind": "maxpool2d", "kernel": 12, "stride": 12})
+    spec = L.LayerSpec.from_dict({"kind": "maxpool2d", "kernel": 11, "stride": 11})
+    x = np.zeros((1, 1, 11, 11))
+    x[0, 0, 10, 10] = 1.0                       # the last tap, index 120
+    pool = L.MaxPool2D(spec)
+    assert pool.forward(x, train=False, rng=None).ravel().tolist() == [1.0]
+    assert np.array_equal(pool.backward(np.ones((1, 1, 1, 1))), x)
+
+
 def test_maxpool_ceil_mode_matches_halving():
     """ceil-mode 3x3 stride-2 pooling halves every extent like floor(n/2)."""
     pool = L.maxpool2d()

@@ -4,11 +4,13 @@ values, invariances, gradient contracts and the memory estimator."""
 import numpy as np
 import pytest
 
+from antitransfer import layers as L
 from antitransfer.layers import ShapeError
 from antitransfer.losses import (ATConfig, aggregate, at_loss_and_grad,
                                  cross_entropy_and_grad, estimate_memory, gram,
-                                 similarity, total_loss)
-from antitransfer.network import preset
+                                 similarity)
+from antitransfer.network import ArchConfig, build, preset
+from antitransfer.training import batch_objective
 
 
 def squared_cosine(a, b):
@@ -220,28 +222,55 @@ class TestATLoss:
         assert at_loss(k * ft, k * fp, self.CFG) == pytest.approx(base, rel=1e-9)
 
 
+def tiny_net(seed):
+    specs = [L.conv2d(3), L.relu(), L.maxpool2d(), L.conv2d(4), L.relu(),
+             L.flatten(), L.dense(3)]
+    arch = ArchConfig(layers=specs, input_shape=(1, 6, 7), n_classes=3,
+                      name="tiny")
+    return build(arch, seed=seed, dtype=np.float64)
+
+
 class TestTotalLoss:
+    """Cross-entropy, and the objective `training.batch_objective` composes
+    from it and the per-layer anti-transfer terms."""
+
     def test_uniform_prediction_is_log_n(self):
         scores = np.zeros((2, 4))
         labels = np.array([1, 3])
-        assert total_loss(scores, labels) == pytest.approx(np.log(4.0))
+        assert cross_entropy_and_grad(scores, labels)[0] == \
+            pytest.approx(np.log(4.0))
 
-    def test_perfect_prediction_leaves_at_terms(self):
-        scores = np.full((1, 3), -1e3)
-        scores[0, 1] = 1e3
-        assert total_loss(scores, np.array([1]), at_terms=(0.25, 0.5)) == \
-            pytest.approx(0.75, abs=1e-9)
+    def test_objective_is_ce_plus_at_terms(self):
+        net, extractor = tiny_net(1), tiny_net(2)
+        x = np.random.default_rng(6).standard_normal((5, 1, 6, 7))
+        labels = np.array([0, 1, 2, 0, 1])
+        cfg = ATConfig(layers=(1, 2), beta=0.7)
+        aggs = {k: aggregate(f, cfg.aggregation)
+                for k, f in extractor.tap_features(x, cfg.layers).items()}
+        rows = np.array([4, 0, 2])
+        logits, ce, at_vals, dlogits, tap_grads = batch_objective(
+            net, x[rows], labels[rows], cfg, aggs, rows)
+        _, tapped = net.forward(x[rows], taps=cfg.layers)
+        want_ce, want_dlogits = cross_entropy_and_grad(logits, labels[rows])
+        assert ce == want_ce and np.array_equal(dlogits, want_dlogits)
+        assert list(at_vals) == list(tap_grads) == [1, 2]
+        for k in cfg.layers:
+            val, grad = at_loss_and_grad(tapped[k], aggs[k][rows], cfg)
+            assert at_vals[k] == val > 0
+            assert np.array_equal(tap_grads[k], grad)
 
     def test_empty_at_set_is_plain_cross_entropy(self):
-        rng = np.random.default_rng(6)
-        scores = rng.standard_normal((5, 3))
+        net = tiny_net(3)
+        x = np.random.default_rng(6).standard_normal((5, 1, 6, 7))
         labels = np.array([0, 1, 2, 0, 1])
-        ce, _ = cross_entropy_and_grad(scores, labels)
-        assert total_loss(scores, labels) == pytest.approx(ce)
+        logits, ce, at_vals, _, tap_grads = batch_objective(net, x, labels)
+        assert np.array_equal(logits, net.forward(x)[0])
+        assert ce == cross_entropy_and_grad(logits, labels)[0]
+        assert at_vals == {} and tap_grads == {}
 
     def test_label_out_of_range_raises(self):
         with pytest.raises(ValueError):
-            total_loss(np.zeros((1, 3)), np.array([3]))
+            cross_entropy_and_grad(np.zeros((1, 3)), np.array([3]))
 
 
 class TestMemoryEstimate:
