@@ -74,6 +74,8 @@ class WavFormatError(ValueError):
 
 
 def read_wav(path) -> AudioClip:
+    """Mono clip of a PCM16, PCM24 or float32 WAV file. A malformed or
+    unsupported file raises WavFormatError."""
     buf = Path(path).read_bytes()
     if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
@@ -93,12 +95,16 @@ def read_wav(path) -> AudioClip:
         off += 8 + size + (size & 1)  # chunks are word-aligned
     if fmt is None or data is None:
         raise WavFormatError(f"{path}: missing fmt or data chunk")
+    if len(fmt) < 16:
+        raise WavFormatError(f"{path}: fmt chunk of {len(fmt)} bytes, "
+                             "need at least 16")
     audio_format, channels, rate = struct.unpack("<HHI", fmt[:8])
     bits = struct.unpack("<H", fmt[14:16])[0]
-    if channels < 1:
-        raise WavFormatError(f"{path}: zero channels")
+    if channels < 1 or rate < 1:
+        raise WavFormatError(f"{path}: zero channels or sample rate")
     if audio_format == 1 and bits == 16:
-        x = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        x = np.frombuffer(data[:len(data) - len(data) % 2],
+                          dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == 1 and bits == 24:
         raw = np.frombuffer(data, dtype=np.uint8)
         raw = raw[:len(raw) - len(raw) % 3].reshape(-1, 3)
@@ -108,7 +114,10 @@ def read_wav(path) -> AudioClip:
         vals = np.where(vals >= 1 << 23, vals - (1 << 24), vals)
         x = vals.astype(np.float64) / float(1 << 23)
     elif audio_format == 3 and bits == 32:
-        x = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        x = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4")
+        if not np.all(np.isfinite(x)):
+            raise WavFormatError(f"{path}: non-finite float samples")
+        x = x.astype(np.float64)
     else:
         raise WavFormatError(
             f"{path}: unsupported encoding (format {audio_format}, {bits}-bit); "

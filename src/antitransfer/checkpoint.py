@@ -15,8 +15,10 @@ and compact separators, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -46,34 +48,47 @@ class FingerprintMismatchError(CheckpointError):
     """Conv-stack fingerprints disagree where compatibility is required."""
 
 
-def write_container(path, meta: dict, tensors: Dict[str, np.ndarray]) -> None:
-    """Write an ATCK container. The bytes go to a temporary file beside
-    `path` that then replaces it, so a crash mid-write leaves the previous
-    file intact."""
+@contextmanager
+def atomic_open(path, mode: str = "wb"):
+    """Write to a temporary file beside `path` that replaces it when the
+    block ends, or is removed if the block raises: `path` is never left
+    half-written."""
     path = Path(path)
-    meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", FORMAT_VERSION))
-            f.write(struct.pack("<I", len(meta_blob)))
-            f.write(meta_blob)
-            f.write(struct.pack("<I", len(tensors)))
-            for name in sorted(tensors):
-                arr = np.ascontiguousarray(tensors[name])
-                if arr.dtype not in _DTYPE_TAGS:
-                    arr = arr.astype(np.float64)
-                blob = name.encode()
-                f.write(struct.pack("<I", len(blob)))
-                f.write(blob)
-                f.write(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
-                for extent in arr.shape:
-                    f.write(struct.pack("<Q", extent))
-                f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+        with open(tmp, mode) as f:
+            yield f
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` as indented JSON with sorted keys, atomically."""
+    with atomic_open(path, "w") as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_container(path, meta: dict, tensors: Dict[str, np.ndarray]) -> None:
+    """Write an ATCK container atomically (see `atomic_open`)."""
+    meta_blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
+    with atomic_open(path) as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<I", FORMAT_VERSION))
+        f.write(struct.pack("<I", len(meta_blob)))
+        f.write(meta_blob)
+        f.write(struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name])
+            if arr.dtype not in _DTYPE_TAGS:
+                arr = arr.astype(np.float64)
+            blob = name.encode()
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            f.write(struct.pack("<BB", _DTYPE_TAGS[arr.dtype], arr.ndim))
+            for extent in arr.shape:
+                f.write(struct.pack("<Q", extent))
+            f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
 def _take(buf: bytes, offset: int, count: int) -> Tuple[bytes, int]:
@@ -83,6 +98,8 @@ def _take(buf: bytes, offset: int, count: int) -> Tuple[bytes, int]:
 
 
 def read_container(path) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """(meta, name -> tensor) of an ATCK container. A malformed container
+    raises a CheckpointError."""
     buf = Path(path).read_bytes()
     chunk, off = _take(buf, 0, 4)
     if chunk != MAGIC:
@@ -97,29 +114,31 @@ def read_container(path) -> Tuple[dict, Dict[str, np.ndarray]]:
     chunk, off = _take(buf, off, meta_len)
     try:
         meta = json.loads(chunk.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8, not JSON
         raise CorruptFileError(f"{path}: bad meta JSON: {e}") from e
     chunk, off = _take(buf, off, 4)
     count = struct.unpack("<I", chunk)[0]
     tensors: Dict[str, np.ndarray] = {}
-    for _ in range(count):
-        chunk, off = _take(buf, off, 4)
-        name_len = struct.unpack("<I", chunk)[0]
-        chunk, off = _take(buf, off, name_len)
-        name = chunk.decode()
-        chunk, off = _take(buf, off, 2)
-        tag, rank = struct.unpack("<BB", chunk)
-        if tag not in _TAG_DTYPES:
-            raise CorruptFileError(f"{path}: unknown dtype tag {tag}")
-        shape = []
-        for _ in range(rank):
-            chunk, off = _take(buf, off, 8)
-            shape.append(struct.unpack("<Q", chunk)[0])
-        dtype = _TAG_DTYPES[tag].newbyteorder("<")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        chunk, off = _take(buf, off, nbytes)
-        tensors[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).astype(
-            _TAG_DTYPES[tag])
+    try:
+        for _ in range(count):
+            chunk, off = _take(buf, off, 4)
+            name_len = struct.unpack("<I", chunk)[0]
+            chunk, off = _take(buf, off, name_len)
+            name = chunk.decode()
+            chunk, off = _take(buf, off, 2)
+            tag, rank = struct.unpack("<BB", chunk)
+            if tag not in _TAG_DTYPES:
+                raise CorruptFileError(f"{path}: unknown dtype tag {tag}")
+            shape = []
+            for _ in range(rank):
+                chunk, off = _take(buf, off, 8)
+                shape.append(struct.unpack("<Q", chunk)[0])
+            dtype = _TAG_DTYPES[tag].newbyteorder("<")
+            chunk, off = _take(buf, off, math.prod(shape) * dtype.itemsize)
+            tensors[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).astype(
+                _TAG_DTYPES[tag])
+    except ValueError as e:  # a name that is not UTF-8, an absurd empty shape
+        raise CorruptFileError(f"{path}: bad tensor entry: {e}") from e
     if off != len(buf):
         raise CorruptFileError(f"{path}: {len(buf) - off} trailing bytes")
     return meta, tensors
@@ -137,27 +156,31 @@ def save(net: Network, path, provenance: Optional[dict] = None) -> None:
             "dtype": net.dtype.name,
             "conv_fingerprints": net.arch.conv_fingerprints(),
             "provenance": provenance or {}}
-    write_container(path, meta, net.named_params())
+    write_container(path, meta, net.params)
 
 
 def load(path) -> Network:
     """Rebuild a network from a checkpoint; verifies stored fingerprints and
-    tensor shapes against the stored architecture."""
+    tensor names and shapes against the stored architecture. Any problem
+    with the file raises a CheckpointError."""
     meta, tensors = read_container(path)
-    if meta.get("kind") != "checkpoint":
-        raise CorruptFileError(f"{path}: container is not a checkpoint "
-                               f"(kind={meta.get('kind')!r})")
-    arch = ArchConfig.from_dict(meta["arch"])
-    if meta.get("conv_fingerprints") != arch.conv_fingerprints():
-        raise FingerprintMismatchError(
-            f"{path}: stored conv fingerprints do not match the stored architecture")
-    net = build(arch, seed=0, dtype=np.dtype(meta.get("dtype", "float64")))
-    expected = net.named_params()
-    if set(expected) != set(tensors):
-        raise CorruptFileError(f"{path}: tensor names do not match the architecture")
-    for name, arr in tensors.items():
-        net.set_param(name, arr)
-    net.provenance = dict(meta.get("provenance", {}))
+    if not isinstance(meta, dict) or meta.get("kind") != "checkpoint":
+        raise CorruptFileError(f"{path}: container is not a checkpoint")
+    dtype = meta.get("dtype", "float64")
+    if dtype not in ("float32", "float64"):
+        raise CorruptFileError(f"{path}: unsupported dtype {dtype!r}")
+    try:
+        arch = ArchConfig(**meta["arch"])
+        if meta.get("conv_fingerprints") != arch.conv_fingerprints():
+            raise FingerprintMismatchError(f"{path}: stored conv fingerprints "
+                                           "do not match the stored architecture")
+        net = build(arch, seed=0, dtype=dtype)
+        if set(net.params) != set(tensors):
+            raise ValueError("tensor names do not match the architecture")
+        net.load_params(tensors)
+        net.provenance = dict(meta.get("provenance", {}))
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorruptFileError(f"{path}: bad checkpoint: {e!r}") from e
     return net
 
 
@@ -181,10 +204,8 @@ def init_from(target: Network, source: Network,
     """
     k = target.arch.conv_count
     check_conv_compatible(target.arch, source.arch, k, context="init_from")
-    src_convs = source.conv_layers()
-    for i, conv in enumerate(target.conv_layers()):
-        conv.W = src_convs[i].W.astype(target.dtype).copy()
-        conv.b = src_convs[i].b.astype(target.dtype).copy()
+    target.load_params({n: source.params[n] for n in target.params
+                        if n.startswith("conv")})
     if freeze_up_to is not None:
         target.freeze_convs(freeze_up_to)
     return target

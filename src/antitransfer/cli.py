@@ -94,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nearest", action="store_true",
                    help="nearest-neighbor upsampling instead of bilinear")
 
-    p = sub.add_parser("gradcheck", help="run the finite-difference oracle suite")
-    p.add_argument("--flip-at-sign", action="store_true", help=argparse.SUPPRESS)
+    sub.add_parser("gradcheck", help="run the finite-difference oracle suite")
 
     p = sub.add_parser("estimate-memory",
                        help="anti-transfer training memory per layer choice")
@@ -139,6 +138,13 @@ def _resolve_config(args, with_at_flags: bool) -> ExperimentConfig:
                             output_dir=args.out or cfg.output_dir)
 
 
+def _check_at_layers(train_cfg, data, layers=None) -> None:
+    try:
+        training.check_at_layers(train_cfg, data, layers)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
 def _echo_config(cfg: ExperimentConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
@@ -163,6 +169,7 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.output_dir)
     _echo_config(cfg, out_dir)
     data = prepare_data(cfg, out_dir)
+    _check_at_layers(cfg.train, data)
     result = training.train(cfg.train, data, out_dir)
     print(f"strategy {cfg.train.strategy}: best epoch {result.best_epoch}, "
           f"val acc {result.val_accuracy:.4f}, test acc {result.test_accuracy:.4f}")
@@ -195,6 +202,7 @@ def cmd_sweep(args) -> int:
     _echo_config(cfg, out_dir)
     # data is materialized once here; workers receive it with each point
     data = prepare_data(cfg, out_dir)
+    _check_at_layers(cfg.train, data, grid if args.layers else None)
     pool = (ProcessPoolExecutor(max_workers=args.jobs,
                                 mp_context=multiprocessing.get_context("spawn"))
             if args.jobs > 1 else nullcontext())
@@ -226,7 +234,7 @@ def cmd_gradcam(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    reports = run_oracle_suite(flip_at_grad_sign=args.flip_at_sign)
+    reports = run_oracle_suite()
     failures = 0
     for r in reports:
         print(r.line())

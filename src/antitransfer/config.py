@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
+from .checkpoint import write_json
 from .data import Dataset, load_split_dir, split_manifest
 from .losses import ATConfig
 from .synth import SynthSpec, generate
@@ -63,7 +64,10 @@ class DataConfig:
         synth = None
         if "synth" in d:
             _reject_unknown(d["synth"], _SYNTH_KEYS, "data.synth")
-            synth = SynthSpec.from_dict(d["synth"])
+            try:
+                synth = SynthSpec(**d["synth"])
+            except (TypeError, ValueError) as e:
+                raise ConfigError(f"data.synth: {e}") from e
         return DataConfig(kind=d.get("kind", ""), path=d.get("path"), synth=synth)
 
 
@@ -87,7 +91,7 @@ class ExperimentConfig:
         if "at" in tdict:
             _reject_unknown(tdict["at"], _AT_KEYS, "train.at")
         try:
-            train = TrainConfig.from_dict(tdict)
+            train = TrainConfig(**tdict)
         except (TypeError, ValueError) as e:
             raise ConfigError(f"train: {e}") from e
         return ExperimentConfig(train=train,
@@ -95,8 +99,7 @@ class ExperimentConfig:
                                 output_dir=str(d["output_dir"]))
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True)
-                              + "\n")
+        write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "ExperimentConfig":

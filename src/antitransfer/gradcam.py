@@ -101,7 +101,8 @@ def write_pgm(path, values01: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM back to values in [0, 1]."""
+    """Read a binary 8-bit PGM back to values in [0, 1]. A malformed file
+    raises ValueError."""
     buf = Path(path).read_bytes()
     if not buf.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM")
@@ -120,9 +121,13 @@ def read_pgm(path) -> np.ndarray:
         fields.append(int(buf[start:pos]))
     pos += 1  # single whitespace after maxval
     w, h, maxval = fields
+    if not 0 < maxval < 256:
+        raise ValueError(f"{path}: maxval {maxval} outside 1..255")
     data = np.frombuffer(buf[pos:pos + w * h], dtype=np.uint8)
     if data.size != w * h:
         raise ValueError(f"{path}: truncated pixel data")
+    if data.max(initial=0) > maxval:
+        raise ValueError(f"{path}: pixel value above maxval {maxval}")
     return data.reshape(h, w).astype(np.float64) / maxval
 
 

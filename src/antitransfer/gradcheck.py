@@ -127,7 +127,6 @@ def _two_conv_net(seed: int = 0, n_classes: int = 3) -> Network:
 
 def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
                          tolerance: float = 1e-4, h: float = 1e-5,
-                         flip_at_grad_sign: bool = False,
                          beta: float = 1.0) -> GradCheckReport:
     """Check d(total objective)/d(every trainable parameter) on a two-conv
     network with the anti-transfer term on one layer. Both the loss and the
@@ -154,23 +153,16 @@ def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
         return ce + sum(at_vals.values())
 
     _, _, _, dce, inject = batch_objective(net, x, labels, cfg, paggs)
-    if flip_at_grad_sign:
-        inject = {k: -g for k, g in inject.items()}
     net.backward(dce, tap_grad_in=inject)
-
-    params, analytic = [], []
-    for layer in net.layers:
-        for pname in sorted(layer.params()):
-            params.append(layer.params()[pname])
-            analytic.append(layer.grads()[pname])
     name = f"total objective (AT layer {at_layer}, {similarity})"
-    return gradcheck(loss_fn, params, analytic, h=h, tolerance=tolerance, name=name)
+    return gradcheck(loss_fn, list(net.params.values()),
+                     list(net.grads.values()), h=h, tolerance=tolerance,
+                     name=name)
 
 
-def run_oracle_suite(flip_at_grad_sign: bool = False) -> List[GradCheckReport]:
+def run_oracle_suite() -> List[GradCheckReport]:
     """The battery of per-op and whole-objective checks behind `gradcheck`
-    on the command line. flip_at_grad_sign is a test hook that negates the
-    analytic anti-transfer gradient, which must make the suite fail."""
+    on the command line."""
     reports: List[GradCheckReport] = []
     rng = np.random.default_rng(20240)
 
@@ -234,8 +226,6 @@ def run_oracle_suite(flip_at_grad_sign: bool = False) -> List[GradCheckReport]:
                 return at_loss_and_grad(ft, agg_p, cfg)[0]
 
             _, g = at_loss_and_grad(ft, agg_p, cfg)
-            if flip_at_grad_sign:
-                g = -g
             reports.append(gradcheck(
                 at_fn, [ft], [g], h=1e-5, tolerance=1e-4,
                 name=f"anti-transfer loss ({aggregation} + {similarity})"))
@@ -243,7 +233,6 @@ def run_oracle_suite(flip_at_grad_sign: bool = False) -> List[GradCheckReport]:
     # whole objective through a small network, each conv layer in turn
     for at_layer in (1, 2):
         for similarity in ("squared_cosine", "sigmoid_mse"):
-            reports.append(total_loss_gradcheck(
-                at_layer, similarity, flip_at_grad_sign=flip_at_grad_sign))
+            reports.append(total_loss_gradcheck(at_layer, similarity))
 
     return reports

@@ -1,8 +1,9 @@
 """Dense-tensor layer kernels with explicit forward and backward passes.
 
 Every layer caches whatever its backward pass needs (inputs, masks, argmax
-positions) during forward. Backward passes *set* parameter gradients rather
-than accumulating, and are skipped entirely for frozen layers.
+positions) during forward. A layer with weights allocates its gradient
+buffers once; backward overwrites them in place (it does not accumulate),
+and a frozen layer leaves them untouched.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ MAX_POOL_KERNEL = 11
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative description of one layer; carries only kind-specific params."""
+    """Declarative description of one layer; carries only kind-specific
+    params. The constructor checks them; `LayerSpec(**d)` reads `to_dict()`
+    back."""
 
     kind: str
     channels: Optional[int] = None
@@ -48,7 +51,7 @@ class LayerSpec:
     units: Optional[int] = None
     p: Optional[float] = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.kind == "conv2d":
@@ -79,12 +82,6 @@ class LayerSpec:
             d.pop("ceil_mode", None)
         return d
 
-    @staticmethod
-    def from_dict(d: dict) -> "LayerSpec":
-        spec = LayerSpec(**d)
-        spec.validate()
-        return spec
-
     @property
     def pad(self) -> int:
         """Per-side zero padding of a conv2d: (kernel - 1) // 2 for 'same'."""
@@ -92,36 +89,20 @@ class LayerSpec:
             return (self.kernel - 1) // 2
         return int(self.padding or 0)
 
-    def signature(self) -> dict:
-        """Geometry-affecting fields only; used for architecture fingerprints."""
-        sig = {"kind": self.kind}
-        for k in ("channels", "kernel", "stride", "padding", "units"):
-            v = getattr(self, k)
-            if v is not None:
-                sig[k] = v
-        if self.kind == "maxpool2d":
-            sig["ceil_mode"] = self.ceil_mode
-        return sig
-
 
 def conv2d(channels: int, kernel: int = 3, stride: int = 1,
            padding: Union[str, int] = "same") -> LayerSpec:
-    s = LayerSpec(kind="conv2d", channels=channels, kernel=kernel,
-                  stride=stride, padding=padding)
-    s.validate()
-    return s
+    return LayerSpec(kind="conv2d", channels=channels, kernel=kernel,
+                     stride=stride, padding=padding)
 
 
 def maxpool2d(kernel: int = 3, stride: int = 2, ceil_mode: bool = True) -> LayerSpec:
-    s = LayerSpec(kind="maxpool2d", kernel=kernel, stride=stride, ceil_mode=ceil_mode)
-    s.validate()
-    return s
+    return LayerSpec(kind="maxpool2d", kernel=kernel, stride=stride,
+                     ceil_mode=ceil_mode)
 
 
 def dense(units: int) -> LayerSpec:
-    s = LayerSpec(kind="dense", units=units)
-    s.validate()
-    return s
+    return LayerSpec(kind="dense", units=units)
 
 
 def relu() -> LayerSpec:
@@ -129,9 +110,7 @@ def relu() -> LayerSpec:
 
 
 def dropout(p: float = 0.5) -> LayerSpec:
-    s = LayerSpec(kind="dropout", p=p)
-    s.validate()
-    return s
+    return LayerSpec(kind="dropout", p=p)
 
 
 def flatten() -> LayerSpec:
@@ -167,16 +146,17 @@ def output_hw(spec: LayerSpec, h: int, w: int) -> Tuple[int, int]:
 
 
 class Layer:
-    """Base class; layers without parameters inherit the no-op param API."""
+    """Base class. A layer with weights holds them in W and b and their
+    gradients in gW and gb; `params` and `grads` name them."""
 
     trainable = True
     name = ""
 
     def params(self) -> dict:
-        return {}
+        return {"weight": self.W, "bias": self.b} if hasattr(self, "W") else {}
 
     def grads(self) -> dict:
-        return {}
+        return {"weight": self.gW, "bias": self.gb} if hasattr(self, "W") else {}
 
     def forward(self, x: np.ndarray, train: bool, rng: Optional[np.random.Generator]) -> np.ndarray:
         raise NotImplementedError
@@ -208,15 +188,9 @@ class Conv2D(Layer):
                              size=(spec.channels, in_channels, spec.kernel, spec.kernel)
                              ).astype(dtype)
         self.b = np.zeros(spec.channels, dtype=dtype)
-        self.gW = None
-        self.gb = None
+        self.gW = np.zeros_like(self.W)
+        self.gb = np.zeros_like(self.b)
         self._xp = None
-
-    def params(self):
-        return {"weight": self.W, "bias": self.b}
-
-    def grads(self):
-        return {"weight": self.gW, "bias": self.gb}
 
     def forward(self, x, train, rng):
         n, c, h, w = x.shape
@@ -248,8 +222,7 @@ class Conv2D(Layer):
         s, p, k = self.stride, self.pad, self.kernel
         dxp = np.zeros_like(xp)
         if self.trainable:
-            self.gW = np.empty_like(self.W)
-            self.gb = dout.sum(axis=(0, 2, 3))
+            dout.sum(axis=(0, 2, 3), out=self.gb)
         for i in range(k):
             for j in range(k):
                 patch = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
@@ -352,15 +325,9 @@ class Dense(Layer):
         bound = np.sqrt(6.0 / in_features)
         self.W = rng.uniform(-bound, bound, size=(in_features, spec.units)).astype(dtype)
         self.b = np.zeros(spec.units, dtype=dtype)
-        self.gW = None
-        self.gb = None
+        self.gW = np.zeros_like(self.W)
+        self.gb = np.zeros_like(self.b)
         self._x = None
-
-    def params(self):
-        return {"weight": self.W, "bias": self.b}
-
-    def grads(self):
-        return {"weight": self.gW, "bias": self.gb}
 
     def forward(self, x, train, rng):
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -372,8 +339,8 @@ class Dense(Layer):
         if self._x is None:
             raise RuntimeError(f"{self.name}: backward without matching forward")
         if self.trainable:
-            self.gW = self._x.T @ dout
-            self.gb = dout.sum(axis=0)
+            np.matmul(self._x.T, dout, out=self.gW)
+            dout.sum(axis=0, out=self.gb)
         return dout @ self.W.T
 
 

@@ -53,11 +53,6 @@ class ATConfig:
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
 
-    def to_dict(self) -> dict:
-        return {"layers": list(self.layers), "beta": self.beta,
-                "similarity": self.similarity, "aggregation": self.aggregation,
-                "direction": self.direction}
-
 
 # ---------------------------------------------------------------------------
 # Aggregation

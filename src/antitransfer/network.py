@@ -23,7 +23,8 @@ from .layers import (Layer, LayerSpec, ShapeError, check_finite, conv2d,
 
 @dataclass
 class ArchConfig:
-    """Ordered layer specs plus the input/output geometry they assume."""
+    """Ordered layer specs plus the input/output geometry they assume;
+    `ArchConfig(**d)` reads `to_dict()` back."""
 
     layers: List[LayerSpec]
     input_shape: Tuple[int, int, int]  # (channels, height, width)
@@ -31,10 +32,8 @@ class ArchConfig:
     name: str = "custom"
 
     def __post_init__(self):
-        self.layers = [s if isinstance(s, LayerSpec) else LayerSpec.from_dict(s)
+        self.layers = [s if isinstance(s, LayerSpec) else LayerSpec(**s)
                        for s in self.layers]
-        for s in self.layers:
-            s.validate()
         self.input_shape = tuple(self.input_shape)
         if len(self.input_shape) != 3:
             raise ValueError("input_shape must be (channels, height, width)")
@@ -52,23 +51,17 @@ class ArchConfig:
                 "n_classes": self.n_classes,
                 "layers": [s.to_dict() for s in self.layers]}
 
-    @staticmethod
-    def from_dict(d: dict) -> "ArchConfig":
-        return ArchConfig(layers=[LayerSpec.from_dict(s) for s in d["layers"]],
-                          input_shape=tuple(d["input_shape"]),
-                          n_classes=d["n_classes"],
-                          name=d.get("name", "custom"))
-
     def conv_fingerprints(self) -> List[str]:
         """Stable hash of the structural stack up to (and including) each conv.
 
         Two networks can exchange conv weights up to depth k iff their k-th
-        fingerprints agree. Input channel count matters, spatial size does not.
+        fingerprints agree. Input channel count matters, spatial size and
+        dropout probability do not.
         """
         prints = []
         prefix = [{"in_channels": self.input_shape[0]}]
         for spec in self.layers:
-            prefix.append(spec.signature())
+            prefix.append({k: v for k, v in spec.to_dict().items() if k != "p"})
             if spec.kind == "conv2d":
                 blob = json.dumps(prefix, sort_keys=True).encode()
                 prints.append(hashlib.sha256(blob).hexdigest()[:16])
@@ -139,7 +132,11 @@ def preset(name: str, input_hw: Tuple[int, int], n_classes: int, **kw) -> ArchCo
 
 
 class Network:
-    """A built network: layer objects with weights, plus tap bookkeeping."""
+    """A built network: layer objects with weights, plus tap bookkeeping.
+
+    `params` and `grads`, built once, map each weight's checkpoint name
+    ("conv1.weight", ...) to the layer's own weight and gradient arrays;
+    whatever reads or writes weights goes through them, in place."""
 
     def __init__(self, arch: ArchConfig, seed: int = 0, dtype=np.float64):
         self.arch = arch
@@ -174,36 +171,45 @@ class Network:
                 if pos + 1 < len(arch.layers) and arch.layers[pos + 1].kind == "relu":
                     tap = pos + 1
                 self.tap_positions[k] = tap
+        self.params: Dict[str, np.ndarray] = {
+            n: layer.params()[p] for layer, p, n in self._weights()}
+        self.grads: Dict[str, np.ndarray] = {
+            n: layer.grads()[p] for layer, p, n in self._weights()}
 
     # -- weights ------------------------------------------------------------
 
-    def named_params(self) -> Dict[str, np.ndarray]:
-        out = {}
-        for layer in self.layers:
-            for pname, arr in layer.params().items():
-                out[f"{layer.name}.{pname}"] = arr
-        return out
+    def _weights(self) -> List[Tuple[Layer, str, str]]:
+        """(layer, its name for the weight, checkpoint name) per weight."""
+        return [(layer, p, f"{layer.name}.{p}")
+                for layer in self.layers for p in layer.params()]
 
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        lname, pname = name.rsplit(".", 1)
-        for layer in self.layers:
-            if layer.name == lname:
-                cur = layer.params()[pname]
-                if cur.shape != value.shape:
-                    raise ShapeError(f"{name}: shape {value.shape} != {cur.shape}")
-                setattr(layer, "W" if pname == "weight" else "b",
-                        value.astype(self.dtype))
-                return
-        raise KeyError(name)
+    def trainable_params(self) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+        """The entries of `params` and `grads` that belong to trainable layers."""
+        names = [n for layer, _, n in self._weights() if layer.trainable]
+        return ({n: self.params[n] for n in names},
+                {n: self.grads[n] for n in names})
+
+    def load_params(self, tensors: Dict[str, np.ndarray]) -> None:
+        """Copy each named tensor into the weight of that name, in place and
+        cast to the network's dtype. Raises ShapeError, before copying
+        anything, on a name the network lacks or a shape that differs."""
+        for name, arr in tensors.items():
+            cur = self.params.get(name)
+            if cur is None:
+                raise ShapeError(f"{name}: no such weight")
+            if cur.shape != arr.shape:
+                raise ShapeError(f"{name}: shape {arr.shape} != {cur.shape}")
+        for name, arr in tensors.items():
+            np.copyto(self.params[name], arr)
 
     def conv_layers(self) -> List:
         return [l for l in self.layers if l.name.startswith("conv")]
 
     def weight_hash(self) -> str:
         h = hashlib.sha256()
-        for name in sorted(self.named_params()):
+        for name in sorted(self.params):
             h.update(name.encode())
-            h.update(np.ascontiguousarray(self.named_params()[name]).tobytes())
+            h.update(np.ascontiguousarray(self.params[name]).tobytes())
         return h.hexdigest()
 
     def freeze_convs(self, up_to: int) -> None:
@@ -258,7 +264,7 @@ class Network:
                       down (anti-transfer injection).
         tap_grad_out: tap indices whose accumulated gradient should be
                       captured and returned (Grad-CAM).
-        Parameter gradients land on each trainable layer's .gW/.gb.
+        Parameter gradients of trainable layers land in `grads`, in place.
         """
         inject = {self.tap_positions[k]: g for k, g in (tap_grad_in or {}).items()}
         want = {self.tap_positions[k]: k for k in tap_grad_out}

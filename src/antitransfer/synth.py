@@ -16,13 +16,13 @@ default), which is what makes the train-split pairing spurious.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Dict, Tuple
 
 import numpy as np
 
+from .checkpoint import write_json
 from .data import ManifestRow, MANIFEST_NAMES, write_manifest, write_sample
 
 
@@ -43,6 +43,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # read back from JSON lists
+        for name in ("samples_per_split", "image_size"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.n_target_classes < 2 or self.n_orth_classes < 2:
             raise ValueError("class counts must be >= 2")
         for rho in (self.train_correlation, self.test_correlation):
@@ -58,19 +61,7 @@ class SynthSpec:
             raise ValueError("each split needs at least one sample")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["samples_per_split"] = list(self.samples_per_split)
-        d["image_size"] = list(self.image_size)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "SynthSpec":
-        d = dict(d)
-        if "samples_per_split" in d:
-            d["samples_per_split"] = tuple(d["samples_per_split"])
-        if "image_size" in d:
-            d["image_size"] = tuple(d["image_size"])
-        return SynthSpec(**d)
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +210,7 @@ def generate(spec: SynthSpec, out_dir) -> Path:
                 target_label=f"t{targets[i]:0{width}d}",
                 orth_labels=(f"o{orths[i]:0{owidth}d}",)))
         write_manifest(out_dir / MANIFEST_NAMES[split], rows)
-    (out_dir / "synth_spec.json").write_text(
-        json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(out_dir / "synth_spec.json", spec.to_dict())
     return out_dir
 
 

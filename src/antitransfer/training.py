@@ -12,8 +12,6 @@ in parallel on every batch, just cheaper.
 from __future__ import annotations
 
 import csv
-import json
-import os
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, asdict, replace
@@ -27,7 +25,7 @@ from .audio import NormStats, compute_norm_stats
 from .data import Dataset, load_split_dir
 from .losses import ATConfig, aggregate, cross_entropy_and_grad
 from .losses import at_loss_and_grad as _at_term
-from .network import Network, build, conv_feature_shapes, preset
+from .network import ArchConfig, Network, build, conv_feature_shapes, preset
 from .optim import Adam
 
 STRATEGIES = ("scratch", "wi", "wi_freeze", "at", "at_inverse", "dual_at")
@@ -81,15 +79,7 @@ class TrainConfig:
                              "pretrained checkpoint")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["at"] = self.at.to_dict()
-        d["pretrained_checkpoints"] = list(self.pretrained_checkpoints)
-        d["split_fractions"] = list(self.split_fractions)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)
+        return asdict(self)
 
 
 @dataclass
@@ -222,10 +212,25 @@ def _check_extractor_compatible(net: Network, extractor: Network,
 # Single-stage training
 # ---------------------------------------------------------------------------
 
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+def _arch(config: TrainConfig, train_set: Dataset) -> ArchConfig:
+    """The architecture a run of `config` trains on `train_set`."""
+    return preset(config.arch_preset, train_set.x.shape[2:],
+                  train_set.classes_for(config.label_field),
+                  dropout_p=config.dropout_p)
+
+
+def check_at_layers(config: TrainConfig, data: Dict[str, Dataset],
+                    layers: Optional[Sequence[int]] = None) -> None:
+    """Raise ValueError unless the network `config` trains on `data` has a
+    feature map at each anti-transfer layer: `layers`, or by default the
+    configured ones when the strategy uses them. Nothing is trained."""
+    if layers is None:
+        layers = () if config.strategy in ("scratch", "wi") else config.at.layers
+    k = len(conv_feature_shapes(_arch(config, data["train"])))
+    bad = sorted({int(l) for l in layers if not 1 <= l <= k})
+    if bad:
+        raise ValueError(f"anti-transfer layer(s) {bad} outside 1..{k}, the "
+                         f"conv layers of {config.arch_preset}")
 
 
 def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
@@ -238,7 +243,6 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
     train_set, val_set, test_set = data["train"], data["val"], data["test"]
     labels = {s: d.labels_for(config.label_field)
               for s, d in (("train", train_set), ("val", val_set), ("test", test_set))}
-    n_classes = train_set.classes_for(config.label_field)
 
     xs = {"train": train_set.x, "val": val_set.x, "test": test_set.x}
     stats = None
@@ -249,10 +253,8 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
     else:
         xs = {s: x.astype(config.dtype) for s, x in xs.items()}
 
-    input_hw = xs["train"].shape[2:]
-    arch = preset(config.arch_preset, input_hw, n_classes,
-                  dropout_p=config.dropout_p)
-    net = build(arch, seed=config.seed, dtype=np.dtype(config.dtype))
+    net = build(_arch(config, train_set), seed=config.seed,
+                dtype=np.dtype(config.dtype))
 
     if init_source is not None:
         ckpt.init_from(net, init_source, freeze_up_to=freeze_up_to)
@@ -292,6 +294,7 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
     x_train = xs["train"]
     y_train = labels["train"]
     n_train = len(x_train)
+    params, grads = net.trainable_params()
     try:
         for epoch in range(config.max_epochs):
             tic = time.perf_counter()
@@ -316,13 +319,6 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
                 ce_sum += ce * len(idx)
                 correct += int((logits.argmax(axis=1) == yb).sum())
                 net.backward(dlogits, tap_grad_in=inject or None)
-                params, grads = {}, {}
-                for layer in net.layers:
-                    if layer.trainable and layer.params():
-                        for pname, arr in layer.params().items():
-                            key = f"{layer.name}.{pname}"
-                            params[key] = arr
-                            grads[key] = layer.grads()[pname]
                 optimizer.step(params, grads)
             net.finite_checks = True
 
@@ -348,15 +344,14 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
             val_total = val_ce + sum(val_at.values())
             if val_total < best["loss"]:
                 best.update(loss=val_total, epoch=epoch, val_acc=val_acc,
-                            weights={n: a.copy() for n, a in net.named_params().items()})
+                            weights={n: a.copy() for n, a in params.items()})
             elif epoch - best["epoch"] >= config.patience:
                 break
     finally:
         mfile.close()
 
     if best["weights"] is not None:
-        for name, arr in best["weights"].items():
-            net.set_param(name, arr)
+        net.load_params(best["weights"])
 
     test_acc, confusion = evaluate(net, xs["test"], labels["test"],
                                    config.eval_batch_size)
@@ -378,7 +373,7 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
         "extractor_hash_before": extractor_hash_before,
         "extractor_hash_after": extractor_hash_after,
     }
-    _atomic_write_json(out_dir / "summary.json", summary)
+    ckpt.write_json(out_dir / "summary.json", summary)
     return TrainResult(out_dir=out_dir, checkpoint_path=ckpt_path,
                        metrics=metrics, best_epoch=best["epoch"],
                        test_accuracy=test_acc, val_accuracy=best["val_acc"],
@@ -410,6 +405,7 @@ def train(config: TrainConfig, data: Dict[str, Dataset], out_dir) -> TrainResult
                  initialize a second run with anti-transfer vs checkpoint B.
     """
     out_dir = Path(out_dir)
+    check_at_layers(config, data)
     s = config.strategy
     if s == "scratch":
         return _train_single(config, data, out_dir)
@@ -438,7 +434,7 @@ def train(config: TrainConfig, data: Dict[str, Dataset], out_dir) -> TrainResult
         result.summary["intermediate_extractor_hashes"] = {
             "before": intermediate.summary["extractor_hash_before"],
             "after": intermediate.summary["extractor_hash_after"]}
-        _atomic_write_json(out_dir / "summary.json", result.summary)
+        ckpt.write_json(out_dir / "summary.json", result.summary)
         return result
     raise ValueError(f"unknown strategy {s!r}")
 
@@ -514,8 +510,10 @@ def sweep_layers(base_config: TrainConfig, data: Dict[str, Dataset], out_dir,
                  layer_range: Sequence[int], select_by: str = "val_accuracy",
                  executor: Optional[Executor] = None) -> List[SweepRow]:
     """Train once per candidate anti-transfer layer; flag the best row.
-    Points run through executor.map when an executor is given."""
+    Points run through executor.map when an executor is given. Every layer
+    is checked before any point trains."""
     layer_range = list(layer_range)
+    check_at_layers(base_config, data, layer_range)
 
     def make_cfg(k):
         return replace(base_config, at=replace(base_config.at, layers=(int(k),)))

@@ -3,8 +3,11 @@ checkpoint, generated once per session."""
 
 from dataclasses import replace
 
+import importlib
+
 import pytest
 
+from antitransfer import training
 from antitransfer.data import MANIFEST_NAMES, read_manifest, write_manifest
 from antitransfer.synth import SynthSpec, generate
 from antitransfer.training import TrainConfig, pretrain
@@ -48,3 +51,20 @@ def unseen_label_dir(tiny_data_dir, tmp_path):
             rows[0] = replace(rows[0], target_label="unseen")
         write_manifest(out / name, rows)
     return out
+
+
+@pytest.fixture
+def flipped_at_gradient(monkeypatch):
+    """Negates the anti-transfer gradient that gradcheck's per-op checks
+    test and that the trainer's objective (and so the whole-objective
+    checks) injects; every one of those checks must then fail."""
+    # the package exports a function named gradcheck, so fetch the module
+    gradcheck = importlib.import_module("antitransfer.gradcheck")
+    for module, name in ((gradcheck, "at_loss_and_grad"), (training, "_at_term")):
+        at_term = getattr(module, name)
+
+        def ascending(trained, agg_pretrained, config, at_term=at_term):
+            val, grad = at_term(trained, agg_pretrained, config)
+            return val, -grad
+
+        monkeypatch.setattr(module, name, ascending)

@@ -1,13 +1,24 @@
 """Audio frontend: WAV ingestion, resampling, segmentation, STFT geometry and
 dataset normalization."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from antitransfer.audio import (AudioClip, NormStats, WavFormatError,
                                 compute_norm_stats, denormalize, normalize,
                                 preprocess_clip, read_wav, resample,
                                 segment_or_pad, stft_magnitude, write_wav)
+
+
+# (offset, struct format) of each field of a canonical 44-byte WAV header:
+# RIFF size, fmt size, format, channels, rate, byte rate, block align,
+# bits per sample, data size
+WAV_HEADER_FIELDS = [(4, "<I"), (16, "<I"), (20, "<H"), (22, "<H"), (24, "<I"),
+                     (28, "<I"), (32, "<H"), (34, "<H"), (40, "<I")]
 
 
 def sine(freq, rate, seconds, amp=0.5):
@@ -28,7 +39,6 @@ class TestWavIO:
         assert np.max(np.abs(back.samples - x)) < tol
 
     def test_stereo_averages_to_mono(self, tmp_path):
-        import struct
         left = np.full(100, 0.25)
         right = np.full(100, 0.75)
         inter = np.empty(200)
@@ -45,7 +55,6 @@ class TestWavIO:
         assert np.allclose(clip.samples, 0.5, atol=1e-3)
 
     def test_unsupported_encoding_rejected(self, tmp_path):
-        import struct
         fmt = struct.pack("<HHIIHH", 1, 1, 8000, 8000, 1, 8)  # PCM8
         body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
                 + b"data" + struct.pack("<I", 4) + b"\x00\x00\x00\x00")
@@ -59,6 +68,52 @@ class TestWavIO:
         path.write_bytes(b"this is not audio")
         with pytest.raises(WavFormatError):
             read_wav(path)
+
+
+    def test_short_fmt_chunk_rejected(self, tmp_path):
+        fmt = struct.pack("<HH", 1, 1)  # 4 of the 16 bytes a fmt chunk needs
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", 4) + b"\x00\x00\x00\x00")
+        path = tmp_path / "short_fmt.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(WavFormatError, match="fmt chunk"):
+            read_wav(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(encoding=st.sampled_from(["pcm16", "pcm24", "float32"]),
+           cut=st.floats(0.0, 1.0, exclude_max=True),
+           fields=st.lists(st.tuples(st.sampled_from(WAV_HEADER_FIELDS),
+                                     st.integers(0, 64) | st.integers(0, 2 ** 32 - 1)),
+                           max_size=3),
+           hits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+                         max_size=3))
+    # a 15-byte fmt chunk, an odd-sized PCM16 data chunk, a NaN float sample
+    @example(encoding="pcm16", cut=0.5, fields=[((16, "<I"), 15)], hits=[])
+    @example(encoding="pcm16", cut=0.5, fields=[((40, "<I"), 31)], hits=[])
+    @example(encoding="float32", cut=0.5, fields=[], hits=[(55, 0x7F)])
+    def test_damaged_bytes_raise_only_wav_format_error(self, tmp_path, encoding,
+                                                       cut, fields, hits):
+        """A truncated valid WAV, or one with header fields or bytes
+        overwritten, either reads as a finite clip or raises
+        WavFormatError."""
+        path = tmp_path / "clip.wav"
+        write_wav(path, AudioClip(samples=sine(440, 8000, 0.002),
+                                  sample_rate=8000), encoding)
+        blob = path.read_bytes()
+        damaged = bytearray(blob)
+        for (offset, fmt), value in fields:
+            struct.pack_into(fmt, damaged, offset, value % 256 ** struct.calcsize(fmt))
+        for where, value in hits:
+            damaged[where % len(blob)] = value
+        for variant in (blob[:int(cut * len(blob))], bytes(damaged)):
+            path.write_bytes(variant)
+            try:
+                clip = read_wav(path)
+            except WavFormatError:
+                continue
+            assert clip.sample_rate > 0
+            assert np.all(np.isfinite(clip.samples))
 
 
 class TestResample:

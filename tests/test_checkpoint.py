@@ -5,14 +5,44 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from antitransfer import checkpoint as ck
-from antitransfer.network import build, preset
+from antitransfer import layers as L
+from antitransfer.network import ArchConfig, build, preset
+from antitransfer.training import TrainConfig, train_on_dir
 
 
 @pytest.fixture
 def tiny_net():
     return build(preset("vgg-tiny", (16, 17), 3), seed=5, dtype=np.float32)
+
+
+def assert_weight_table_aliases(net):
+    """net.params / net.grads hold the layers' own arrays, and nothing else."""
+    names = set()
+    for layer in net.layers:
+        if isinstance(layer, (L.Conv2D, L.Dense)):
+            for pname, w, g in (("weight", layer.W, layer.gW),
+                                ("bias", layer.b, layer.gb)):
+                name = f"{layer.name}.{pname}"
+                assert net.params[name] is w and net.grads[name] is g, name
+                names.add(name)
+    assert set(net.params) == set(net.grads) == names
+
+
+# a checkpoint small enough that random byte damage often hits its header
+SMALL_ARCH = ArchConfig(layers=[L.conv2d(2), L.relu(), L.maxpool2d(),
+                                L.dropout(0.5), L.flatten(), L.dense(2)],
+                        input_shape=(1, 3, 3), n_classes=2)
+
+
+def small_checkpoint_bytes(tmp_path):
+    path = tmp_path / "small.atck"
+    ck.save(build(SMALL_ARCH, seed=1, dtype=np.float32), path,
+            provenance={"task": "t"})
+    return path.read_bytes()
 
 
 class TestContainer:
@@ -28,8 +58,8 @@ class TestContainer:
         path = tmp_path / "m.atck"
         ck.save(tiny_net, path)
         loaded = ck.load(path)
-        for name, arr in tiny_net.named_params().items():
-            got = loaded.named_params()[name]
+        for name, arr in tiny_net.params.items():
+            got = loaded.params[name]
             assert got.dtype == arr.dtype
             assert np.array_equal(got, arr)
 
@@ -79,11 +109,105 @@ class TestContainer:
         with pytest.raises(ck.CorruptFileError):
             ck.load(path)
 
+    def test_failed_json_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "summary.json"
+        ck.write_json(path, {"epoch": 1})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            ck.write_json(path, {"epoch": object()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
     def test_provenance_round_trips(self, tmp_path, tiny_net):
         path = tmp_path / "m.atck"
         prov = {"task": "speaker", "seed": 11, "epoch": 7}
         ck.save(tiny_net, path, provenance=prov)
         assert ck.load(path).provenance == prov
+
+
+class TestMalformedCheckpoints:
+    """Every malformed checkpoint ends in a CheckpointError."""
+
+    def good_meta(self, tmp_path):
+        path = tmp_path / "good.atck"
+        ck.save(build(SMALL_ARCH, seed=1), path)
+        return ck.read_container(path)
+
+    def test_meta_that_is_a_list(self, tmp_path):
+        ck.write_container(tmp_path / "m.atck", [1, 2], {})
+        with pytest.raises(ck.CorruptFileError):
+            ck.load(tmp_path / "m.atck")
+
+    def test_meta_without_arch(self, tmp_path):
+        meta, tensors = self.good_meta(tmp_path)
+        del meta["arch"]
+        ck.write_container(tmp_path / "m.atck", meta, tensors)
+        with pytest.raises(ck.CorruptFileError, match="arch"):
+            ck.load(tmp_path / "m.atck")
+
+    def test_unknown_layer_spec_key(self, tmp_path):
+        meta, tensors = self.good_meta(tmp_path)
+        meta["arch"]["layers"][0]["dilation"] = 2
+        ck.write_container(tmp_path / "m.atck", meta, tensors)
+        with pytest.raises(ck.CorruptFileError, match="dilation"):
+            ck.load(tmp_path / "m.atck")
+
+    def test_unknown_dtype(self, tmp_path):
+        meta, tensors = self.good_meta(tmp_path)
+        for dtype in (",loat32", "int32", [1]):
+            meta["dtype"] = dtype
+            ck.write_container(tmp_path / "m.atck", meta, tensors)
+            with pytest.raises(ck.CorruptFileError, match="dtype"):
+                ck.load(tmp_path / "m.atck")
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        path = tmp_path / "m.atck"
+        ck.write_container(path, {"kind": "spectrogram"}, {"ab": np.zeros(2)})
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"ab", b"\xff\xfe", 1))
+        with pytest.raises(ck.CorruptFileError, match="utf-8"):
+            ck.read_container(path)
+
+    def test_tensor_shape_differs_from_arch(self, tmp_path):
+        meta, tensors = self.good_meta(tmp_path)
+        tensors["dense1.bias"] = np.zeros(3)
+        ck.write_container(tmp_path / "m.atck", meta, tensors)
+        with pytest.raises(ck.CorruptFileError, match="dense1.bias"):
+            ck.load(tmp_path / "m.atck")
+
+    def test_absurd_extent_of_an_empty_tensor(self, tmp_path):
+        path = tmp_path / "m.atck"
+        ck.write_container(path, {}, {"t": np.zeros((0, 3))})
+        blob = path.read_bytes()
+        extent = struct.pack("<Q", 3)
+        assert blob.count(extent) == 1
+        path.write_bytes(blob.replace(extent, struct.pack("<Q", 2 ** 63)))
+        with pytest.raises(ck.CorruptFileError):
+            ck.read_container(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True),
+           hits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                   st.integers(0, 255)), max_size=3))
+    def test_damaged_bytes_raise_only_checkpoint_errors(self, tmp_path, cut,
+                                                        hits):
+        """Truncated files always fail; overwritten bytes either load or
+        fail with a CheckpointError."""
+        blob = small_checkpoint_bytes(tmp_path)
+        path = tmp_path / "damaged.atck"
+        path.write_bytes(blob[:int(cut * len(blob))])
+        with pytest.raises(ck.CheckpointError):
+            ck.load(path)
+        damaged = bytearray(blob)
+        for where, value in hits:
+            damaged[int(where * len(blob))] = value
+        path.write_bytes(bytes(damaged))
+        try:
+            net = ck.load(path)
+        except ck.CheckpointError:
+            return
+        assert_weight_table_aliases(net)
 
 
 class TestFingerprints:
@@ -112,7 +236,7 @@ class TestInitFrom:
     def test_plain_wi_copies_convs_and_keeps_head_fresh(self, tmp_path):
         source = build(preset("vgg-tiny", (16, 17), 3), seed=1, dtype=np.float32)
         target = build(preset("vgg-tiny", (16, 17), 3), seed=2, dtype=np.float32)
-        head_before = {n: a.copy() for n, a in target.named_params().items()
+        head_before = {n: a.copy() for n, a in target.params.items()
                        if n.startswith("dense")}
         ck.init_from(target, source)
         for s, t in zip(source.conv_layers(), target.conv_layers()):
@@ -120,7 +244,7 @@ class TestInitFrom:
             assert np.array_equal(s.b, t.b)
             assert t.trainable
         for n, arr in head_before.items():
-            assert np.array_equal(arr, target.named_params()[n])
+            assert np.array_equal(arr, target.params[n])
 
     def test_freeze_marks_prefix_non_trainable(self):
         source = build(preset("vgg-tiny", (16, 17), 3), seed=1)
@@ -133,9 +257,9 @@ class TestInitFrom:
         net = build(preset("vgg-tiny", (16, 17), 3), seed=3, dtype=np.float32)
         path = tmp_path / "self.atck"
         ck.save(net, path)
-        before = {n: a.copy() for n, a in net.named_params().items()}
+        before = {n: a.copy() for n, a in net.params.items()}
         ck.init_from(net, ck.load(path))
-        for n, arr in net.named_params().items():
+        for n, arr in net.params.items():
             assert np.array_equal(arr, before[n])
 
     def test_mismatched_source_rejected(self):
@@ -143,6 +267,26 @@ class TestInitFrom:
         target = build(preset("vgg-tiny", (16, 17), 3), seed=2)
         with pytest.raises(ck.FingerprintMismatchError):
             ck.init_from(target, source)
+
+
+class TestWeightTable:
+    def test_holds_the_layers_own_arrays(self, tmp_path, orth_checkpoint,
+                                         tiny_data_dir):
+        """After build, load, init_from and a training run, every entry of
+        net.params / net.grads is the layer's own array."""
+        built = build(preset("vgg-tiny", (16, 17), 4), seed=1)
+        assert_weight_table_aliases(built)
+        loaded = ck.load(orth_checkpoint)
+        assert_weight_table_aliases(loaded)
+        ck.init_from(built, loaded, freeze_up_to=1)
+        assert_weight_table_aliases(built)
+        cfg = TrainConfig(strategy="wi", seed=2, max_epochs=2,
+                          pretrained_checkpoints=(str(orth_checkpoint),))
+        trained = train_on_dir(cfg, tiny_data_dir, tmp_path / "run").network
+        assert_weight_table_aliases(trained)
+        assert trained.grads["dense2.weight"].any()
+        assert ck.load(tmp_path / "run" / "model.atck").weight_hash() \
+            == trained.weight_hash()
 
 
 class TestBuildDeterminism:

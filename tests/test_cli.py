@@ -2,6 +2,7 @@
 
 import json
 
+from antitransfer import checkpoint as ck
 from antitransfer.cli import _resolve_config, build_parser, main
 from antitransfer.config import DataConfig, ExperimentConfig
 from antitransfer.data import read_manifest
@@ -110,6 +111,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "at layers" in err
 
+    def test_at_layer_beyond_the_network_exits_2(self, tmp_path, orth_checkpoint,
+                                                 tiny_data_dir, capsys):
+        cfg = write_config(tmp_path, strategy="at",
+                           checkpoints=(orth_checkpoint,),
+                           data_dir=tiny_data_dir)
+        assert main(["train", "--config", str(cfg), "--at-layer", "9"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1..4" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
+
     def test_val_label_missing_from_train_exits_2(self, tmp_path,
                                                   unseen_label_dir, capsys):
         cfg = write_config(tmp_path, data_dir=unseen_label_dir)
@@ -169,6 +180,19 @@ class TestSweepCommand:
                            data_dir=tiny_data_dir)
         assert main(["sweep", "--config", str(cfg), "--layers", ""]) == 2
 
+    def test_layer_grid_checked_before_training(self, tmp_path, orth_checkpoint,
+                                                tiny_data_dir, capsys):
+        """A grid point outside the network's convs exits 2 naming 1..K,
+        and no point of the grid trains."""
+        cfg = write_config(tmp_path, strategy="at",
+                           checkpoints=(orth_checkpoint,),
+                           data_dir=tiny_data_dir)
+        for grid in ("0..1", "3..9"):
+            assert main(["sweep", "--config", str(cfg), "--layers", grid]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "1..4" in err
+        assert not list((tmp_path / "run").glob("layer_*"))
+
     def test_needs_exactly_one_grid(self, tmp_path, orth_checkpoint,
                                     tiny_data_dir):
         cfg = write_config(tmp_path, strategy="at",
@@ -203,8 +227,8 @@ class TestGradcheckCommand:
         assert "[pass]" in out and "[FAIL]" not in out
         assert "max relative error" in out
 
-    def test_injected_sign_flip_fails(self, capsys):
-        assert main(["gradcheck", "--flip-at-sign"]) == 1
+    def test_injected_sign_flip_fails(self, capsys, flipped_at_gradient):
+        assert main(["gradcheck"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
 
@@ -230,6 +254,19 @@ class TestGradcamCommand:
                      "--input", str(sample), "--layer", "9", "--class", "0",
                      "--out", str(tmp_path / "cam")])
         assert code == 3
+
+
+    def test_checkpoint_with_list_meta_exits_3(self, tmp_path, tiny_data_dir,
+                                               capsys):
+        bad = tmp_path / "list_meta.atck"
+        ck.write_container(bad, [1, 2], {})
+        rows = read_manifest(tiny_data_dir / "test_manifest.csv")
+        code = main(["gradcam", "--checkpoint", str(bad),
+                     "--input", str(tiny_data_dir / rows[0].path),
+                     "--layer", "1", "--class", "0",
+                     "--out", str(tmp_path / "cam")])
+        assert code == 3
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestEstimateMemoryCommand:

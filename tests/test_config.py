@@ -50,6 +50,15 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="learning_rate"):
             ExperimentConfig.load(path)
 
+    def test_malformed_synth_section_is_config_error(self, tmp_path):
+        for bad in ({"samples_per_split": 5}, {"image_size": [4, 4]}):
+            d = make_config().to_dict()
+            d["data"]["synth"].update(bad)
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(d))
+            with pytest.raises(ConfigError, match="data.synth"):
+                ExperimentConfig.load(path)
+
     def test_unknown_at_key_rejected(self, tmp_path):
         d = make_config().to_dict()
         d["train"]["at"]["betas"] = [1]

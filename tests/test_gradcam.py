@@ -3,6 +3,8 @@ geometry, and PGM round trips."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from antitransfer import layers as L
 from antitransfer.gradcam import (Heatmap, bilinear_resize, gradcam, read_pgm,
@@ -98,6 +100,35 @@ class TestPGM:
         back = read_pgm(path)
         assert back.shape == values.shape
         assert np.max(np.abs(back - values)) <= 0.5 / 255 + 1e-12
+
+    def test_zero_maxval_rejected(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        path.write_bytes(b"P5\n2 1\n0\n\x00\x00")
+        with pytest.raises(ValueError, match="maxval"):
+            read_pgm(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cut=st.floats(0.0, 1.0, exclude_max=True),
+           hits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                   st.integers(0, 255)), min_size=1, max_size=3))
+    def test_damaged_bytes_raise_only_value_error(self, tmp_path, cut, hits):
+        """Truncated or overwritten bytes of a valid PGM either read as
+        values in [0, 1] or raise ValueError."""
+        path = tmp_path / "x.pgm"
+        write_pgm(path, np.random.default_rng(5).uniform(0, 1, (3, 4)))
+        blob = path.read_bytes()
+        damaged = bytearray(blob)
+        for where, value in hits:
+            damaged[int(where * len(blob))] = value
+        for variant in (blob[:int(cut * len(blob))], bytes(damaged)):
+            path.write_bytes(variant)
+            try:
+                values = read_pgm(path)
+            except ValueError:
+                continue
+            assert values.min(initial=0.0) >= 0.0
+            assert values.max(initial=0.0) <= 1.0
 
     def test_render_zero_heatmap_overlay_equals_spectrogram(self, tmp_path):
         spec = np.random.default_rng(3).uniform(0, 2, (10, 11))

@@ -58,13 +58,16 @@ class TestOracleSuite:
         assert "conv2d" in names and "anti-transfer" in names
         assert "total objective" in names
 
-    def test_sign_flip_hook_fails_at_checks(self):
-        reports = run_oracle_suite(flip_at_grad_sign=True)
+    def test_sign_flip_hook_fails_at_checks(self, flipped_at_gradient):
+        reports = run_oracle_suite()
         failed = [r.name for r in reports if not r.passed]
         assert failed
         assert all("anti-transfer" in n or "total objective" in n for n in failed)
-        # every whole-objective check, sigmoid_mse included, sees the flip
+        # every per-op anti-transfer check and every whole-objective check,
+        # sigmoid_mse included, sees the flip
+        at = [r.name for r in reports if "anti-transfer" in r.name]
         total = [r.name for r in reports if "total objective" in r.name]
+        assert len(at) == 10 and set(at) <= set(failed)
         assert len(total) == 4 and set(total) <= set(failed)
 
     def test_total_loss_gradcheck_both_layers_and_similarities(self):

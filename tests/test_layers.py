@@ -60,7 +60,7 @@ def test_frozen_layer_skips_gradient_accumulation():
     x = rng.standard_normal((1, 2, 5, 5))
     out = conv.forward(x, train=False, rng=None)
     dx = conv.backward(np.ones_like(out))
-    assert conv.gW is None and conv.gb is None
+    assert not conv.gW.any() and not conv.gb.any()
     assert dx.shape == x.shape
 
 
@@ -122,8 +122,8 @@ def test_layer_spec_validation():
 def test_maxpool_kernel_limited_by_int8_argmax():
     """Tap index i*k + j must fit the int8 argmax: kernel 11 is the largest."""
     with pytest.raises(ValueError, match="limit of 11"):
-        L.LayerSpec.from_dict({"kind": "maxpool2d", "kernel": 12, "stride": 12})
-    spec = L.LayerSpec.from_dict({"kind": "maxpool2d", "kernel": 11, "stride": 11})
+        L.LayerSpec(kind="maxpool2d", kernel=12, stride=12)
+    spec = L.LayerSpec(kind="maxpool2d", kernel=11, stride=11)
     x = np.zeros((1, 1, 11, 11))
     x[0, 0, 10, 10] = 1.0                       # the last tap, index 120
     pool = L.MaxPool2D(spec)

@@ -62,7 +62,7 @@ class TestPresetShapes:
 class TestArchConfig:
     def test_round_trip(self):
         arch = preset("vgg-tiny", (16, 17), 3)
-        back = ArchConfig.from_dict(arch.to_dict())
+        back = ArchConfig(**arch.to_dict())
         assert back.to_dict() == arch.to_dict()
         assert back.conv_fingerprints() == arch.conv_fingerprints()
 
@@ -142,9 +142,20 @@ class TestGradientInjection:
         _, dlogits = cross_entropy_and_grad(logits, self.labels)
         self.net.backward(dlogits)
         convs = self.net.conv_layers()
-        assert convs[0].gW is None and convs[1].gW is None
+        assert not convs[0].gW.any() and not convs[1].gW.any()
         dense = [l for l in self.net.layers if l.name == "dense1"][0]
-        assert dense.gW is not None
+        assert dense.gW.any()
+
+    def test_load_params_checks_every_tensor_before_copying(self):
+        before = self.net.weight_hash()
+        ones = np.ones_like(self.net.params["conv1.bias"])
+        for bad in ({"dense1.weight": np.zeros(3)}, {"conv9.weight": ones}):
+            with pytest.raises(L.ShapeError):
+                self.net.load_params({"conv1.bias": ones, **bad})
+        assert self.net.weight_hash() == before
+        self.net.load_params({"conv1.bias": ones})
+        assert self.net.params["conv1.bias"] is self.net.conv_layers()[0].b
+        assert np.all(self.net.conv_layers()[0].b == 1.0)
 
     def test_freeze_out_of_range_rejected(self):
         with pytest.raises(ValueError):

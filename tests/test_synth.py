@@ -34,7 +34,7 @@ class TestSpecValidation:
 
     def test_round_trip(self):
         d = SMALL.to_dict()
-        assert SynthSpec.from_dict(d) == SMALL
+        assert SynthSpec(**d) == SMALL
 
 
 class TestSampling:

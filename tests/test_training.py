@@ -47,7 +47,7 @@ class TestConfigValidation:
     def test_round_trip(self):
         cfg = TrainConfig(strategy="scratch", seed=5,
                           at=ATConfig(layers=(1, 3), beta=0.5))
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert TrainConfig(**cfg.to_dict()) == cfg
 
 
 class TestScratch:
@@ -238,6 +238,19 @@ class TestSweeps:
         with pytest.raises(ValueError):
             sweep_layers(cfg_for("at", orth_checkpoint), data,
                          tmp_path / "sweep", [])
+
+    def test_layer_grid_checked_before_any_point_trains(self, tiny_data_dir,
+                                                        orth_checkpoint,
+                                                        tmp_path):
+        data = load_split_dir(tiny_data_dir)
+        with pytest.raises(ValueError, match=r"\[5, 9\] outside 1\.\.4"):
+            sweep_layers(cfg_for("at", orth_checkpoint), data,
+                         tmp_path / "sweep", [3, 5, 9])
+        assert not (tmp_path / "sweep").exists()
+        with pytest.raises(ValueError, match=r"outside 1\.\.4"):
+            training.train(cfg_for("wi_freeze", orth_checkpoint, layers=(7,)),
+                           data, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_sweep_reproducible(self, tiny_data_dir, orth_checkpoint, tmp_path):
         data = load_split_dir(tiny_data_dir)
