@@ -177,12 +177,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_layer_grid(text: str):
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in text.split(",") if t.strip() != ""]
+def _parse_grid(flag: str, text: str, number):
+    """The values of a sweep grid flag: `number` of each comma-separated
+    item, or for --layers also an inclusive range a..b."""
+    try:
+        if flag == "--layers" and ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [number(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError as e:
+        raise ConfigError(f"{flag} {text!r} is not a valid grid: {e}") from e
 
 
 def cmd_sweep(args) -> int:
@@ -190,10 +194,10 @@ def cmd_sweep(args) -> int:
     if bool(args.layers) == bool(args.betas):
         raise ConfigError("sweep needs exactly one of --layers or --betas")
     if args.layers:
-        grid = _parse_layer_grid(args.layers)
+        grid = _parse_grid("--layers", args.layers.strip(), int)
         label, sweep = "layer", training.sweep_layers
     else:
-        grid = [float(t) for t in args.betas.split(",") if t.strip() != ""] \
+        grid = _parse_grid("--betas", args.betas, float) \
             if args.betas != "default" else list(training.DEFAULT_BETA_GRID)
         label, sweep = "beta", training.sweep_betas
     if not grid:

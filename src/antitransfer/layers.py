@@ -1,9 +1,11 @@
 """Dense-tensor layer kernels with explicit forward and backward passes.
 
-Every layer caches whatever its backward pass needs (inputs, masks, argmax
-positions) during forward. A layer with weights allocates its gradient
-buffers once; backward overwrites them in place (it does not accumulate),
-and a frozen layer leaves them untouched.
+A forward that records (the default) caches whatever the layer's backward
+needs (inputs, masks, argmax positions); one that does not record computes
+only the output and clears the cache, so a backward after it raises
+RuntimeError. A layer with weights allocates its gradient buffers once;
+backward overwrites them in place (it does not accumulate), and a frozen
+layer leaves them untouched.
 """
 
 from __future__ import annotations
@@ -158,18 +160,47 @@ class Layer:
     def grads(self) -> dict:
         return {"weight": self.gW, "bias": self.gb} if hasattr(self, "W") else {}
 
-    def forward(self, x: np.ndarray, train: bool, rng: Optional[np.random.Generator]) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, rng: Optional[np.random.Generator],
+                record: bool = True) -> np.ndarray:
+        """The layer's output; with `record` false no backward may follow."""
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
+# Conv forward runs over near-equal blocks of whole samples of about this
+# many output bytes (at least half of it, or one sample), so a tap's input
+# copy, its product and the running sum stay in cache. On 64 float32
+# spectrograms at 126x129 (2-vCPU VM, 1 BLAS thread) conv 1 took 430 ms per
+# forward on the whole batch and 150 ms in 256 KB blocks, conv 2 230 and 90.
+# Blocks change the width of each BLAS call, and OpenBLAS's small-matrix
+# kernels round some widths differently. Half of this floor keeps float32
+# products with 32 or more input channels off them; narrower float32
+# products round alike at every width above one column (tests/test_layers.py
+# checks both).
+_CONV_BLOCK_BYTES = 256 << 10
+
+
+def _sample_blocks(n: int, min_samples: int):
+    """Slices of n samples into near-equal runs of at least min_samples
+    (or one run of all n)."""
+    count = max(1, n // max(1, min_samples))
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 class Conv2D(Layer):
     """2-D convolution, NCHW layout, square kernel, zero padding.
 
-    Forward/backward are computed as kernel-position GEMMs (one tensordot per
-    kernel tap), which avoids materializing im2col buffers.
+    Each kernel tap (i, j) is one GEMM of the (out, in) weight slice with the
+    input positions that tap reads, so no im2col buffer is formed. Forward
+    runs the taps over blocks of samples (`_CONV_BLOCK_BYTES`); each output
+    element gets the bias first, then the taps in (i, j) order. Backward forms
+    the (out channels, samples x positions) output gradient once and runs two
+    GEMMs per tap over the whole batch: one for the weight gradient, one for
+    the input gradient. Both produce the same bits as one tensordot per tap
+    over the whole batch.
     """
 
     def __init__(self, spec: LayerSpec, in_channels: int, rng: np.random.Generator,
@@ -192,46 +223,57 @@ class Conv2D(Layer):
         self.gb = np.zeros_like(self.b)
         self._xp = None
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train, rng, record=True):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         oh, ow = output_hw(self.spec, h, w)
-        p = self.pad
+        p, s, k, oc = self.pad, self.stride, self.kernel, self.out_channels
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        self._xp = xp
-        self._in_shape = x.shape
-        self._out_hw = (oh, ow)
-        s = self.stride
-        out = np.empty((n, self.out_channels, oh, ow), dtype=x.dtype)
-        out[:] = self.b[None, :, None, None]
-        for i in range(self.kernel):
-            for j in range(self.kernel):
-                patch = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
-                # (oc, ic) x (n, ic, oh, ow) -> (oc, n, oh, ow)
-                out += np.tensordot(self.W[:, :, i, j], patch, axes=([1], [1])
-                                    ).transpose(1, 0, 2, 3)
+        self._xp = xp if record else None
+        # numpy hands a product with a single output row or column to gemv,
+        # whose rounding depends on its length: such products are not split
+        min_samples = (n if oc == 1 or oh * ow == 1
+                       else _CONV_BLOCK_BYTES // (oc * oh * ow * x.itemsize))
+        out = np.empty((n, oc, oh, ow), dtype=x.dtype)
+        for blk in _sample_blocks(n, min_samples):
+            xb = xp[blk]
+            acc = np.empty((oc, xb.shape[0], oh, ow), dtype=x.dtype)
+            acc[:] = self.b[:, None, None, None]
+            flat = acc.reshape(oc, -1)
+            for i in range(k):
+                for j in range(k):
+                    patch = xb[:, :, i:i + s * oh:s, j:j + s * ow:s]
+                    # (oc, ic) x (ic, samples * oh * ow)
+                    flat += np.dot(self.W[:, :, i, j],
+                                   patch.transpose(1, 0, 2, 3).reshape(c, -1))
+            out[blk] = acc.transpose(1, 0, 2, 3)
         return out
 
     def backward(self, dout):
         xp = self._xp
         if xp is None:
-            raise RuntimeError(f"{self.name}: backward without matching forward")
-        n, c, h, w = self._in_shape
-        oh, ow = self._out_hw
+            raise RuntimeError(f"{self.name}: backward without a recording forward")
+        n, c, hp, wp = xp.shape
+        oh, ow = dout.shape[2], dout.shape[3]
         s, p, k = self.stride, self.pad, self.kernel
+        # (oc, n * oh * ow): the operand of both products at every tap
+        d = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
         dxp = np.zeros_like(xp)
         if self.trainable:
             dout.sum(axis=(0, 2, 3), out=self.gb)
         for i in range(k):
             for j in range(k):
-                patch = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+                at = (slice(None), slice(None), slice(i, i + s * oh, s),
+                      slice(j, j + s * ow, s))
                 if self.trainable:
-                    self.gW[:, :, i, j] = np.tensordot(dout, patch, axes=([0, 2, 3], [0, 2, 3]))
-                # (ic, oc) x (n, oc, oh, ow) -> (ic, n, oh, ow)
-                dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += np.tensordot(
-                    self.W[:, :, i, j], dout, axes=([0], [1])).transpose(1, 0, 2, 3)
-        return dxp[:, :, p:p + h, p:p + w] if p else dxp
+                    # (oc, n * oh * ow) x (n * oh * ow, ic)
+                    self.gW[:, :, i, j] = np.dot(
+                        d, xp[at].transpose(0, 2, 3, 1).reshape(-1, c))
+                # (ic, oc) x (oc, n * oh * ow) -> (ic, n, oh, ow)
+                dxp[at] += np.dot(self.W[:, :, i, j].T, d).reshape(
+                    c, n, oh, ow).transpose(1, 0, 2, 3)
+        return dxp[:, :, p:hp - p, p:wp - p] if p else dxp
 
 
 # Max-pool forward runs over blocks of samples of at most this many input
@@ -252,8 +294,9 @@ class MaxPool2D(Layer):
         self.name = name
         self.kernel = spec.kernel
         self.stride = spec.stride
+        self._arg = None
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train, rng, record=True):
         n, c, h, w = x.shape
         k, s = self.kernel, self.stride
         oh, ow = output_hw(self.spec, h, w)
@@ -262,10 +305,12 @@ class MaxPool2D(Layer):
         rows = [slice(i, i + s * (oh - 1) + 1, s) for i in range(k)]
         cols = [slice(j, j + s * (ow - 1) + 1, s) for j in range(k)]
         out = np.empty((n, c, oh, ow), dtype=x.dtype)
-        arg = np.zeros((n, c, oh, ow), dtype=np.int8)  # i*k+j of the max tap
+        # i*k+j of the max tap, which only backward reads
+        arg = np.zeros((n, c, oh, ow), dtype=np.int8) if record else None
         block = max(1, _POOL_BLOCK_BYTES // max(c * h * w * x.itemsize, 1))
         for b in range(0, n, block):
-            self._pool(x[b:b + block], rows, cols, out[b:b + block], arg[b:b + block])
+            self._pool(x[b:b + block], rows, cols, out[b:b + block],
+                       None if arg is None else arg[b:b + block])
         self._arg = arg
         self._in_shape = x.shape
         return out
@@ -285,6 +330,8 @@ class MaxPool2D(Layer):
             tap = buf[:, :, row]
             acc = out[:, :, :tap.shape[2]]
             np.maximum(tap, acc, out=acc)
+        if arg is None:
+            return
         # Walk the taps from last to first: the first tap equal to the max
         # writes last. arg = where(hit, t, arg) is done as arg += hit*(t-arg),
         # which is several times faster than a masked copy.
@@ -301,6 +348,8 @@ class MaxPool2D(Layer):
             arg_t += step_t
 
     def backward(self, dout):
+        if self._arg is None:
+            raise RuntimeError(f"{self.name}: backward without a recording forward")
         n, c, h, w = self._in_shape
         k, s = self.kernel, self.stride
         oh, ow = dout.shape[2], dout.shape[3]
@@ -329,15 +378,15 @@ class Dense(Layer):
         self.gb = np.zeros_like(self.b)
         self._x = None
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train, rng, record=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"{self.name}: expected (N, {self.in_features}), got {x.shape}")
-        self._x = x
+        self._x = x if record else None
         return x @ self.W + self.b
 
     def backward(self, dout):
         if self._x is None:
-            raise RuntimeError(f"{self.name}: backward without matching forward")
+            raise RuntimeError(f"{self.name}: backward without a recording forward")
         if self.trainable:
             np.matmul(self._x.T, dout, out=self.gW)
             dout.sum(axis=0, out=self.gb)
@@ -345,11 +394,16 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x, train, rng):
-        self._mask = x > 0
-        return x * self._mask
+    _mask = None
+
+    def forward(self, x, train, rng, record=True):
+        mask = x > 0
+        self._mask = mask if record else None
+        return x * mask
 
     def backward(self, dout):
+        if self._mask is None:
+            raise RuntimeError("relu: backward without a recording forward")
         return dout * self._mask
 
 
@@ -362,28 +416,34 @@ class Dropout(Layer):
         self.p = spec.p
         self._mask = None
 
-    def forward(self, x, train, rng):
+    def forward(self, x, train, rng, record=True):
         if not train or self.p == 0.0:
-            self._mask = None
-            return x
-        if rng is None:
-            raise RuntimeError("dropout in train mode needs an RNG")
-        keep = 1.0 - self.p
-        self._mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
-        return x * self._mask
+            mask, out = 1.0, x   # every unit kept, at scale 1
+        else:
+            if rng is None:
+                raise RuntimeError("dropout in train mode needs an RNG")
+            keep = 1.0 - self.p
+            mask = (rng.random(x.shape) < keep).astype(x.dtype) / keep
+            out = x * mask
+        self._mask = mask if record else None
+        return out
 
     def backward(self, dout):
         if self._mask is None:
-            return dout
+            raise RuntimeError(f"{self.name}: backward without a recording forward")
         return dout * self._mask
 
 
 class Flatten(Layer):
-    def forward(self, x, train, rng):
-        self._shape = x.shape
+    _shape = None
+
+    def forward(self, x, train, rng, record=True):
+        self._shape = x.shape if record else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
+        if self._shape is None:
+            raise RuntimeError("flatten: backward without a recording forward")
         return dout.reshape(self._shape)
 
 

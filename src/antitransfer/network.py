@@ -224,16 +224,20 @@ class Network:
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
-                taps: Iterable[int] = ()) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        """Run the network; returns (class scores, feature map per tapped conv)."""
-        return self._run(x, train, rng, taps, last_tap_only=False)
+                taps: Iterable[int] = (),
+                record: bool = True) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+        """Run the network; returns (class scores, feature map per tapped conv).
+        With `record` false the layers keep nothing for a backward, which
+        then raises RuntimeError; the outputs are the same."""
+        return self._run(x, train, rng, taps, record, last_tap_only=False)
 
     def tap_features(self, x: np.ndarray, taps: Iterable[int]) -> Dict[int, np.ndarray]:
-        """Eval-mode feature map per tapped conv. Stops after the deepest tap,
-        since no later layer changes them; the maps equal forward's."""
-        return self._run(x, False, None, taps, last_tap_only=True)[1]
+        """Eval-mode feature map per tapped conv, from a forward that does not
+        record. Stops after the deepest tap, since no later layer changes
+        them; the maps equal forward's."""
+        return self._run(x, False, None, taps, False, last_tap_only=True)[1]
 
-    def _run(self, x, train, rng, taps, last_tap_only: bool):
+    def _run(self, x, train, rng, taps, record: bool, last_tap_only: bool):
         taps = sorted(set(taps))
         for k in taps:
             if k not in self.tap_positions:
@@ -248,7 +252,7 @@ class Network:
         tapped: Dict[int, np.ndarray] = {}
         out = x
         for pos, layer in enumerate(self.layers[:stop]):
-            out = layer.forward(out, train, rng)
+            out = layer.forward(out, train, rng, record)
             if self.finite_checks:
                 check_finite(out, f"activations after {layer.name or type(layer).__name__}")
             if pos in tap_at:
@@ -263,16 +267,19 @@ class Network:
         tap_grad_in:  extra dL/d(feature map) added at tap points on the way
                       down (anti-transfer injection).
         tap_grad_out: tap indices whose accumulated gradient should be
-                      captured and returned (Grad-CAM).
-        Parameter gradients of trainable layers land in `grads`, in place.
+                      captured and returned (Grad-CAM); the sweep then ends
+                      at the lowest of them.
+        Parameter gradients of the trainable layers the sweep passes through
+        land in `grads`, in place: all of them unless tap_grad_out is given.
         """
         inject = {self.tap_positions[k]: g for k, g in (tap_grad_in or {}).items()}
         want = {self.tap_positions[k]: k for k in tap_grad_out}
         captured: Dict[int, np.ndarray] = {}
-        # positions we must still reach: trainable params and requested taps
-        needed = [pos for pos, layer in enumerate(self.layers)
-                  if (layer.params() and layer.trainable)]
-        needed += list(want.keys())
+        # the lowest layer whose backward must run: the one above the lowest
+        # requested tap, or else the lowest trainable layer with weights
+        needed = ([pos + 1 for pos in want] if want else
+                  [pos for pos, layer in enumerate(self.layers)
+                   if layer.params() and layer.trainable])
         stop = min(needed) if needed else len(self.layers)
         g = dout
         for pos in range(len(self.layers) - 1, -1, -1):

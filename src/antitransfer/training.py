@@ -130,7 +130,7 @@ def evaluate(net: Network, x: np.ndarray, labels: np.ndarray,
     for start in range(0, len(x), batch_size):
         xb = x[start:start + batch_size]
         yb = labels[start:start + batch_size]
-        logits, _ = net.forward(xb)
+        logits, _ = net.forward(xb, record=False)
         pred = logits.argmax(axis=1)
         np.add.at(confusion, (yb, pred), 1)
     correct = int(np.trace(confusion))
@@ -140,17 +140,20 @@ def evaluate(net: Network, x: np.ndarray, labels: np.ndarray,
 def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
                     at_cfg: Optional[ATConfig] = None,
                     aggs: Optional[Dict[int, np.ndarray]] = None,
-                    rows=slice(None), train: bool = False, rng=None):
+                    rows=slice(None), train: bool = False, rng=None,
+                    record: bool = True):
     """The training objective on one batch: cross-entropy plus, for each
     tapped conv, the anti-transfer term against rows `rows` of the
     extractor's per-sample aggregates `aggs`.
 
     Returns (logits, ce, {layer: at value}, dlogits, {layer: gradient to
     inject at that tap}); a zero-weight term has a value but no gradient.
-    The trainer, validation and the gradient oracle all call this.
+    The trainer, validation and the gradient oracle all call this; with
+    `record` false the forward keeps nothing for `net.backward`.
     """
     taps = at_cfg.layers if at_cfg else ()
-    logits, tapped = net.forward(xb, train=train, rng=rng, taps=taps)
+    logits, tapped = net.forward(xb, train=train, rng=rng, taps=taps,
+                                 record=record)
     ce, dlogits = cross_entropy_and_grad(logits, yb)
     at_vals, tap_grads = {}, {}
     for k in taps:
@@ -170,7 +173,7 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
         rows = slice(start, start + batch_size)
         yb = labels[rows]
         logits, ce, at_vals, _, _ = batch_objective(net, x[rows], yb, at_cfg,
-                                                    agg_cache, rows)
+                                                    agg_cache, rows, record=False)
         total_ce += ce * len(yb)
         correct += int((logits.argmax(axis=1) == yb).sum())
         for k, val in at_vals.items():

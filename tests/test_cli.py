@@ -1,11 +1,15 @@
 """CLI contract: subcommands, exit codes, flag overrides, persisted configs."""
 
 import json
+from dataclasses import replace
+
+import numpy as np
 
 from antitransfer import checkpoint as ck
 from antitransfer.cli import _resolve_config, build_parser, main
 from antitransfer.config import DataConfig, ExperimentConfig
-from antitransfer.data import read_manifest
+from antitransfer.data import (MANIFEST_NAMES, read_manifest, write_manifest,
+                               write_sample)
 from antitransfer.synth import SynthSpec
 from antitransfer.training import TrainConfig
 
@@ -87,6 +91,34 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--strategy", "at",
                      "--checkpoint", str(tmp_path / "missing.atck")])
         assert code == 3
+
+    def test_loss_turning_non_finite_mid_training_exits_3(self, tmp_path,
+                                                          tiny_data_dir,
+                                                          capsys):
+        """A finite sample large enough to overflow the convs sits in the
+        second batch, where the per-layer finite checks are off: the
+        per-batch loss check stops the run."""
+        cfg_path = write_config(tmp_path, data_dir=tmp_path / "data")
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"]["normalize_inputs"] = False
+        cfg_path.write_text(json.dumps(cfg))
+        seed, batch = cfg["train"]["seed"], cfg["train"]["batch_size"]
+        (tmp_path / "data").mkdir()
+        for split, name in MANIFEST_NAMES.items():
+            rows = [replace(r, path=str(tiny_data_dir / r.path))
+                    for r in read_manifest(tiny_data_dir / name)]
+            if split == "train":
+                # the first sample of the second batch of epoch 0
+                i = np.random.default_rng([seed, 1]).permutation(len(rows))[batch]
+                write_sample(tmp_path / "huge.atck",
+                             np.full((16, 17), 3e38, dtype=np.float32))
+                rows[i] = replace(rows[i], path=str(tmp_path / "huge.atck"))
+            write_manifest(tmp_path / "data" / name, rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("training failure: non-finite loss at epoch 0, "
+                              f"samples {batch}..{2 * batch}")
 
     def test_overrides_are_checked_once_in_combination(self, tmp_path):
         """at -> dual-at with two checkpoints is valid only as a whole."""
@@ -179,6 +211,19 @@ class TestSweepCommand:
                            checkpoints=(orth_checkpoint,),
                            data_dir=tiny_data_dir)
         assert main(["sweep", "--config", str(cfg), "--layers", ""]) == 2
+
+    def test_malformed_grid_exits_2_naming_the_flag(self, tmp_path,
+                                                    orth_checkpoint,
+                                                    tiny_data_dir, capsys):
+        cfg = write_config(tmp_path, strategy="at",
+                           checkpoints=(orth_checkpoint,),
+                           data_dir=tiny_data_dir)
+        for flag, grid in (("--layers", "a..b"), ("--layers", "1,x"),
+                           ("--betas", "x"), ("--betas", "0.5,1..2")):
+            assert main(["sweep", "--config", str(cfg), flag, grid]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and flag in err
+        assert not (tmp_path / "run" / "sweep.csv").exists()
 
     def test_layer_grid_checked_before_training(self, tmp_path, orth_checkpoint,
                                                 tiny_data_dir, capsys):

@@ -63,6 +63,29 @@ class TestGradcam:
         after = gradcam(net, x, 2, 2).values
         assert np.allclose(before, after, atol=1e-6)
 
+    def test_backward_stops_at_the_tap(self, monkeypatch):
+        """Grad-CAM at conv 3 computes no weight gradient below the tap, and
+        its map has the bytes of one from a sweep down to the input."""
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=6)
+        x = np.random.default_rng(4).standard_normal((1, 1, 32, 37))
+        heat = gradcam(net, x, 1, 3)
+        conv1, conv2, _, conv4 = net.conv_layers()
+        assert not conv1.gW.any() and not conv2.gW.any()
+        assert conv4.gW.any()
+
+        def full_sweep(dout, tap_grad_out=()):
+            want = {net.tap_positions[k]: k for k in tap_grad_out}
+            captured, g = {}, dout
+            for pos in range(len(net.layers) - 1, -1, -1):
+                if pos in want:
+                    captured[want[pos]] = g
+                g = net.layers[pos].backward(g)
+            return captured
+
+        monkeypatch.setattr(net, "backward", full_sweep)
+        assert gradcam(net, x, 1, 3).values.tobytes() == heat.values.tobytes()
+        assert conv1.gW.any()
+
     def test_invalid_class_and_layer_rejected(self):
         net = build(preset("vgg-tiny", (16, 17), 3), seed=5)
         x = np.zeros((1, 1, 16, 17))

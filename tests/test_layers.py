@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from antitransfer import layers as L
-from antitransfer.network import ArchConfig, build
+from antitransfer.network import ArchConfig, build, conv_feature_shapes, preset
 from antitransfer.layers import NonFiniteError, ShapeError
 
 
@@ -96,6 +96,39 @@ def test_backward_without_forward_raises():
     dense = L.Dense(L.dense(2), 3, rng)
     with pytest.raises(RuntimeError):
         dense.backward(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("make, shape", [
+    (lambda rng: L.Conv2D(L.conv2d(2), 1, rng), (2, 1, 5, 6)),
+    (lambda rng: L.MaxPool2D(L.maxpool2d()), (2, 3, 5, 6)),
+    (lambda rng: L.Dense(L.dense(2), 4, rng), (2, 4)),
+    (lambda rng: L.ReLU(), (2, 4)),
+    (lambda rng: L.Dropout(L.dropout(0.5)), (2, 4)),
+    (lambda rng: L.Flatten(), (2, 3, 4)),
+])
+def test_backward_after_a_forward_that_did_not_record_raises(make, shape):
+    """Also when an earlier forward did record: its cache (a max-pool's
+    argmax, a conv's input) is stale and must not route the gradient."""
+    rng = np.random.default_rng(8)
+    layer = make(rng)
+    x = rng.standard_normal(shape)
+    out = layer.forward(x, train=False, rng=None)
+    layer.backward(np.ones_like(out))
+    x2 = rng.standard_normal(shape)
+    out2 = layer.forward(x2, train=False, rng=None, record=False)
+    assert out2.tobytes() == layer.forward(x2, train=False, rng=None).tobytes()
+    layer.forward(x2, train=False, rng=None, record=False)
+    with pytest.raises(RuntimeError, match="recording forward"):
+        layer.backward(np.ones_like(out2))
+
+
+def test_maxpool_that_does_not_record_skips_the_argmax():
+    pool = L.MaxPool2D(L.maxpool2d())
+    x = np.random.default_rng(9).standard_normal((2, 3, 7, 8))
+    pool.forward(x, train=False, rng=None)
+    assert pool._arg is not None
+    pool.forward(x, train=False, rng=None, record=False)
+    assert pool._arg is None
 
 
 def test_conv_shape_mismatch_raises():
@@ -230,6 +263,112 @@ def test_maxpool_is_bitwise_the_tap_loop(n, c, h, w, k, s, ceil_mode, dtype,
     want_dx = _oracle_pool_backward(dout, want_arg, shape, k, s)
     assert dx.dtype == want_dx.dtype and dx.shape == want_dx.shape
     assert dx.tobytes() == want_dx.tobytes()
+
+
+def _oracle_conv_forward(x, W, b, k, s, p, oh, ow):
+    """One tensordot per kernel tap over the whole batch."""
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    out = np.empty((x.shape[0], W.shape[0], oh, ow), dtype=x.dtype)
+    out[:] = b[None, :, None, None]
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+            out += np.tensordot(W[:, :, i, j], patch, axes=([1], [1])
+                                ).transpose(1, 0, 2, 3)
+    return out
+
+
+def _oracle_conv_backward(x, W, dout, k, s, p):
+    """(gW, gb, dx) from two tensordots per kernel tap over the whole batch."""
+    n, c, h, w = x.shape
+    oh, ow = dout.shape[2], dout.shape[3]
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    dxp = np.zeros_like(xp)
+    gW = np.zeros_like(W)
+    gb = dout.sum(axis=(0, 2, 3))
+    for i in range(k):
+        for j in range(k):
+            patch = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+            gW[:, :, i, j] = np.tensordot(dout, patch, axes=([0, 2, 3], [0, 2, 3]))
+            dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += np.tensordot(
+                W[:, :, i, j], dout, axes=([0], [1])).transpose(1, 0, 2, 3)
+    return gW, gb, (dxp[:, :, p:p + h, p:p + w] if p else dxp)
+
+
+def _post_relu(rng, shape, dtype):
+    """Many ties at 0 of both signs, as a conv sees after a ReLU."""
+    pre = rng.standard_normal(shape).astype(dtype)
+    return pre * (pre > 0)
+
+
+def _check_conv_against_oracle(conv, x, rng):
+    """Forward and backward of `conv` on x give the oracle's bytes."""
+    k, s, p = conv.kernel, conv.stride, conv.pad
+    out = conv.forward(x, train=False, rng=None)
+    want = _oracle_conv_forward(x, conv.W, conv.b, k, s, p, *out.shape[2:])
+    assert out.dtype == want.dtype and out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    dout = rng.standard_normal(out.shape).astype(x.dtype)
+    dout[rng.random(out.shape) < 0.3] = -0.0
+    conv.gW[...] = 0
+    conv.gb[...] = 0
+    dx = conv.backward(dout)
+    gW, gb, want_dx = _oracle_conv_backward(x, conv.W, dout, k, s, p)
+    assert dx.dtype == want_dx.dtype and dx.shape == want_dx.shape
+    assert dx.tobytes() == want_dx.tobytes()
+    if conv.trainable:
+        assert conv.gW.tobytes() == gW.tobytes()
+        assert conv.gb.tobytes() == gb.tobytes()
+    else:
+        assert not conv.gW.any() and not conv.gb.any()
+
+
+# Up to 4 channels each way: blocks below _CONV_BLOCK_BYTES with 16 or more
+# input channels would run on BLAS's small-matrix kernels, which the real
+# block size avoids; the preset test below covers those widths unmocked.
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 3), ic=st.integers(1, 4), oc=st.integers(1, 4),
+       h=st.integers(1, 9), w=st.integers(1, 9), k=st.integers(1, 4),
+       s=st.integers(1, 3), pad=st.sampled_from([0, 1, 2, "same"]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       trainable=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_conv_is_bitwise_the_tap_loop(n, ic, oc, h, w, k, s, pad, dtype,
+                                      trainable, seed):
+    assume(pad != "same" or k % 2 == 1)
+    spec = L.conv2d(oc, kernel=k, stride=s, padding=pad)
+    try:
+        L.output_hw(spec, h, w)
+    except ShapeError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    conv = L.Conv2D(spec, ic, rng, dtype=dtype)
+    conv.b[...] = rng.standard_normal(oc)
+    conv.trainable = trainable
+    x = _post_relu(rng, (n, ic, h, w), dtype)
+    # one sample per forward block
+    with mock.patch.object(L, "_CONV_BLOCK_BYTES", 1):
+        _check_conv_against_oracle(conv, x, rng)
+
+
+@pytest.mark.parametrize("hw, batches", [
+    ((126, 129), (13, 15, 64)),
+    ((32, 37), (1, 13, 15, 29, 36, 44, 64)),
+    ((16, 17), (1, 13, 20, 64)),
+])
+def test_vgg_tiny_convs_are_bitwise_the_tap_loop(hw, batches):
+    """Every conv of vgg-tiny, float32, at train, eval and remainder batch
+    sizes, with the real block size."""
+    arch = preset("vgg-tiny", hw, 4)
+    net = build(arch, seed=0, dtype=np.float32)
+    rng = np.random.default_rng(11)
+    c_in = arch.input_shape[0]
+    hw_in = hw
+    for conv, (c, oh, ow) in zip(net.conv_layers(), conv_feature_shapes(arch)):
+        conv.b[...] = rng.standard_normal(c)
+        for n in batches:
+            _check_conv_against_oracle(conv, _post_relu(rng, (n, c_in, *hw_in),
+                                                        np.float32), rng)
+        c_in, hw_in = c, (oh // 2, ow // 2)   # the 3x3 stride-2 ceil pool
 
 
 class TestNetworkForward:

@@ -223,6 +223,48 @@ class TestPretrainAndEvaluate:
         assert abs(np.mean(accs) - 0.25) < 0.15
 
 
+class TestForwardWithoutRecording:
+    def test_evaluation_gives_the_bytes_of_a_recording_forward(
+            self, tiny_data_dir, orth_checkpoint, monkeypatch):
+        """evaluate, _eval_losses and tap_features keep nothing for a
+        backward, and their outputs equal a recording forward's."""
+        data = load_split_dir(tiny_data_dir)
+        x = data["val"].x.astype(np.float32)
+        y = data["val"].labels_for("target")
+        net = build(preset("vgg-tiny", x.shape[2:],
+                           data["train"].classes_for("target")),
+                    seed=1, dtype=np.float32)
+        extractor = ck.load(orth_checkpoint)
+        at_cfg = ATConfig(layers=(1, 3), beta=1.0)
+        dlogits = np.ones((len(x) % 7, net.arch.n_classes), np.float32)
+
+        _, recorded = extractor.forward(x, taps=at_cfg.layers)
+        feats = extractor.tap_features(x, at_cfg.layers)
+        for k in at_cfg.layers:
+            assert feats[k].tobytes() == recorded[k].tobytes()
+        with pytest.raises(RuntimeError, match="recording forward"):
+            extractor.backward(np.ones((len(x), extractor.arch.n_classes)))
+
+        logits, _ = net.forward(x, record=False)
+        assert logits.tobytes() == net.forward(x)[0].tobytes()
+
+        aggs = {k: losses.aggregate(f, at_cfg.aggregation)
+                for k, f in feats.items()}
+        got = (evaluate(net, x, y, batch_size=7),
+               training._eval_losses(net, x, y, at_cfg, aggs, 7))
+        with pytest.raises(RuntimeError, match="recording forward"):
+            net.backward(dlogits)
+        forward = type(net).forward
+        monkeypatch.setattr(net, "forward", lambda *a, **kw: forward(
+            net, *a, **{**kw, "record": True}))
+        want = (evaluate(net, x, y, batch_size=7),
+                training._eval_losses(net, x, y, at_cfg, aggs, 7))
+        net.backward(dlogits)
+        assert got[0][0] == want[0][0]
+        assert np.array_equal(got[0][1], want[0][1])
+        assert got[1] == want[1]
+
+
 class TestSweeps:
     def test_layer_sweep_rows_and_best_flag(self, tiny_data_dir,
                                             orth_checkpoint, tmp_path):
