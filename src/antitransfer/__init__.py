@@ -25,8 +25,7 @@ from .data import (Dataset, load_dataset, load_split_dir, read_manifest,
                    write_manifest)
 from .synth import SynthSpec, cramers_v, generate, render
 from .training import (EpochMetrics, TrainConfig, TrainResult, evaluate,
-                       pretrain, sweep_betas, sweep_layers, train,
-                       train_on_dir, TrainingDivergedError)
+                       sweep, sweep_points, train, TrainingDivergedError)
 from .gradcam import Heatmap, gradcam, read_pgm, render as render_heatmap, write_pgm
 from .gradcheck import GradCheckReport, gradcheck, run_oracle_suite
 

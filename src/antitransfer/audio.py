@@ -248,12 +248,6 @@ def normalize(spectrograms: Sequence[np.ndarray], stats: NormStats
             for s in spectrograms]
 
 
-def denormalize(spectrograms: Sequence[np.ndarray], stats: NormStats
-                ) -> List[np.ndarray]:
-    return [np.asarray(s, dtype=np.float64) * stats.std + stats.mean
-            for s in spectrograms]
-
-
 def preprocess_clip(clip: AudioClip, duration_s: float = 1.0,
                     target_rate: int = TARGET_RATE, window_s: float = 0.016,
                     overlap: float = 0.5, log: bool = False) -> List[Spectrogram]:

@@ -2,7 +2,12 @@
 
 Subcommands: pretrain, train, sweep, gradcam, gradcheck, estimate-memory.
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 runtime
-failure. Every run directory receives the fully-resolved config for replay.
+failure. A command first sets up: it resolves its config and flags,
+prepares the data and checks anti-transfer layers and sweep grids. A
+ValueError during set-up is a configuration error and exits 2; once the
+command runs, it exits 3. A file that cannot be read or written exits 3
+in either phase. Every run directory receives the fully-resolved config
+for replay.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import json
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +25,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import training
+from .audio import NormStats, normalize
 from .gradcam import gradcam as compute_heatmap
 from .gradcam import render as render_heatmap
 from .config import ConfigError, ExperimentConfig, prepare_data
@@ -116,47 +122,47 @@ def _given(**kw) -> dict:
     return {k: v for k, v in kw.items() if v is not None}
 
 
+@contextmanager
+def _setup(context: str = ""):
+    """A command's set-up phase: a ValueError raised in it becomes a
+    ConfigError (exit 2), its message prefixed with `context` if given."""
+    try:
+        yield
+    except ValueError as e:
+        raise ConfigError(f"{context}: {e}" if context else str(e)) from e
+
+
 def _resolve_config(args, with_at_flags: bool) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
     overrides = _given(seed=args.seed)
     at = {}
     if with_at_flags:
-        if args.beta is not None and args.beta < 0:
-            raise ConfigError("--beta must be >= 0; use --strategy at-inverse "
-                              "to encourage similarity instead")
         at = _given(layers=args.at_layer, beta=args.beta,
                     similarity=args.similarity, aggregation=args.aggregation)
         overrides.update(_given(pretrained_checkpoints=args.checkpoint,
                                 strategy=_STRATEGY_FLAGS.get(args.strategy)))
-    try:
-        # one replace: the strategy/checkpoint pairing is checked once, on
-        # the final combination
-        train = replace(cfg.train, at=replace(cfg.train.at, **at), **overrides)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    # one replace: the strategy/checkpoint pairing is checked once, on the
+    # final combination
+    train = replace(cfg.train, at=replace(cfg.train.at, **at), **overrides)
     return ExperimentConfig(train=train, data=cfg.data,
                             output_dir=args.out or cfg.output_dir)
 
 
-def _check_at_layers(train_cfg, data, layers=None) -> None:
-    try:
-        training.check_at_layers(train_cfg, data, layers)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
-def _echo_config(cfg: ExperimentConfig, out_dir: Path) -> None:
+def _prepare_run(cfg: ExperimentConfig):
+    """Echo the config into its run directory and prepare its data;
+    returns (run directory, data)."""
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
+    return out_dir, prepare_data(cfg, out_dir)
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _resolve_config(args, with_at_flags=False)
-    cfg = ExperimentConfig(train=replace(cfg.train, strategy="scratch"),
-                           data=cfg.data, output_dir=cfg.output_dir)
-    out_dir = Path(cfg.output_dir)
-    _echo_config(cfg, out_dir)
-    data = prepare_data(cfg, out_dir)
+    with _setup():
+        cfg = _resolve_config(args, with_at_flags=False)
+        cfg = ExperimentConfig(train=replace(cfg.train, strategy="scratch"),
+                               data=cfg.data, output_dir=cfg.output_dir)
+        out_dir, data = _prepare_run(cfg)
     result = training.train(cfg.train, data, out_dir)
     print(f"pretrained checkpoint: {result.checkpoint_path}")
     print(f"best epoch {result.best_epoch}, val acc {result.val_accuracy:.4f}, "
@@ -165,11 +171,10 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_config(args, with_at_flags=True)
-    out_dir = Path(cfg.output_dir)
-    _echo_config(cfg, out_dir)
-    data = prepare_data(cfg, out_dir)
-    _check_at_layers(cfg.train, data)
+    with _setup():
+        cfg = _resolve_config(args, with_at_flags=True)
+        out_dir, data = _prepare_run(cfg)
+        training.check_at_layers(cfg.train, data)
     result = training.train(cfg.train, data, out_dir)
     print(f"strategy {cfg.train.strategy}: best epoch {result.best_epoch}, "
           f"val acc {result.val_accuracy:.4f}, test acc {result.test_accuracy:.4f}")
@@ -177,42 +182,38 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(flag: str, text: str, number):
-    """The values of a sweep grid flag: `number` of each comma-separated
-    item, or for --layers also an inclusive range a..b."""
-    try:
-        if flag == "--layers" and ".." in text:
-            lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [number(t) for t in text.split(",") if t.strip() != ""]
-    except ValueError as e:
-        raise ConfigError(f"{flag} {text!r} is not a valid grid: {e}") from e
+def _parse_grid(flag: str, text: str) -> list:
+    """The values of a sweep grid flag: comma-separated numbers, for
+    --layers also an inclusive range a..b, for --betas also "default"."""
+    if flag == "--betas":
+        if text == "default":
+            return list(training.DEFAULT_BETA_GRID)
+        return [float(t) for t in text.split(",") if t.strip() != ""]
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        return list(range(int(lo), int(hi) + 1))
+    return [int(t) for t in text.split(",") if t.strip() != ""]
 
 
 def cmd_sweep(args) -> int:
-    cfg = _resolve_config(args, with_at_flags=True)
-    if bool(args.layers) == bool(args.betas):
-        raise ConfigError("sweep needs exactly one of --layers or --betas")
-    if args.layers:
-        grid = _parse_grid("--layers", args.layers.strip(), int)
-        label, sweep = "layer", training.sweep_layers
-    else:
-        grid = _parse_grid("--betas", args.betas, float) \
-            if args.betas != "default" else list(training.DEFAULT_BETA_GRID)
-        label, sweep = "beta", training.sweep_betas
-    if not grid:
-        raise ConfigError("sweep grid is empty")
-    out_dir = Path(cfg.output_dir)
-    _echo_config(cfg, out_dir)
-    # data is materialized once here; workers receive it with each point
-    data = prepare_data(cfg, out_dir)
-    _check_at_layers(cfg.train, data, grid if args.layers else None)
+    with _setup():
+        cfg = _resolve_config(args, with_at_flags=True)
+        if bool(args.layers) == bool(args.betas):
+            raise ConfigError("sweep needs exactly one of --layers or --betas")
+        flag, label, text = (("--layers", "layer", args.layers.strip())
+                             if args.layers else ("--betas", "beta", args.betas))
+        with _setup(f"{flag} {text!r} is not a valid grid"):
+            grid = _parse_grid(flag, text)
+        # data is materialized once here; workers receive it with each point
+        out_dir, data = _prepare_run(cfg)
+        with _setup(f"{flag} {text!r}"):
+            points = training.sweep_points(cfg.train, data, label, grid)
     pool = (ProcessPoolExecutor(max_workers=args.jobs,
                                 mp_context=multiprocessing.get_context("spawn"))
             if args.jobs > 1 else nullcontext())
     with pool as executor:
-        rows = sweep(cfg.train, data, out_dir, grid, select_by=args.select_by,
-                     executor=executor)
+        rows = training.sweep(points, label, data, out_dir,
+                              select_by=args.select_by, executor=executor)
     print(f"{label:>8}  train_acc  val_acc  test_acc  best")
     for r in rows:
         mark = "  <-- best" if r.best else ""
@@ -228,7 +229,7 @@ def cmd_gradcam(args) -> int:
     prov = getattr(net, "provenance", {})
     x = spec
     if "norm_mean" in prov and "norm_std" in prov:
-        x = (spec - prov["norm_mean"]) / prov["norm_std"]
+        x = normalize([spec], NormStats(prov["norm_mean"], prov["norm_std"]))[0]
     heat = compute_heatmap(net, x, args.class_index, args.layer,
                            upsample="nearest" if args.nearest else "bilinear")
     paths = render_heatmap(heat, spec, args.out, dump_csv=args.csv)
@@ -248,16 +249,12 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_estimate_memory(args) -> int:
-    try:
+    with _setup("--input-size must look like 126x129"):
         frames, bins = (int(t) for t in args.input_size.lower().split("x"))
-    except ValueError as e:
-        raise ConfigError(f"--input-size must look like 126x129: {e}") from e
-    try:
+    with _setup():
         est = estimate_memory(preset(args.arch, (frames, bins), args.classes),
                               args.batch, args.at_layer,
                               bytes_per_number=args.bytes_per_number)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
     if args.as_json:
         print(json.dumps(est.to_dict(), indent=2, sort_keys=True))
         return EXIT_OK

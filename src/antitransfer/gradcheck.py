@@ -127,11 +127,11 @@ def _two_conv_net(seed: int = 0, n_classes: int = 3) -> Network:
 
 def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
                          tolerance: float = 1e-4, h: float = 1e-5,
-                         beta: float = 1.0) -> GradCheckReport:
+                         beta: float = 1.0, sign: float = 1.0) -> GradCheckReport:
     """Check d(total objective)/d(every trainable parameter) on a two-conv
-    network with the anti-transfer term on one layer. Both the loss and the
-    analytic gradient come from `training.batch_objective`, the objective
-    the trainer runs."""
+    network with the anti-transfer term of sign `sign` (-1 for at_inverse)
+    on one layer. Both the loss and the analytic gradient come from
+    `training.batch_objective`, the objective the trainer runs."""
     net = _two_conv_net(seed=seed)
     extractor = _two_conv_net(seed=seed + 101)
     rng = np.random.default_rng(seed + 7)
@@ -149,12 +149,14 @@ def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
     paggs = {k: aggregate(ptaps[k], cfg.aggregation) for k in cfg.layers}
 
     def loss_fn():
-        _, ce, at_vals, _, _ = batch_objective(net, x, labels, cfg, paggs)
+        _, ce, at_vals, _, _ = batch_objective(net, x, labels, cfg, paggs,
+                                               sign=sign)
         return ce + sum(at_vals.values())
 
-    _, _, _, dce, inject = batch_objective(net, x, labels, cfg, paggs)
+    _, _, _, dce, inject = batch_objective(net, x, labels, cfg, paggs, sign=sign)
     net.backward(dce, tap_grad_in=inject)
-    name = f"total objective (AT layer {at_layer}, {similarity})"
+    inverse = ", at_inverse sign" if sign < 0 else ""
+    name = f"total objective (AT layer {at_layer}, {similarity}{inverse})"
     return gradcheck(loss_fn, list(net.params.values()),
                      list(net.grads.values()), h=h, tolerance=tolerance,
                      name=name)
@@ -230,9 +232,11 @@ def run_oracle_suite() -> List[GradCheckReport]:
                 at_fn, [ft], [g], h=1e-5, tolerance=1e-4,
                 name=f"anti-transfer loss ({aggregation} + {similarity})"))
 
-    # whole objective through a small network, each conv layer in turn
+    # whole objective through a small network, each conv layer in turn,
+    # then once with the at_inverse sign
     for at_layer in (1, 2):
         for similarity in ("squared_cosine", "sigmoid_mse"):
             reports.append(total_loss_gradcheck(at_layer, similarity))
+    reports.append(total_loss_gradcheck(1, "squared_cosine", sign=-1.0))
 
     return reports

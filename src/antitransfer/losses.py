@@ -7,12 +7,14 @@ the network being trained against the same layer of a frozen network that was
 pre-trained on an orthogonal task. Feature maps are aggregated per sample
 (channel-wise Gram matrix by default), compared with a similarity function
 (squared cosine by default), averaged over the batch and scaled by beta.
-Gradients flow into the trained network only; the pre-trained side is a
-constant.
+The term's sign is an argument: +1 penalizes similarity (anti-transfer),
+-1 encourages it (the `at_inverse` strategy). Gradients flow into the
+trained network only; the pre-trained side is a constant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -23,7 +25,6 @@ from .network import ArchConfig, conv_feature_shapes
 
 SIMILARITIES = ("squared_cosine", "sigmoid_mse")
 AGGREGATIONS = ("gram", "mean", "sum", "max", "comp_mul")
-DIRECTIONS = ("penalize", "encourage")
 
 DEGENERATE_NORM = 1e-12  # below this a Gram/aggregate is treated as all-zero
 COMP_MUL_EXPONENT = 0.001
@@ -37,21 +38,19 @@ class ATConfig:
     beta: float = 1.0
     similarity: str = "squared_cosine"
     aggregation: str = "gram"
-    direction: str = "penalize"
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(int(k) for k in self.layers))
         if not self.layers or min(self.layers) < 1:
             raise ValueError("at layers must name at least one conv layer, "
                              f"numbered from 1; got {list(self.layers)}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0 (use direction='encourage' to flip the sign)")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be a finite number >= 0, got {self.beta} "
+                             "(the at_inverse strategy flips the sign)")
         if self.similarity not in SIMILARITIES:
             raise ValueError(f"similarity must be one of {SIMILARITIES}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +178,16 @@ def similarity(v: np.ndarray, w: np.ndarray, kind: str
 # ---------------------------------------------------------------------------
 
 def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
-                     config: ATConfig) -> Tuple[float, Optional[np.ndarray]]:
+                     config: ATConfig, sign: float = 1.0
+                     ) -> Tuple[float, Optional[np.ndarray]]:
     """Single-layer anti-transfer term and its gradient w.r.t. the trained map.
 
     agg_pretrained is aggregate(pretrained_map, config.aggregation): the
     frozen side is a constant of the run, so callers aggregate it once. The
     trained map is aggregated per sample, compared with the configured
-    similarity, averaged over the batch and scaled by beta (negated for
-    direction='encourage'). No gradient exists for the pretrained side.
+    similarity, averaged over the batch and scaled by sign * beta: sign +1
+    penalizes similarity, -1 encourages it. No gradient exists for the
+    pretrained side.
     beta == 0 short-circuits to (0.0, None) so a zero-weight run is
     arithmetically identical to not having the term at all.
     """
@@ -200,7 +201,6 @@ def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
             "(architectures are incompatible at this layer)")
     sims, dv = similarity(agg_t.reshape(b, -1), agg_pretrained.reshape(b, -1),
                           config.similarity)
-    sign = -1.0 if config.direction == "encourage" else 1.0
     loss = sign * config.beta * float(np.mean(sims))
     dagg = (sign * config.beta / b) * dv.reshape(agg_t.shape)
     return loss, pullback(dagg).astype(trained.dtype)

@@ -21,8 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import checkpoint as ckpt
-from .audio import NormStats, compute_norm_stats
-from .data import Dataset, load_split_dir
+from .audio import NormStats, compute_norm_stats, normalize
+from .data import Dataset
 from .losses import ATConfig, aggregate, cross_entropy_and_grad
 from .losses import at_loss_and_grad as _at_term
 from .network import ArchConfig, Network, build, conv_feature_shapes, preset
@@ -141,10 +141,10 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
                     at_cfg: Optional[ATConfig] = None,
                     aggs: Optional[Dict[int, np.ndarray]] = None,
                     rows=slice(None), train: bool = False, rng=None,
-                    record: bool = True):
+                    record: bool = True, sign: float = 1.0):
     """The training objective on one batch: cross-entropy plus, for each
-    tapped conv, the anti-transfer term against rows `rows` of the
-    extractor's per-sample aggregates `aggs`.
+    tapped conv, the anti-transfer term of sign `sign` against rows `rows`
+    of the extractor's per-sample aggregates `aggs`.
 
     Returns (logits, ce, {layer: at value}, dlogits, {layer: gradient to
     inject at that tap}); a zero-weight term has a value but no gradient.
@@ -157,14 +157,15 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
     ce, dlogits = cross_entropy_and_grad(logits, yb)
     at_vals, tap_grads = {}, {}
     for k in taps:
-        at_vals[k], grad = _at_term(tapped[k], aggs[k][rows], at_cfg)
+        at_vals[k], grad = _at_term(tapped[k], aggs[k][rows], at_cfg, sign)
         if grad is not None:
             tap_grads[k] = grad
     return logits, ce, at_vals, dlogits, tap_grads
 
 
 def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
-                 agg_cache: Optional[Dict[int, np.ndarray]], batch_size: int):
+                 agg_cache: Optional[Dict[int, np.ndarray]], batch_size: int,
+                 sign: float = 1.0):
     """Validation cross-entropy, accuracy and per-layer anti-transfer terms."""
     total_ce = 0.0
     correct = 0
@@ -173,7 +174,8 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
         rows = slice(start, start + batch_size)
         yb = labels[rows]
         logits, ce, at_vals, _, _ = batch_objective(net, x[rows], yb, at_cfg,
-                                                    agg_cache, rows, record=False)
+                                                    agg_cache, rows, record=False,
+                                                    sign=sign)
         total_ce += ce * len(yb)
         correct += int((logits.argmax(axis=1) == yb).sum())
         for k, val in at_vals.items():
@@ -243,33 +245,26 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
                   save_init_as: Optional[str] = None) -> TrainResult:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_set, val_set, test_set = data["train"], data["val"], data["test"]
-    labels = {s: d.labels_for(config.label_field)
-              for s, d in (("train", train_set), ("val", val_set), ("test", test_set))}
+    splits = {s: data[s] for s in ("train", "val", "test")}
+    labels = {s: d.labels_for(config.label_field) for s, d in splits.items()}
+    stats = (compute_norm_stats([data["train"].x]) if config.normalize_inputs
+             else None)
+    xs = {s: (d.x if stats is None else normalize([d.x], stats)[0]
+              ).astype(config.dtype) for s, d in splits.items()}
 
-    xs = {"train": train_set.x, "val": val_set.x, "test": test_set.x}
-    stats = None
-    if config.normalize_inputs:
-        stats = compute_norm_stats([train_set.x])
-        xs = {s: ((x.astype(np.float64) - stats.mean) / stats.std).astype(config.dtype)
-              for s, x in xs.items()}
-    else:
-        xs = {s: x.astype(config.dtype) for s, x in xs.items()}
-
-    net = build(_arch(config, train_set), seed=config.seed,
+    net = build(_arch(config, data["train"]), seed=config.seed,
                 dtype=np.dtype(config.dtype))
 
     if init_source is not None:
         ckpt.init_from(net, init_source, freeze_up_to=freeze_up_to)
 
     at_cfg = None
+    sign = -1.0 if config.strategy == "at_inverse" else 1.0
     extractor = None
     agg_caches = {}
     extractor_hash_before = extractor_hash_after = None
     if at_checkpoint is not None:
         at_cfg = config.at
-        if config.strategy == "at_inverse" and at_cfg.direction != "encourage":
-            at_cfg = replace(at_cfg, direction="encourage")
         extractor = ckpt.load(at_checkpoint)
         _check_extractor_compatible(net, extractor, at_cfg)
         extractor_hash_before = extractor.weight_hash()
@@ -311,7 +306,7 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
                 net.finite_checks = start == 0
                 logits, ce, at_vals, dlogits, inject = batch_objective(
                     net, x_train[idx], yb, at_cfg, agg_caches.get("train"), idx,
-                    train=True, rng=rng_dropout)
+                    train=True, rng=rng_dropout, sign=sign)
                 for k, val in at_vals.items():
                     at_sums[k] += val * len(idx)
                 batch_at = sum(at_vals.values(), 0.0)
@@ -327,7 +322,7 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
 
             val_ce, val_acc, val_at = _eval_losses(
                 net, xs["val"], labels["val"], at_cfg,
-                agg_caches.get("val"), config.eval_batch_size)
+                agg_caches.get("val"), config.eval_batch_size, sign)
             train_at_layers = {k: v / n_train for k, v in at_sums.items()}
             em = EpochMetrics(
                 epoch=epoch,
@@ -442,18 +437,6 @@ def train(config: TrainConfig, data: Dict[str, Dataset], out_dir) -> TrainResult
     raise ValueError(f"unknown strategy {s!r}")
 
 
-def train_on_dir(config: TrainConfig, data_dir, out_dir) -> TrainResult:
-    """Load the train/val/test manifests from data_dir and run train()."""
-    return train(config, load_split_dir(data_dir), out_dir)
-
-
-def pretrain(config: TrainConfig, data_dir, out_dir) -> TrainResult:
-    """Stage-1 pre-training on an orthogonal task: a scratch run whose
-    checkpoint (with task provenance) later serves as extractor or WI source."""
-    cfg = replace(config, strategy="scratch")
-    return train_on_dir(cfg, data_dir, out_dir)
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------
@@ -479,22 +462,38 @@ def _sweep_point(cfg: TrainConfig, data: Dict[str, Dataset], run_dir: Path
             float(min(m.val_ce + m.val_at for m in result.metrics)))
 
 
-def _sweep(data: Dict[str, Dataset], out_dir: Path, values: Sequence,
-           make_cfg, label: str,
-           select_by: str = "val_accuracy",
-           executor: Optional[Executor] = None) -> List[SweepRow]:
+def sweep_points(base_config: TrainConfig, data: Dict[str, Dataset], label: str,
+                 values: Sequence) -> List[Tuple[float, TrainConfig]]:
+    """The (value, config) points of a sweep over the anti-transfer layer
+    (label "layer": the term on conv v alone) or its weight ("beta"). Every
+    point is built and checked here, layers against the network trained on
+    `data`, so a bad point raises ValueError before anything trains."""
     if not values:
         raise ValueError(f"empty {label} sweep grid")
+    if label == "layer":
+        check_at_layers(base_config, data, values)
+        ats = [replace(base_config.at, layers=(int(v),)) for v in values]
+    else:
+        check_at_layers(base_config, data)
+        ats = [replace(base_config.at, beta=float(v)) for v in values]
+    return [(v, replace(base_config, at=at)) for v, at in zip(values, ats)]
+
+
+def sweep(points: Sequence[Tuple[float, TrainConfig]], label: str,
+          data: Dict[str, Dataset], out_dir, select_by: str = "val_accuracy",
+          executor: Optional[Executor] = None) -> List[SweepRow]:
+    """Train each point of `sweep_points` into out_dir/<label>_<value>,
+    write sweep.csv and flag the best row. Points run through executor.map
+    when an executor is given."""
     if select_by not in ("val_accuracy", "val_loss"):
         raise ValueError("select_by must be val_accuracy or val_loss")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_dirs = [out_dir / f"{label}_{v}" for v in values]
-    points = (executor.map if executor else map)(
-        _sweep_point, [make_cfg(v) for v in values], [data] * len(values),
-        run_dirs)
-    rows = [SweepRow(float(v), *point, out_dir=str(run_dir))
-            for v, point, run_dir in zip(values, points, run_dirs)]
+    run_dirs = [out_dir / f"{label}_{v}" for v, _ in points]
+    results = (executor.map if executor else map)(
+        _sweep_point, [cfg for _, cfg in points], [data] * len(points), run_dirs)
+    rows = [SweepRow(float(v), *result, out_dir=str(run_dir))
+            for (v, _), result, run_dir in zip(points, results, run_dirs)]
     if select_by == "val_accuracy":
         best_i = max(range(len(rows)), key=lambda i: rows[i].val_acc)
     else:
@@ -509,33 +508,4 @@ def _sweep(data: Dict[str, Dataset], out_dir: Path, values: Sequence,
     return rows
 
 
-def sweep_layers(base_config: TrainConfig, data: Dict[str, Dataset], out_dir,
-                 layer_range: Sequence[int], select_by: str = "val_accuracy",
-                 executor: Optional[Executor] = None) -> List[SweepRow]:
-    """Train once per candidate anti-transfer layer; flag the best row.
-    Points run through executor.map when an executor is given. Every layer
-    is checked before any point trains."""
-    layer_range = list(layer_range)
-    check_at_layers(base_config, data, layer_range)
-
-    def make_cfg(k):
-        return replace(base_config, at=replace(base_config.at, layers=(int(k),)))
-
-    return _sweep(data, out_dir, layer_range, make_cfg, "layer", select_by,
-                  executor)
-
-
 DEFAULT_BETA_GRID = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
-
-
-def sweep_betas(base_config: TrainConfig, data: Dict[str, Dataset], out_dir,
-                betas: Sequence[float] = DEFAULT_BETA_GRID,
-                select_by: str = "val_accuracy",
-                executor: Optional[Executor] = None) -> List[SweepRow]:
-    """Train once per anti-transfer weight; flag the best row.
-    Points run through executor.map when an executor is given."""
-    def make_cfg(b):
-        return replace(base_config, at=replace(base_config.at, beta=float(b)))
-
-    return _sweep(data, out_dir, list(betas), make_cfg, "beta", select_by,
-                  executor)

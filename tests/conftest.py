@@ -8,9 +8,10 @@ import importlib
 import pytest
 
 from antitransfer import training
-from antitransfer.data import MANIFEST_NAMES, read_manifest, write_manifest
+from antitransfer.data import (MANIFEST_NAMES, load_split_dir, read_manifest,
+                               write_manifest)
 from antitransfer.synth import SynthSpec, generate
-from antitransfer.training import TrainConfig, pretrain
+from antitransfer.training import TrainConfig
 
 TINY_SPEC = SynthSpec(n_target_classes=4, n_orth_classes=4,
                       samples_per_split=(60, 20, 40),
@@ -34,7 +35,8 @@ def orth_checkpoint(orth_data_dir, tmp_path_factory):
     cfg = TrainConfig(strategy="scratch", label_field="orth1",
                       task_name="orth-texture", seed=7, max_epochs=3,
                       arch_preset="vgg-tiny")
-    result = pretrain(cfg, orth_data_dir, tmp_path_factory.mktemp("orthmodel"))
+    result = training.train(cfg, load_split_dir(orth_data_dir),
+                            tmp_path_factory.mktemp("orthmodel"))
     return result.checkpoint_path
 
 
@@ -63,8 +65,8 @@ def flipped_at_gradient(monkeypatch):
     for module, name in ((gradcheck, "at_loss_and_grad"), (training, "_at_term")):
         at_term = getattr(module, name)
 
-        def ascending(trained, agg_pretrained, config, at_term=at_term):
-            val, grad = at_term(trained, agg_pretrained, config)
+        def ascending(*args, at_term=at_term):
+            val, grad = at_term(*args)
             return val, -grad
 
         monkeypatch.setattr(module, name, ascending)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from antitransfer import checkpoint as ck
 from antitransfer import layers as L
+from antitransfer import training
+from antitransfer.data import load_split_dir
 from antitransfer.network import ArchConfig, build, preset
-from antitransfer.training import TrainConfig, train_on_dir
+from antitransfer.training import TrainConfig
 
 
 @pytest.fixture
@@ -282,7 +284,8 @@ class TestWeightTable:
         assert_weight_table_aliases(built)
         cfg = TrainConfig(strategy="wi", seed=2, max_epochs=2,
                           pretrained_checkpoints=(str(orth_checkpoint),))
-        trained = train_on_dir(cfg, tiny_data_dir, tmp_path / "run").network
+        trained = training.train(cfg, load_split_dir(tiny_data_dir),
+                                 tmp_path / "run").network
         assert_weight_table_aliases(trained)
         assert trained.grads["dense2.weight"].any()
         assert ck.load(tmp_path / "run" / "model.atck").weight_hash() \

@@ -67,11 +67,16 @@ class TestTrainCommand:
         assert echoed["train"]["at"]["layers"] == [2]
 
     def test_negative_beta_rejected(self, tmp_path, orth_checkpoint,
-                                    tiny_data_dir):
+                                    tiny_data_dir, capsys):
         cfg = write_config(tmp_path, data_dir=tiny_data_dir)
-        code = main(["train", "--config", str(cfg), "--strategy", "at",
-                     "--checkpoint", str(orth_checkpoint), "--beta", "-1"])
-        assert code == 2
+        for beta in ("-1", "nan"):
+            code = main(["train", "--config", str(cfg), "--strategy", "at",
+                         "--checkpoint", str(orth_checkpoint), "--beta", beta])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+            assert "beta" in err and "at_inverse" in err
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_malformed_config_exits_2_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -219,11 +224,15 @@ class TestSweepCommand:
                            checkpoints=(orth_checkpoint,),
                            data_dir=tiny_data_dir)
         for flag, grid in (("--layers", "a..b"), ("--layers", "1,x"),
-                           ("--betas", "x"), ("--betas", "0.5,1..2")):
+                           ("--betas", "x"), ("--betas", "0.5,1..2"),
+                           ("--betas", "-1"), ("--betas", "0.5,nan"),
+                           ("--betas", "inf")):
             assert main(["sweep", "--config", str(cfg), flag, grid]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error:") and flag in err
+            assert err.count("\n") == 1
         assert not (tmp_path / "run" / "sweep.csv").exists()
+        assert not list((tmp_path / "run").glob("beta_*"))
 
     def test_layer_grid_checked_before_training(self, tmp_path, orth_checkpoint,
                                                 tiny_data_dir, capsys):

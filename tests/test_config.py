@@ -59,12 +59,15 @@ class TestStrictness:
             with pytest.raises(ConfigError, match="data.synth"):
                 ExperimentConfig.load(path)
 
-    def test_unknown_at_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [("betas", [1]),
+                                            ("direction", "encourage")],
+                             ids=["betas", "direction"])
+    def test_unknown_at_key_rejected(self, tmp_path, key, value):
         d = make_config().to_dict()
-        d["train"]["at"]["betas"] = [1]
+        d["train"]["at"][key] = value
         path = tmp_path / "c.json"
         path.write_text(json.dumps(d))
-        with pytest.raises(ConfigError, match="betas"):
+        with pytest.raises(ConfigError, match=key):
             ExperimentConfig.load(path)
 
     def test_unknown_synth_key_rejected(self, tmp_path):

@@ -197,10 +197,9 @@ class TestATLoss:
         rng = np.random.default_rng(4)
         ft = rng.standard_normal((2, 3, 4, 5))
         fp = rng.standard_normal((2, 3, 4, 5))
-        pen = ATConfig(layers=(1,), beta=2.0, direction="penalize")
-        enc = ATConfig(layers=(1,), beta=2.0, direction="encourage")
-        lp, gp = at_loss_and_grad(ft, gram(fp), pen)
-        le, ge = at_loss_and_grad(ft, gram(fp), enc)
+        cfg = ATConfig(layers=(1,), beta=2.0)
+        lp, gp = at_loss_and_grad(ft, gram(fp), cfg, 1.0)
+        le, ge = at_loss_and_grad(ft, gram(fp), cfg, -1.0)
         assert le == pytest.approx(-lp)
         assert np.array_equal(ge, -gp)
 

@@ -11,8 +11,7 @@ from antitransfer import checkpoint as ck
 from antitransfer import losses, training
 from antitransfer.data import load_split_dir
 from antitransfer.losses import ATConfig
-from antitransfer.training import (TrainConfig, evaluate, pretrain,
-                                   sweep_layers, train_on_dir)
+from antitransfer.training import TrainConfig, evaluate
 from antitransfer.network import build, preset
 
 
@@ -52,18 +51,21 @@ class TestConfigValidation:
 
 class TestScratch:
     def test_same_seed_identical_checkpoints(self, tiny_data_dir, tmp_path):
-        a = train_on_dir(cfg_for("scratch"), tiny_data_dir, tmp_path / "a")
-        b = train_on_dir(cfg_for("scratch"), tiny_data_dir, tmp_path / "b")
+        data = load_split_dir(tiny_data_dir)
+        a = training.train(cfg_for("scratch"), data, tmp_path / "a")
+        b = training.train(cfg_for("scratch"), data, tmp_path / "b")
         assert a.network.weight_hash() == b.network.weight_hash()
         assert a.test_accuracy == b.test_accuracy
 
     def test_different_seed_differs(self, tiny_data_dir, tmp_path):
-        a = train_on_dir(cfg_for("scratch", seed=1), tiny_data_dir, tmp_path / "a")
-        b = train_on_dir(cfg_for("scratch", seed=2), tiny_data_dir, tmp_path / "b")
+        data = load_split_dir(tiny_data_dir)
+        a = training.train(cfg_for("scratch", seed=1), data, tmp_path / "a")
+        b = training.train(cfg_for("scratch", seed=2), data, tmp_path / "b")
         assert a.network.weight_hash() != b.network.weight_hash()
 
     def test_artifacts_written(self, tiny_data_dir, tmp_path):
-        r = train_on_dir(cfg_for("scratch"), tiny_data_dir, tmp_path / "run")
+        r = training.train(cfg_for("scratch"), load_split_dir(tiny_data_dir),
+                           tmp_path / "run")
         assert (tmp_path / "run" / "model.atck").exists()
         with open(tmp_path / "run" / "metrics.csv") as f:
             rows = list(csv.reader(f))
@@ -77,7 +79,7 @@ class TestScratch:
 
     def test_early_stopping_bounds_epochs_after_best(self, tiny_data_dir, tmp_path):
         cfg = cfg_for("scratch", epochs=12)
-        r = train_on_dir(cfg, tiny_data_dir, tmp_path / "run")
+        r = training.train(cfg, load_split_dir(tiny_data_dir), tmp_path / "run")
         assert len(r.metrics) - 1 - r.best_epoch <= cfg.patience
         vals = [m.val_ce + m.val_at for m in r.metrics]
         assert r.best_epoch == int(np.argmin(vals))
@@ -113,9 +115,10 @@ class TestAntiTransfer:
 
     def test_beta_zero_is_bitwise_scratch(self, tiny_data_dir, orth_checkpoint,
                                           tmp_path):
-        scratch = train_on_dir(cfg_for("scratch"), tiny_data_dir, tmp_path / "s")
-        at0 = train_on_dir(cfg_for("at", orth_checkpoint, beta=0.0),
-                           tiny_data_dir, tmp_path / "a")
+        data = load_split_dir(tiny_data_dir)
+        scratch = training.train(cfg_for("scratch"), data, tmp_path / "s")
+        at0 = training.train(cfg_for("at", orth_checkpoint, beta=0.0), data,
+                             tmp_path / "a")
         assert at0.network.weight_hash() == scratch.network.weight_hash()
         for (ma, mb) in zip(scratch.metrics, at0.metrics):
             assert ma.train_ce == mb.train_ce
@@ -123,44 +126,49 @@ class TestAntiTransfer:
 
     def test_extractor_untouched_by_training(self, tiny_data_dir,
                                              orth_checkpoint, tmp_path):
-        r = train_on_dir(cfg_for("at", orth_checkpoint), tiny_data_dir,
-                         tmp_path / "run")
+        r = training.train(cfg_for("at", orth_checkpoint),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
         assert r.summary["extractor_hash_before"] == r.summary["extractor_hash_after"]
         assert r.summary["extractor_hash_before"] is not None
 
     def test_at_metrics_are_positive_and_recorded(self, tiny_data_dir,
                                                   orth_checkpoint, tmp_path):
-        r = train_on_dir(cfg_for("at", orth_checkpoint), tiny_data_dir,
-                         tmp_path / "run")
+        r = training.train(cfg_for("at", orth_checkpoint),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
         assert all(m.train_at >= 0.0 for m in r.metrics)
         assert any(m.train_at > 0.0 for m in r.metrics)
         assert all(0.0 <= m.train_at_per_layer[2] <= 1.0 for m in r.metrics)
 
     def test_at_inverse_records_negative_terms(self, tiny_data_dir,
                                                orth_checkpoint, tmp_path):
-        r = train_on_dir(cfg_for("at_inverse", orth_checkpoint), tiny_data_dir,
-                         tmp_path / "run")
+        r = training.train(cfg_for("at_inverse", orth_checkpoint),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
         assert all(m.train_at <= 0.0 for m in r.metrics)
+        # the strategy is the one spelling of the sign, and runs record it
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["config"]["strategy"] == "at_inverse"
+        assert ck.load(r.checkpoint_path).provenance["strategy"] == \
+            "at_inverse"
 
     def test_incompatible_extractor_rejected(self, tiny_data_dir, tmp_path):
         other = build(preset("vgg-small", (16, 17), 4), seed=0, dtype=np.float32)
         ck.save(other, tmp_path / "other.atck")
         with pytest.raises(ck.FingerprintMismatchError):
-            train_on_dir(cfg_for("at", tmp_path / "other.atck"), tiny_data_dir,
-                         tmp_path / "run")
+            training.train(cfg_for("at", tmp_path / "other.atck"),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
 
 
 class TestWeightInit:
     def test_wi_starts_from_source_convs(self, tiny_data_dir, orth_checkpoint,
                                           tmp_path):
-        r = train_on_dir(cfg_for("wi", orth_checkpoint, epochs=1),
-                         tiny_data_dir, tmp_path / "run")
+        r = training.train(cfg_for("wi", orth_checkpoint, epochs=1),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
         assert r.summary["config"]["strategy"] == "wi"
 
     def test_wi_freeze_keeps_prefix_bitwise(self, tiny_data_dir,
                                             orth_checkpoint, tmp_path):
-        r = train_on_dir(cfg_for("wi_freeze", orth_checkpoint, layers=(2,)),
-                         tiny_data_dir, tmp_path / "run")
+        r = training.train(cfg_for("wi_freeze", orth_checkpoint, layers=(2,)),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
         source = ck.load(orth_checkpoint)
         for i, (s, t) in enumerate(zip(source.conv_layers(),
                                        r.network.conv_layers()), start=1):
@@ -174,8 +182,8 @@ class TestWeightInit:
 class TestDualAT:
     def test_dual_at_stage_plumbing(self, tiny_data_dir, orth_checkpoint,
                                     tmp_path):
-        r = train_on_dir(cfg_for("dual_at", orth_checkpoint, epochs=2),
-                         tiny_data_dir, tmp_path / "run")
+        r = training.train(cfg_for("dual_at", orth_checkpoint, epochs=2),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
         inter = ck.load(tmp_path / "run" / "intermediate" / "model.atck")
         final_init = ck.load(tmp_path / "run" / "final_init.atck")
         for a, b in zip(inter.conv_layers(), final_init.conv_layers()):
@@ -191,7 +199,7 @@ class TestPretrainAndEvaluate:
         cfg = TrainConfig(strategy="scratch", label_field="orth1",
                           task_name="orth-texture", seed=7, max_epochs=2,
                           arch_preset="vgg-tiny")
-        r = pretrain(cfg, orth_data_dir, tmp_path / "pre")
+        r = training.train(cfg, load_split_dir(orth_data_dir), tmp_path / "pre")
         net = ck.load(r.checkpoint_path)
         assert net.provenance["task"] == "orth-texture"
         assert net.provenance["seed"] == 7
@@ -200,13 +208,14 @@ class TestPretrainAndEvaluate:
     def test_pretrain_same_seed_identical(self, orth_data_dir, tmp_path):
         cfg = TrainConfig(strategy="scratch", label_field="orth1", seed=7,
                           max_epochs=2, arch_preset="vgg-tiny")
-        a = pretrain(cfg, orth_data_dir, tmp_path / "a")
-        b = pretrain(cfg, orth_data_dir, tmp_path / "b")
+        data = load_split_dir(orth_data_dir)
+        a = training.train(cfg, data, tmp_path / "a")
+        b = training.train(cfg, data, tmp_path / "b")
         assert a.checkpoint_path.read_bytes() == b.checkpoint_path.read_bytes()
 
     def test_confusion_rows_sum_to_class_counts(self, tiny_data_dir, tmp_path):
-        r = train_on_dir(cfg_for("scratch"), tiny_data_dir, tmp_path / "run")
         data = load_split_dir(tiny_data_dir)
+        r = training.train(cfg_for("scratch"), data, tmp_path / "run")
         labels = data["test"].target_ids
         counts = np.bincount(labels, minlength=4)
         assert np.array_equal(r.confusion.sum(axis=1), counts)
@@ -263,6 +272,12 @@ class TestForwardWithoutRecording:
         assert got[0][0] == want[0][0]
         assert np.array_equal(got[0][1], want[0][1])
         assert got[1] == want[1]
+
+
+def sweep_layers(base_config, data, out_dir, layers):
+    """A layer sweep: every point built and checked, then trained."""
+    points = training.sweep_points(base_config, data, "layer", layers)
+    return training.sweep(points, "layer", data, out_dir)
 
 
 class TestSweeps:
