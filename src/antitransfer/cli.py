@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 check failure, 2 configuration error, 3 runtime
 failure. A command first sets up: it resolves its config and flags,
 prepares the data and checks anti-transfer layers and sweep grids. A
 ValueError during set-up is a configuration error and exits 2; once the
-command runs, it exits 3. A file that cannot be read or written exits 3
-in either phase. Every run directory receives the fully-resolved config
-for replay.
+command runs, it exits 3. A config file that does not exist exits 2; any
+other file that cannot be read or written exits 3 in either phase. Every
+run directory receives the fully-resolved config for replay.
 """
 
 from __future__ import annotations

@@ -103,7 +103,10 @@ class ExperimentConfig:
 
     @staticmethod
     def load(path) -> "ExperimentConfig":
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text()
+        except FileNotFoundError as e:
+            raise ConfigError(f"{path}: no such config file") from e
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as e:

@@ -6,6 +6,14 @@ only the output and clears the cache, so a backward after it raises
 RuntimeError. A layer with weights allocates its gradient buffers once;
 backward overwrites them in place (it does not accumulate), and a frozen
 layer leaves them untouched.
+
+A layer never writes into its argument, with one exception: a ReLU built
+with `inplace=True` writes its output into the array it is given and its
+input gradient into the incoming gradient. `Network` builds those only
+after a conv, pool or dense layer, whose fresh output nothing else holds,
+and hands them in backward only gradients it made itself: never the
+caller's output gradient, nor one it has captured for the caller.
+`ReLU()` itself leaves its arguments untouched.
 """
 
 from __future__ import annotations
@@ -153,6 +161,7 @@ class Layer:
 
     trainable = True
     name = ""
+    inplace = False   # whether forward and backward overwrite their argument
 
     def params(self) -> dict:
         return {"weight": self.W, "bias": self.b} if hasattr(self, "W") else {}
@@ -394,17 +403,23 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
+    """x * (x > 0): a negative input gives -0.0 and a NaN stays NaN. With
+    `inplace` the product overwrites the argument, in both directions."""
+
     _mask = None
+
+    def __init__(self, inplace: bool = False):
+        self.inplace = inplace
 
     def forward(self, x, train, rng, record=True):
         mask = x > 0
         self._mask = mask if record else None
-        return x * mask
+        return np.multiply(x, mask, out=x if self.inplace else None)
 
     def backward(self, dout):
         if self._mask is None:
             raise RuntimeError("relu: backward without a recording forward")
-        return dout * self._mask
+        return np.multiply(dout, self._mask, out=dout if self.inplace else None)
 
 
 class Dropout(Layer):
@@ -448,8 +463,11 @@ class Flatten(Layer):
 
 
 def make_layer(spec: LayerSpec, in_channels: int, in_features: int,
-               rng: np.random.Generator, dtype, name: str) -> Layer:
-    """Instantiate the layer object for a spec given the incoming geometry."""
+               rng: np.random.Generator, dtype, name: str,
+               owns_input: bool = False) -> Layer:
+    """Instantiate the layer object for a spec given the incoming geometry.
+    `owns_input` says the layer's input is an array only it will see, which
+    a ReLU then overwrites."""
     if spec.kind == "conv2d":
         return Conv2D(spec, in_channels, rng, dtype=dtype, name=name)
     if spec.kind == "maxpool2d":
@@ -457,7 +475,7 @@ def make_layer(spec: LayerSpec, in_channels: int, in_features: int,
     if spec.kind == "dense":
         return Dense(spec, in_features, rng, dtype=dtype, name=name)
     if spec.kind == "relu":
-        return ReLU()
+        return ReLU(inplace=owns_input)
     if spec.kind == "dropout":
         return Dropout(spec, name=name)
     if spec.kind == "flatten":

@@ -130,6 +130,11 @@ def preset(name: str, input_hw: Tuple[int, int], n_classes: int, **kw) -> ArchCo
 # Network
 # ---------------------------------------------------------------------------
 
+# Layers whose forward returns a new array that only the next layer sees: a
+# ReLU right after one overwrites it. (A conv's output is a tap only when no
+# ReLU follows; dropout at eval and flatten pass on their own input.)
+_FRESH_OUTPUT = ("conv2d", "maxpool2d", "dense")
+
 
 class Network:
     """A built network: layer objects with weights, plus tap bookkeeping.
@@ -160,7 +165,9 @@ class Network:
             else:
                 name = f"{spec.kind}{pos}"
             feats = c_in if h_in is None else c_in * h_in * w_in
-            self.layers.append(make_layer(spec, c_in, feats, rng, self.dtype, name))
+            owns = pos > 0 and arch.layers[pos - 1].kind in _FRESH_OUTPUT
+            self.layers.append(make_layer(spec, c_in, feats, rng, self.dtype,
+                                          name, owns_input=owns))
         # conv index k (1-based) -> position of its post-activation output
         self.tap_positions: Dict[int, int] = {}
         k = 0
@@ -271,6 +278,8 @@ class Network:
                       at the lowest of them.
         Parameter gradients of the trainable layers the sweep passes through
         land in `grads`, in place: all of them unless tap_grad_out is given.
+        Neither `dout` nor a captured gradient is written to: a layer that
+        would overwrite one gets a copy.
         """
         inject = {self.tap_positions[k]: g for k, g in (tap_grad_in or {}).items()}
         want = {self.tap_positions[k]: k for k in tap_grad_out}
@@ -282,16 +291,21 @@ class Network:
                    if layer.params() and layer.trainable])
         stop = min(needed) if needed else len(self.layers)
         g = dout
+        held = [dout]   # arrays the caller keeps
         for pos in range(len(self.layers) - 1, -1, -1):
             if pos in inject:
                 g = g + inject[pos]
             if pos in want:
                 captured[want[pos]] = g
+                held.append(g)
             if pos < stop:
                 break
-            g = self.layers[pos].backward(g)
+            layer = self.layers[pos]
+            if layer.inplace and any(np.may_share_memory(g, a) for a in held):
+                g = g.copy()
+            g = layer.backward(g)
             if self.finite_checks:
-                check_finite(g, f"gradient through {self.layers[pos].name or type(self.layers[pos]).__name__}")
+                check_finite(g, f"gradient through {layer.name or type(layer).__name__}")
         return captured
 
 

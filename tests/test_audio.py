@@ -1,10 +1,12 @@
 """Audio frontend: WAV ingestion, resampling, segmentation, STFT geometry and
 dataset normalization."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +119,17 @@ class TestWavIO:
 
 
 class TestResample:
+    @pytest.mark.parametrize("rate", [22050, 44100, 8000])
+    def test_bytes_of_resample_poly(self, rate):
+        """The filter designed once per rate pair gives resample_poly's own
+        bytes, call after call, so the cached filter is never changed."""
+        x = np.random.default_rng(rate).uniform(-1, 1, rate // 5)
+        g = math.gcd(rate, 16000)
+        want = resample_poly(x, 16000 // g, rate // g).tobytes()
+        clip = AudioClip(samples=x, sample_rate=rate)
+        for _ in range(2):
+            assert resample(clip, 16000).samples.tobytes() == want
+
     def test_passthrough_at_target_rate(self):
         clip = AudioClip(samples=sine(440, 16000, 0.1), sample_rate=16000)
         out = resample(clip)

@@ -85,11 +85,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert ":3:" in err or ":2:" in err
 
-    def test_unknown_key_exits_2(self, tmp_path):
+    def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"train": {"nope": 1}, "data": {
             "kind": "synth", "synth": {}}, "output_dir": "x"}))
-        assert main(["train", "--config", str(path)]) == 2
+        missing = tmp_path / "missing.json"
+        for cfg in (path, missing):
+            for command in (["train"], ["sweep", "--layers", "1"]):
+                assert main(command + ["--config", str(cfg)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error:") and str(cfg) in err
 
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, tiny_data_dir):
         cfg = write_config(tmp_path, data_dir=tiny_data_dir)

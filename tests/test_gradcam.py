@@ -78,7 +78,8 @@ class TestGradcam:
             captured, g = {}, dout
             for pos in range(len(net.layers) - 1, -1, -1):
                 if pos in want:
-                    captured[want[pos]] = g
+                    # an in-place ReLU overwrites the gradient it is given
+                    captured[want[pos]] = g.copy()
                 g = net.layers[pos].backward(g)
             return captured
 

@@ -88,6 +88,24 @@ def test_dropout_train_requires_rng():
         drop.forward(np.ones((1, 4)), train=True, rng=None)
 
 
+def test_relu_overwrites_only_when_built_in_place():
+    """ReLU() leaves its arguments alone; ReLU(inplace=True) writes the
+    same bytes, -0.0 and NaN included, into them."""
+    x = np.array([[-2.0, -0.0, 0.0, 3.0, np.nan]])
+    d = np.arange(1.0, 6.0)[None]
+    relu = L.ReLU()
+    x_in, d_in = x.copy(), d.copy()
+    out, dx = relu.forward(x_in, False, None), relu.backward(d_in)
+    assert x_in.tobytes() == x.tobytes() and d_in.tobytes() == d.tobytes()
+    assert np.signbit(out[0, :2]).all() and np.isnan(out[0, 4])
+
+    inplace = L.ReLU(inplace=True)
+    x_in, d_in = x.copy(), d.copy()
+    assert inplace.forward(x_in, False, None) is x_in
+    assert inplace.backward(d_in) is d_in
+    assert x_in.tobytes() == out.tobytes() and d_in.tobytes() == dx.tobytes()
+
+
 def test_backward_without_forward_raises():
     rng = np.random.default_rng(6)
     conv = L.Conv2D(L.conv2d(2), 1, rng)

@@ -160,3 +160,81 @@ class TestGradientInjection:
     def test_freeze_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             self.net.freeze_convs(3)
+
+
+def _out_of_place_twin(arch, seed, dtype):
+    """The same network with every ReLU copying: the reference that the
+    in-place build must match bit for bit."""
+    net = build(arch, seed=seed, dtype=dtype)
+    for layer in net.layers:
+        layer.inplace = False
+    return net
+
+
+class TestInPlaceActivations:
+    """A ReLU overwrites only arrays the network made itself, and the
+    results keep the bytes of a network whose ReLUs all copy."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_vgg_tiny_is_bitwise_the_out_of_place_network(self, dtype, record):
+        arch = preset("vgg-tiny", (32, 37), 4)
+        net, ref = build(arch, seed=3, dtype=dtype), _out_of_place_twin(arch, 3, dtype)
+        relus = [l for l in net.layers if isinstance(l, L.ReLU)]
+        assert len(relus) == 5 and all(l.inplace for l in relus)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((5, 1, 32, 37)).astype(dtype)
+        x_bytes = x.tobytes()
+        outs = [n.forward(x, train=True, rng=np.random.default_rng(2),
+                          taps=(1, 2, 3, 4), record=record) for n in (net, ref)]
+        (logits, taps), (ref_logits, ref_taps) = outs
+        assert logits.tobytes() == ref_logits.tobytes()
+        for k in (1, 2, 3, 4):
+            assert taps[k].tobytes() == ref_taps[k].tobytes()
+        assert x.tobytes() == x_bytes
+        if not record:
+            return
+        _, dlogits = cross_entropy_and_grad(logits, np.arange(5) % 4)
+        inject = {k: rng.standard_normal(taps[k].shape).astype(dtype)
+                  for k in (1, 3)}
+        d_bytes = dlogits.tobytes()
+        net.backward(dlogits, tap_grad_in=inject)
+        ref.backward(dlogits, tap_grad_in=inject)
+        assert dlogits.tobytes() == d_bytes
+        for name, g in net.grads.items():
+            assert g.tobytes() == ref.grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("layers", [
+        [L.relu(), L.conv2d(2), L.relu(), L.flatten(), L.dense(3), L.relu()],
+        [L.dropout(0.5), L.relu(), L.flatten(), L.dense(3), L.relu()]])
+    def test_caller_arrays_are_never_written(self, layers):
+        """A ReLU that reads the caller's input (first, or after an eval
+        dropout that passes it on) and one last that reads the caller's
+        output gradient overwrite neither."""
+        arch = ArchConfig(layers=layers, input_shape=(1, 4, 4), n_classes=3)
+        net, ref = build(arch, seed=1), _out_of_place_twin(arch, 1, np.float64)
+        assert net.layers[-1].inplace
+        x = np.random.default_rng(0).standard_normal((2, 1, 4, 4))
+        dout = np.random.default_rng(1).standard_normal((2, 3))
+        x_bytes, d_bytes = x.tobytes(), dout.tobytes()
+        for n in (net, ref):
+            n.forward(x)
+            n.backward(dout)
+        assert x.tobytes() == x_bytes and dout.tobytes() == d_bytes
+        for name, g in net.grads.items():
+            assert g.tobytes() == ref.grads[name].tobytes(), name
+
+    def test_captured_tap_gradients_are_not_overwritten(self):
+        """Grad-CAM's capture at conv 3 goes on through conv 3's ReLU; with
+        a second capture below it both keep the out-of-place bytes."""
+        arch = preset("vgg-tiny", (32, 37), 4)
+        net, ref = build(arch, seed=4), _out_of_place_twin(arch, 4, np.float64)
+        x = np.random.default_rng(5).standard_normal((1, 1, 32, 37))
+        caps = []
+        for n in (net, ref):
+            logits, _ = n.forward(x)
+            dlogits = np.zeros_like(logits)
+            dlogits[0, 2] = 1.0
+            caps.append(n.backward(dlogits, tap_grad_out=(2, 3)))
+        for k in (2, 3):
+            assert caps[0][k].tobytes() == caps[1][k].tobytes()

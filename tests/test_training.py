@@ -3,6 +3,7 @@ frozen-extractor guarantee, dual anti-transfer plumbing, and run artifacts."""
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from antitransfer import losses, training
 from antitransfer.data import load_split_dir
 from antitransfer.losses import ATConfig
 from antitransfer.training import TrainConfig, evaluate
-from antitransfer.network import build, preset
+from antitransfer.network import build, conv_feature_shapes, preset
 
 
 def cfg_for(strategy, checkpoint=None, layers=(2,), seed=3, epochs=3, **kw):
@@ -233,6 +234,23 @@ class TestPretrainAndEvaluate:
 
 
 class TestForwardWithoutRecording:
+    def test_eval_forward_holds_conv1_output_once(self):
+        """The ReLU after conv 1 overwrites conv 1's output instead of
+        copying it, so an eval batch peaks below two such outputs."""
+        net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
+        x = np.random.default_rng(0).standard_normal(
+            (8, 1, 126, 129)).astype(np.float32)
+        labels = np.arange(8) % 4
+        evaluate(net, x, labels)   # first call outside the trace
+        tracemalloc.start()
+        try:
+            evaluate(net, x, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c, h, w = conv_feature_shapes(net.arch)[0]
+        assert peak < 2 * 8 * c * h * w * x.itemsize
+
     def test_evaluation_gives_the_bytes_of_a_recording_forward(
             self, tiny_data_dir, orth_checkpoint, monkeypatch):
         """evaluate, _eval_losses and tap_features keep nothing for a
