@@ -178,38 +178,27 @@ class Layer:
         raise NotImplementedError
 
 
-# Conv forward runs over near-equal blocks of whole samples of about this
-# many output bytes (at least half of it, or one sample), so a tap's input
-# copy, its product and the running sum stay in cache. On 64 float32
-# spectrograms at 126x129 (2-vCPU VM, 1 BLAS thread) conv 1 took 430 ms per
-# forward on the whole batch and 150 ms in 256 KB blocks, conv 2 230 and 90.
-# Blocks change the width of each BLAS call, and OpenBLAS's small-matrix
-# kernels round some widths differently. Half of this floor keeps float32
-# products with 32 or more input channels off them; narrower float32
-# products round alike at every width above one column (tests/test_layers.py
-# checks both).
-_CONV_BLOCK_BYTES = 256 << 10
-
-
-def _sample_blocks(n: int, min_samples: int):
-    """Slices of n samples into near-equal runs of at least min_samples
-    (or one run of all n)."""
-    count = max(1, n // max(1, min_samples))
-    bounds = [n * i // count for i in range(count + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+# Conv forward runs over blocks of whole samples whose column buffer and
+# output take about this many bytes (or one sample), so both stay in cache
+# and the buffer never grows with the batch. On 64 float32 spectrograms at
+# 126x129 (2-vCPU VM, 1 BLAS thread) vgg-tiny's four convs took 174 ms per
+# forward in 1 MB blocks, 158-176 ms from 256 KB to 4 MB, against 361 ms
+# for one GEMM per kernel tap; at 13x32x37, 3.8 ms against 6.0.
+_CONV_BLOCK_BYTES = 1 << 20
 
 
 class Conv2D(Layer):
     """2-D convolution, NCHW layout, square kernel, zero padding.
 
-    Each kernel tap (i, j) is one GEMM of the (out, in) weight slice with the
-    input positions that tap reads, so no im2col buffer is formed. Forward
-    runs the taps over blocks of samples (`_CONV_BLOCK_BYTES`); each output
-    element gets the bias first, then the taps in (i, j) order. Backward forms
+    Forward is im2col (Chellapilla et al. 2006) over blocks of samples
+    (`_CONV_BLOCK_BYTES`): k*k strided copies fill a (samples, in channels x
+    taps, positions) column buffer, one matmul with the (out, in x taps)
+    weights turns it into the block's output, and the bias is added last.
+    numpy runs that matmul as one GEMM per sample, all of the same shape, so
+    a sample's output does not depend on the batch it is in. Backward forms
     the (out channels, samples x positions) output gradient once and runs two
-    GEMMs per tap over the whole batch: one for the weight gradient, one for
-    the input gradient. Both produce the same bits as one tensordot per tap
-    over the whole batch.
+    GEMMs per kernel tap over the whole batch: one for the weight gradient,
+    one for the input gradient.
     """
 
     def __init__(self, spec: LayerSpec, in_channels: int, rng: np.random.Generator,
@@ -240,24 +229,21 @@ class Conv2D(Layer):
         p, s, k, oc = self.pad, self.stride, self.kernel, self.out_channels
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
         self._xp = xp if record else None
-        # numpy hands a product with a single output row or column to gemv,
-        # whose rounding depends on its length: such products are not split
-        min_samples = (n if oc == 1 or oh * ow == 1
-                       else _CONV_BLOCK_BYTES // (oc * oh * ow * x.itemsize))
-        out = np.empty((n, oc, oh, ow), dtype=x.dtype)
-        for blk in _sample_blocks(n, min_samples):
-            xb = xp[blk]
-            acc = np.empty((oc, xb.shape[0], oh, ow), dtype=x.dtype)
-            acc[:] = self.b[:, None, None, None]
-            flat = acc.reshape(oc, -1)
+        rows = c * k * k
+        block = max(1, _CONV_BLOCK_BYTES // ((rows + oc) * oh * ow * x.itemsize))
+        cols = np.empty((min(block, n), c, k, k, oh, ow), dtype=x.dtype)
+        weights = self.W.reshape(oc, rows)
+        out = np.empty((n, oc, oh * ow), dtype=x.dtype)
+        for a in range(0, n, block):
+            xb, ob = xp[a:a + block], out[a:a + block]
+            cb = cols[:len(xb)]
             for i in range(k):
                 for j in range(k):
-                    patch = xb[:, :, i:i + s * oh:s, j:j + s * ow:s]
-                    # (oc, ic) x (ic, samples * oh * ow)
-                    flat += np.dot(self.W[:, :, i, j],
-                                   patch.transpose(1, 0, 2, 3).reshape(c, -1))
-            out[blk] = acc.transpose(1, 0, 2, 3)
-        return out
+                    cb[:, :, i, j] = xb[:, :, i:i + s * oh:s, j:j + s * ow:s]
+            # (oc, c * k * k) x (c * k * k, oh * ow) for each sample
+            np.matmul(weights, cb.reshape(len(xb), rows, -1), out=ob)
+            ob += self.b[:, None]
+        return out.reshape(n, oc, oh, ow)
 
     def backward(self, dout):
         xp = self._xp

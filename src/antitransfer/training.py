@@ -98,11 +98,20 @@ class EpochMetrics:
     CSV_COLUMNS = ("epoch", "train_ce", "val_ce", "train_at", "val_at",
                    "train_acc", "val_acc", "seconds")
 
+    @classmethod
+    def csv_header(cls, at_layers=()) -> list:
+        """CSV_COLUMNS, then train_at_<k>, val_at_<k> per anti-transfer layer."""
+        return [*cls.CSV_COLUMNS,
+                *(f"{split}_at_{k}" for k in at_layers for split in ("train", "val"))]
+
     def csv_row(self) -> list:
+        """One value per `csv_header(self.train_at_per_layer)` column."""
+        per_layer = [f"{at[k]:.6f}" for k in self.train_at_per_layer
+                     for at in (self.train_at_per_layer, self.val_at_per_layer)]
         return [self.epoch, f"{self.train_ce:.6f}", f"{self.val_ce:.6f}",
                 f"{self.train_at:.6f}", f"{self.val_at:.6f}",
                 f"{self.train_acc:.4f}", f"{self.val_acc:.4f}",
-                f"{self.seconds:.3f}"]
+                f"{self.seconds:.3f}", *per_layer]
 
 
 @dataclass
@@ -287,7 +296,7 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
     metrics_path = out_dir / "metrics.csv"
     mfile = open(metrics_path, "w", newline="")
     mcsv = csv.writer(mfile)
-    mcsv.writerow(EpochMetrics.CSV_COLUMNS)
+    mcsv.writerow(EpochMetrics.csv_header(taps))
 
     x_train = xs["train"]
     y_train = labels["train"]

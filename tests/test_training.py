@@ -140,6 +140,22 @@ class TestAntiTransfer:
         assert any(m.train_at > 0.0 for m in r.metrics)
         assert all(0.0 <= m.train_at_per_layer[2] <= 1.0 for m in r.metrics)
 
+    def test_metrics_csv_has_a_column_pair_per_at_layer(self, tiny_data_dir,
+                                                        orth_checkpoint, tmp_path):
+        r = training.train(cfg_for("at", orth_checkpoint, layers=(3, 1)),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
+        with open(tmp_path / "run" / "metrics.csv") as f:
+            header, *rows = list(csv.reader(f))
+        assert header == [*training.EpochMetrics.CSV_COLUMNS, "train_at_3",
+                          "val_at_3", "train_at_1", "val_at_1"]
+        assert len(rows) == len(r.metrics)
+        for row, m in zip(rows, r.metrics):
+            got = dict(zip(header, row))
+            for k in (1, 3):
+                assert got[f"train_at_{k}"] == f"{m.train_at_per_layer[k]:.6f}"
+                assert got[f"val_at_{k}"] == f"{m.val_at_per_layer[k]:.6f}"
+            assert float(got["train_at_1"]) > 0.0 and float(got["val_at_3"]) > 0.0
+
     def test_at_inverse_records_negative_terms(self, tiny_data_dir,
                                                orth_checkpoint, tmp_path):
         r = training.train(cfg_for("at_inverse", orth_checkpoint),
