@@ -227,15 +227,23 @@ class Conv2D(Layer):
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         oh, ow = output_hw(self.spec, h, w)
         p, s, k, oc = self.pad, self.stride, self.kernel, self.out_channels
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        self._xp = xp if record else None
         rows = c * k * k
         block = max(1, _CONV_BLOCK_BYTES // ((rows + oc) * oh * ow * x.itemsize))
+        # A recording forward pads the whole batch and keeps it for backward;
+        # one that does not copies each block into a padded buffer whose zero
+        # border is written once per forward.
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p and record else x
+        self._xp = xp if record else None
+        pad_buf = (np.zeros((min(block, n), c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+                   if p and not record else None)
         cols = np.empty((min(block, n), c, k, k, oh, ow), dtype=x.dtype)
         weights = self.W.reshape(oc, rows)
         out = np.empty((n, oc, oh * ow), dtype=x.dtype)
         for a in range(0, n, block):
             xb, ob = xp[a:a + block], out[a:a + block]
+            if pad_buf is not None:
+                pad_buf[:len(xb), :, p:p + h, p:p + w] = xb
+                xb = pad_buf[:len(xb)]
             cb = cols[:len(xb)]
             for i in range(k):
                 for j in range(k):
@@ -271,17 +279,60 @@ class Conv2D(Layer):
         return dxp[:, :, p:hp - p, p:wp - p] if p else dxp
 
 
+def _fold_argmax(taps, acc, hit, arg, index):
+    """Fold taps[1:] into acc, which holds taps[0], with np.maximum as an
+    eval forward does, and return the array that ends up holding the maxima
+    (acc or a second buffer). Wherever tap t is the first strictly greater
+    than the running max, arg becomes index(t), whose values grow with t;
+    `hit` is a bool buffer of acc's shape.
+
+    A tap may be short along one axis (a ceil-mode edge), where acc keeps
+    its value. Each maximum goes into the other buffer, so that new > old,
+    which is tap > old, compares two contiguous arrays instead of reading
+    the strided tap again. Since a later index beats any kept so far,
+    arg = where(hit, index, arg) is max(arg, hit * index): two int8 passes,
+    several times faster than a masked copy.
+    """
+    spare = np.empty_like(acc)
+    for t, tap in enumerate(taps[1:], 1):
+        part = tuple(slice(0, m) for m in tap.shape)
+        np.maximum(tap, acc[part], out=spare[part])
+        if tap.shape != acc.shape:
+            rest = tuple(slice(m, None) if m < full else slice(None)
+                         for m, full in zip(tap.shape, acc.shape))
+            spare[rest] = acc[rest]
+        np.greater(spare, acc, out=hit)
+        won = hit.view(np.int8)[part]
+        np.multiply(won, index(t), out=won)
+        np.maximum(arg[part], won, out=arg[part])
+        acc, spare = spare, acc
+    return acc
+
+
 # Max-pool forward runs over blocks of samples of at most this many input
-# bytes, so its temporaries stay a few MB. On 64 spectrograms at 126x129
-# (66 MB, 2-vCPU VM, 1 BLAS thread) one block took 175 ms per call and 8 MB
-# blocks 93 ms, with 2.4x fewer page faults.
-_POOL_BLOCK_BYTES = 8 << 20
+# bytes (or one sample), so that a block's temporaries stay near the size of
+# a core's L2 cache. Medians of interleaved calls (2-vCPU VM, 4 MB L2 per
+# core, float32, 1 BLAS thread) at 2 / 4 / 8 / 16 MB:
+# - vgg-tiny's four pools at 64x126x129, eval: 56.2 / 58.8 / 61.1 / 61.3 ms;
+# - the same at 13x126x129, recording forward plus backward: 26.6 / 27.1 /
+#   27.4 / 27.2 ms; the 13x16x126x129 recording forward alone: 7.3 / 7.7 /
+#   7.8 / 7.9 ms;
+# - at 32x37 every size gives one block and the same time.
+# Without blocks, 64 spectrograms at 126x129 (66 MB) took 175 ms per call
+# in the first pool against 93 ms in 8 MB blocks.
+_POOL_BLOCK_BYTES = 2 << 20
 
 
 class MaxPool2D(Layer):
     """Max pooling. A ceil-mode window that overhangs the right/bottom edge
     takes the max of its taps inside the input. Ties go to the first tap in
     row-major window order, which is the tap backward routes the gradient to.
+
+    A NaN makes its window's output NaN, but the strict comparisons that
+    pick the tap never choose a NaN or anything compared after it: the
+    gradient goes to the first maximal tap of the rows above the window's
+    first row holding a NaN or, when that is the top row, to the first
+    maximal tap left of its first NaN (the top-left tap if that is the NaN).
     """
 
     def __init__(self, spec: LayerSpec, name: str = "maxpool"):
@@ -301,7 +352,7 @@ class MaxPool2D(Layer):
         cols = [slice(j, j + s * (ow - 1) + 1, s) for j in range(k)]
         out = np.empty((n, c, oh, ow), dtype=x.dtype)
         # i*k+j of the max tap, which only backward reads
-        arg = np.zeros((n, c, oh, ow), dtype=np.int8) if record else None
+        arg = np.empty((n, c, oh, ow), dtype=np.int8) if record else None
         block = max(1, _POOL_BLOCK_BYTES // max(c * h * w * x.itemsize, 1))
         for b in range(0, n, block):
             self._pool(x[b:b + block], rows, cols, out[b:b + block],
@@ -311,36 +362,37 @@ class MaxPool2D(Layer):
         return out
 
     def _pool(self, x, rows, cols, out, arg):
-        # Separable max: over the column taps, then over the row taps.
-        # np.maximum(tap, acc) keeps acc on a tie, so every window gets the
-        # value of its first maximal tap in row-major order, signed zeros
-        # included.
+        # Separable max: over the column taps into buf, then over the row
+        # taps of buf. np.maximum(tap, acc) keeps acc on a tie, so every
+        # window gets the value of its first maximal tap in row-major order,
+        # signed zeros included.
         buf = x[:, :, :, cols[0]].copy()
-        for col in cols[1:]:
-            tap = x[:, :, :, col]
-            acc = buf[:, :, :, :tap.shape[3]]
-            np.maximum(tap, acc, out=acc)
-        np.copyto(out, buf[:, :, rows[0]])
-        for row in rows[1:]:
-            tap = buf[:, :, row]
-            acc = out[:, :, :tap.shape[2]]
-            np.maximum(tap, acc, out=acc)
         if arg is None:
+            for col in cols[1:]:
+                tap = x[:, :, :, col]
+                acc = buf[:, :, :, :tap.shape[3]]
+                np.maximum(tap, acc, out=acc)
+            np.copyto(out, buf[:, :, rows[0]])
+            for row in rows[1:]:
+                tap = buf[:, :, row]
+                acc = out[:, :, :tap.shape[2]]
+                np.maximum(tap, acc, out=acc)
             return
-        # Walk the taps from last to first: the first tap equal to the max
-        # writes last. arg = where(hit, t, arg) is done as arg += hit*(t-arg),
-        # which is several times faster than a masked copy.
+        # The same maxima with their argmax: colarg takes the first maximal
+        # column tap j of each row of buf, then arg the first maximal row
+        # tap i of each window, whose tap is i*k + j.
         k = self.kernel
-        hit = np.empty(out.shape, dtype=bool)
-        step = np.empty(out.shape, dtype=np.int8)
-        for t in range(k * k - 1, -1, -1):
-            patch = x[:, :, rows[t // k], cols[t % k]]
-            a, b = patch.shape[2], patch.shape[3]
-            hit_t, step_t, arg_t = (m[:, :, :a, :b] for m in (hit, step, arg))
-            np.equal(patch, out[:, :, :a, :b], out=hit_t)
-            np.subtract(t, arg_t, out=step_t)
-            step_t *= hit_t
-            arg_t += step_t
+        colarg = np.zeros(buf.shape, dtype=np.int8)
+        hit = np.empty(buf.shape, dtype=bool)
+        buf = _fold_argmax([x[:, :, :, col] for col in cols], buf, hit,
+                           colarg, lambda j: j)
+        np.copyto(out, buf[:, :, rows[0]])
+        np.copyto(arg, colarg[:, :, rows[0]])
+        res = _fold_argmax([buf[:, :, row] for row in rows], out,
+                           np.empty(out.shape, dtype=bool), arg,
+                           lambda i: colarg[:, :, rows[i]] + np.int8(i * k))
+        if res is not out:
+            np.copyto(out, res)
 
     def backward(self, dout):
         if self._arg is None:
@@ -348,15 +400,18 @@ class MaxPool2D(Layer):
         n, c, h, w = self._in_shape
         k, s = self.kernel, self.stride
         oh, ow = dout.shape[2], dout.shape[3]
-        # room for every tap of every window: a ceil-mode window overhangs
-        # the input, floor mode can leave its last rows/columns uncovered
-        hp, wp = max((oh - 1) * s + k, h), max((ow - 1) * s + k, w)
-        dxp = np.zeros((n, c, hp, wp), dtype=dout.dtype)
-        for i in range(k):
-            for j in range(k):
-                # overlapping windows may route to the same cell, hence +=
-                dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += dout * (self._arg == i * k + j)
-        return dxp[:, :, :h, :w]
+        # flat input index of each window's max tap: the tap's offset in its
+        # window, plus the window's origin, plus its (sample, channel) plane
+        offset = (w * np.arange(k)[:, None] + np.arange(k)).ravel()
+        idx = offset.take(self._arg)
+        idx += s * (w * np.arange(oh)[:, None] + np.arange(ow))
+        idx += h * w * np.arange(n * c).reshape(n, c, 1, 1)
+        dx = np.zeros(n * c * h * w, dtype=dout.dtype)
+        # np.add.at adds in index order. Overlapping windows may route to
+        # the same cell; in reverse row-major window order a cell gets them
+        # in increasing tap order, as a loop over the taps would add them.
+        np.add.at(dx, idx.ravel()[::-1], dout.ravel()[::-1])
+        return dx.reshape(n, c, h, w)
 
 
 class Dense(Layer):

@@ -283,6 +283,90 @@ def test_maxpool_is_bitwise_the_tap_loop(n, c, h, w, k, s, ceil_mode, dtype,
     assert dx.tobytes() == want_dx.tobytes()
 
 
+def _check_pool_against_oracle(spec, x, block, rng):
+    """A recording forward in blocks of `block` samples and its backward
+    give the bytes of out, arg and dx of the tap-loop oracles."""
+    k, s = spec.kernel, spec.stride
+    oh, ow = L.output_hw(spec, *x.shape[2:])
+    pool = L.MaxPool2D(spec)
+    with mock.patch.object(L, "_POOL_BLOCK_BYTES", block * x[0].nbytes):
+        out = pool.forward(x, train=False, rng=None)
+    want_out, want_arg = _oracle_pool_forward(x, k, s, oh, ow)
+    assert out.dtype == want_out.dtype
+    assert out.tobytes() == want_out.tobytes()
+    assert pool._arg.tobytes() == want_arg.tobytes()
+    dout = rng.standard_normal(out.shape).astype(x.dtype)
+    dout[rng.random(out.shape) < 0.3] = -0.0
+    dx = pool.backward(dout)
+    want_dx = _oracle_pool_backward(dout, want_arg, x.shape, k, s)
+    assert dx.dtype == want_dx.dtype and dx.shape == want_dx.shape
+    assert dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("hw", [(126, 129), (32, 37)])
+def test_vgg_tiny_pools_match_the_tap_loop(hw):
+    """Every max-pool of vgg-tiny at both workload geometries, float32, 13
+    samples of post-ReLU input (ties between small integers and at 0 of
+    both signs), in blocks of 5 samples and a remainder of 3."""
+    arch = preset("vgg-tiny", hw, 4)
+    pools = [spec for spec in arch.layers if spec.kind == "maxpool2d"]
+    rng = np.random.default_rng(12)
+    for spec, (c, h, w) in zip(pools, conv_feature_shapes(arch)):
+        shape = (13, c, h, w)
+        pre = np.where(rng.random(shape) < 0.5, rng.integers(-2, 3, shape),
+                       rng.standard_normal(shape)).astype(np.float32)
+        _check_pool_against_oracle(spec, pre * (pre > 0), 5, rng)
+
+
+def test_maxpool_routes_non_finite_inputs():
+    """Windows holding NaN, +inf and -inf: backward does not raise, and each
+    window's gradient goes to one tap inside the input and the window.
+    Without a NaN a window routes as the tap loop does."""
+    rng = np.random.default_rng(13)
+    spec = L.maxpool2d()
+    x = rng.standard_normal((2, 3, 9, 10))
+    u = rng.random(x.shape)
+    x[u < 0.1] = np.nan
+    x[(u >= 0.1) & (u < 0.2)] = np.inf
+    x[(u >= 0.2) & (u < 0.3)] = -np.inf
+    x[0, 0, :3, :3] = -np.inf                 # a window of -inf alone
+    pool = L.MaxPool2D(spec)
+    out = pool.forward(x, train=False, rng=None)
+    oh, ow = out.shape[2:]
+    k, s = spec.kernel, spec.stride
+    want_out, want_arg = _oracle_pool_forward(x, k, s, oh, ow)
+    has_nan = _oracle_pool_forward(np.isnan(x) * 1.0, k, s, oh, ow)[0] > 0
+    assert has_nan.any() and (~has_nan).any()
+    assert np.isnan(out[has_nan]).all()
+    assert out[~has_nan].tobytes() == want_out[~has_nan].tobytes()
+    assert np.array_equal(pool._arg[~has_nan], want_arg[~has_nan])
+    assert np.isinf(want_out[~has_nan]).any()
+    for b, ch, r, q in np.ndindex(out.shape):
+        dout = np.zeros(out.shape)
+        dout[b, ch, r, q] = 1.0
+        dx = pool.backward(dout)
+        assert dx.shape == x.shape
+        hits = np.flatnonzero(dx)
+        assert len(hits) == 1 and dx.flat[hits[0]] == 1.0
+        hb, hc, hr, hq = np.unravel_index(hits[0], x.shape)
+        assert (hb, hc) == (b, ch)
+        assert s * r <= hr < s * r + k and s * q <= hq < s * q + k
+
+
+@pytest.mark.parametrize("window, tap", [
+    ([[1, 5, 2], [np.nan, 9, 0], [3, 3, 3]], 1),    # max of the rows above
+    ([[2, 4, np.nan], [9, 9, 9], [9, 9, 9]], 1),    # left of the top row's NaN
+    ([[np.nan, 4, 7], [9, 9, 9], [9, 9, 9]], 0),    # the top-left NaN itself
+    ([[1, 2, 3], [4, 5, 6], [7, np.nan, 8]], 5),
+])
+def test_maxpool_nan_routing_is_the_documented_one(window, tap):
+    """The MaxPool2D docstring's rule for a window holding a NaN."""
+    pool = L.MaxPool2D(L.maxpool2d(kernel=3, stride=3))
+    out = pool.forward(np.array(window).reshape(1, 1, 3, 3), False, None)
+    assert np.isnan(out).all()
+    assert pool._arg.item() == tap
+
+
 def _oracle_conv_forward(x, W, b, k, s, p, oh, ow):
     """One tensordot per kernel tap over the whole batch."""
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
