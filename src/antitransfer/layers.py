@@ -178,12 +178,19 @@ class Layer:
         raise NotImplementedError
 
 
-# Conv forward runs over blocks of whole samples whose column buffer and
-# output take about this many bytes (or one sample), so both stay in cache
-# and the buffer never grows with the batch. On 64 float32 spectrograms at
-# 126x129 (2-vCPU VM, 1 BLAS thread) vgg-tiny's four convs took 174 ms per
-# forward in 1 MB blocks, 158-176 ms from 256 KB to 4 MB, against 361 ms
-# for one GEMM per kernel tap; at 13x32x37, 3.8 ms against 6.0.
+# Conv forward and backward run over blocks of whole samples whose column
+# buffer and output take about this many bytes (or one sample), so their
+# buffers stay in cache and never grow with the batch. On 64 float32
+# spectrograms at 126x129 (2-vCPU VM, 1 BLAS thread) vgg-tiny's four convs
+# took 174 ms per forward in 1 MB blocks, 158-176 ms from 256 KB to 4 MB,
+# against 361 ms for one GEMM per kernel tap; at 13x32x37, 3.8 ms against
+# 6.0. Their four backwards at batch 13 (medians of 31 and 151 calls,
+# interleaved in one process, same VM) took, in 256 KB / 512 KB / 1 / 2 /
+# 4 MB blocks, 64.1 / 63.4 / 63.4 / 63.3 / 65.3 ms at 126x129 and 8.25 /
+# 7.23 / 7.00 / 7.04 / 7.06 ms at 32x37, against 100.5 and 8.11 ms for two
+# GEMMs per kernel tap over the whole batch. In 1 MB blocks every conv was
+# faster than that except, in some runs, conv 3 or 4 at 32x37 (8x9 and 4x4
+# maps), by 2-4 %.
 _CONV_BLOCK_BYTES = 1 << 20
 
 
@@ -195,10 +202,26 @@ class Conv2D(Layer):
     taps, positions) column buffer, one matmul with the (out, in x taps)
     weights turns it into the block's output, and the bias is added last.
     numpy runs that matmul as one GEMM per sample, all of the same shape, so
-    a sample's output does not depend on the batch it is in. Backward forms
-    the (out channels, samples x positions) output gradient once and runs two
-    GEMMs per kernel tap over the whole batch: one for the weight gradient,
-    one for the input gradient.
+    a sample's output does not depend on the batch it is in.
+
+    Backward (col2im) runs over the same blocks. A trainable conv refills
+    the forward's column buffer from the padded input it kept, and one GEMM
+    per sample of the output gradient with the columns gives that sample's
+    weight gradient; these are added in sample order, so the weight gradient
+    does not depend on the blocks. One GEMM per sample of the transposed
+    weights with the output gradient then gives the column gradient, in the
+    same buffer, and k*k strided adds in tap order fold it back into the
+    padded input gradient, so a sample's input gradient does not depend on
+    its batch. A frozen conv skips the columns and the weight gradient.
+
+    For those adds to run over whole planes, the output gradient is laid out
+    on rows of the padded input's width wp: window (r, q) sits at position
+    r * wp + q, and tap (i, j) of every window is then one run of the flat
+    padded plane, from i * wp + j in steps of the stride. Positions with q at
+    or past the output width are no window; their output gradient is zero,
+    and so is what they add while the weights are finite. They cost (k - 1)
+    columns per row of the column-gradient GEMM at stride 1, and about s
+    times its work at stride s.
     """
 
     def __init__(self, spec: LayerSpec, in_channels: int, rng: np.random.Generator,
@@ -221,14 +244,28 @@ class Conv2D(Layer):
         self.gb = np.zeros_like(self.b)
         self._xp = None
 
+    def _block(self, oh, ow, itemsize):
+        """Samples per block: their columns and output fill _CONV_BLOCK_BYTES."""
+        rows = self.in_channels * self.kernel * self.kernel
+        per_sample = (rows + self.out_channels) * oh * ow * itemsize
+        return max(1, _CONV_BLOCK_BYTES // per_sample)
+
+    def _fill_columns(self, cols, xp):
+        """im2col: cols[:, :, i, j] is tap (i, j) of every window of the
+        padded input xp, for cols of shape (samples, c, k, k, oh, ow)."""
+        s, oh, ow = self.stride, cols.shape[4], cols.shape[5]
+        for i in range(self.kernel):
+            for j in range(self.kernel):
+                cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+
     def forward(self, x, train, rng, record=True):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         oh, ow = output_hw(self.spec, h, w)
-        p, s, k, oc = self.pad, self.stride, self.kernel, self.out_channels
+        p, k, oc = self.pad, self.kernel, self.out_channels
         rows = c * k * k
-        block = max(1, _CONV_BLOCK_BYTES // ((rows + oc) * oh * ow * x.itemsize))
+        block = self._block(oh, ow, x.itemsize)
         # A recording forward pads the whole batch and keeps it for backward;
         # one that does not copies each block into a padded buffer whose zero
         # border is written once per forward.
@@ -245,9 +282,7 @@ class Conv2D(Layer):
                 pad_buf[:len(xb), :, p:p + h, p:p + w] = xb
                 xb = pad_buf[:len(xb)]
             cb = cols[:len(xb)]
-            for i in range(k):
-                for j in range(k):
-                    cb[:, :, i, j] = xb[:, :, i:i + s * oh:s, j:j + s * ow:s]
+            self._fill_columns(cb, xb)
             # (oc, c * k * k) x (c * k * k, oh * ow) for each sample
             np.matmul(weights, cb.reshape(len(xb), rows, -1), out=ob)
             ob += self.b[:, None]
@@ -259,23 +294,46 @@ class Conv2D(Layer):
             raise RuntimeError(f"{self.name}: backward without a recording forward")
         n, c, hp, wp = xp.shape
         oh, ow = dout.shape[2], dout.shape[3]
-        s, p, k = self.stride, self.pad, self.kernel
-        # (oc, n * oh * ow): the operand of both products at every tap
-        d = dout.transpose(1, 0, 2, 3).reshape(self.out_channels, -1)
+        s, p, k, oc = self.stride, self.pad, self.kernel, self.out_channels
+        rows = c * k * k
+        block = self._block(oh, ow, xp.itemsize)
+        nb = min(block, n)
+        wide = (oh - 1) * wp + ow   # positions up to the last window's
+        # the block's output gradient on rows of width wp, zero past ow
+        d_wide = np.zeros((nb, oc, oh, wp), dtype=xp.dtype)
+        # one buffer holds the block's columns, then its column gradient
+        buf = np.empty(nb * rows * wide, dtype=xp.dtype)
+        cols = buf[:nb * rows * oh * ow].reshape(nb, c, k, k, oh, ow)
+        dcols = buf.reshape(nb, c, k, k, wide)
+        weights_t = self.W.reshape(oc, rows).T
+        d = dout.reshape(n, oc, oh * ow)
         dxp = np.zeros_like(xp)
+        planes = dxp.reshape(n, c, hp * wp)
         if self.trainable:
             dout.sum(axis=(0, 2, 3), out=self.gb)
-        for i in range(k):
-            for j in range(k):
-                at = (slice(None), slice(None), slice(i, i + s * oh, s),
-                      slice(j, j + s * ow, s))
-                if self.trainable:
-                    # (oc, n * oh * ow) x (n * oh * ow, ic)
-                    self.gW[:, :, i, j] = np.dot(
-                        d, xp[at].transpose(0, 2, 3, 1).reshape(-1, c))
-                # (ic, oc) x (oc, n * oh * ow) -> (ic, n, oh, ow)
-                dxp[at] += np.dot(self.W[:, :, i, j].T, d).reshape(
-                    c, n, oh, ow).transpose(1, 0, 2, 3)
+            gw_t = np.zeros((rows, oc), dtype=xp.dtype)
+        for a in range(0, n, block):
+            m = min(block, n - a)
+            if self.trainable:
+                self._fill_columns(cols[:m], xp[a:a + m])
+                # (c * k * k, oh * ow) x (oh * ow, oc) for each sample: the
+                # transposed weight gradient, which OpenBLAS computes faster
+                # than d x cols.T (one 16x63x64 sample into 32 channels:
+                # 0.50 against 0.92 ms)
+                for g in np.matmul(cols[:m].reshape(m, rows, -1),
+                                   d[a:a + m].transpose(0, 2, 1)):
+                    gw_t += g
+            d_wide[:m, :, :, :ow] = dout[a:a + m]
+            # (c * k * k, oc) x (oc, wide) for each sample
+            np.matmul(weights_t, d_wide[:m].reshape(m, oc, -1)[:, :, :wide],
+                      out=dcols[:m].reshape(m, rows, wide))
+            pb = planes[a:a + m]
+            for i in range(k):
+                for j in range(k):
+                    at = i * wp + j
+                    pb[:, :, at:at + s * (wide - 1) + 1:s] += dcols[:m, :, i, j]
+        if self.trainable:
+            self.gW[...] = gw_t.T.reshape(self.gW.shape)
         return dxp[:, :, p:hp - p, p:wp - p] if p else dxp
 
 
@@ -444,8 +502,12 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    """x * (x > 0): a negative input gives -0.0 and a NaN stays NaN. With
-    `inplace` the product overwrites the argument, in both directions."""
+    """max(-0.0, x): a negative input, -inf included, gives -0.0, a zero
+    keeps its sign and a NaN stays NaN. np.maximum returns its second
+    argument when the two compare equal, as x86's maxps does, so x's own
+    zero wins the tie (tests pin these bytes). Backward passes the gradient
+    where x > 0. With `inplace` the result overwrites the argument, in both
+    directions."""
 
     _mask = None
 
@@ -453,9 +515,8 @@ class ReLU(Layer):
         self.inplace = inplace
 
     def forward(self, x, train, rng, record=True):
-        mask = x > 0
-        self._mask = mask if record else None
-        return np.multiply(x, mask, out=x if self.inplace else None)
+        self._mask = x > 0 if record else None
+        return np.maximum(-0.0, x, out=x if self.inplace else None)
 
     def backward(self, dout):
         if self._mask is None:

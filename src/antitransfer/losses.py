@@ -203,7 +203,7 @@ def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
                           config.similarity)
     loss = sign * config.beta * float(np.mean(sims))
     dagg = (sign * config.beta / b) * dv.reshape(agg_t.shape)
-    return loss, pullback(dagg).astype(trained.dtype)
+    return loss, pullback(dagg).astype(trained.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

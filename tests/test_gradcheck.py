@@ -1,11 +1,16 @@
 """The finite-difference machinery itself, plus the built-in oracle suite."""
 
-import numpy as np
+from unittest import mock
 
+import numpy as np
+import pytest
+
+from antitransfer import layers as L
 from antitransfer import training
-from antitransfer.gradcheck import (GradCheckReport, central_differences,
-                                    gradcheck, max_relative_error,
-                                    run_oracle_suite, total_loss_gradcheck)
+from antitransfer.gradcheck import (GradCheckReport, _layer_check,
+                                    central_differences, gradcheck,
+                                    max_relative_error, run_oracle_suite,
+                                    total_loss_gradcheck)
 
 
 class TestMachinery:
@@ -90,3 +95,19 @@ class TestOracleSuite:
             for sim in ("squared_cosine", "sigmoid_mse"):
                 report = total_loss_gradcheck(layer, sim)
                 assert not report.passed, report.line()
+
+
+@pytest.mark.parametrize("spec", [L.conv2d(4),
+                                  L.conv2d(4, kernel=3, stride=2, padding=0)],
+                         ids=["3x3 same, stride 1", "3x3 valid, stride 2"])
+def test_conv_gradients_across_blocks(spec):
+    """With one sample per block, the weight gradient is summed across
+    blocks and the input gradient folded back block by block; both still
+    match central differences."""
+    rng = np.random.default_rng(5)
+    conv = L.Conv2D(spec, 3, rng)
+    conv.b[...] = rng.standard_normal(4)
+    x = rng.standard_normal((3, 3, 6, 7))
+    with mock.patch.object(L, "_CONV_BLOCK_BYTES", 1):
+        report = _layer_check("conv2d in blocks of one sample", conv, x, rng)
+    assert report.passed, report.line()
