@@ -369,15 +369,17 @@ def _fold_argmax(taps, acc, hit, arg, index):
 
 # Max-pool forward runs over blocks of samples of at most this many input
 # bytes (or one sample), so that a block's temporaries stay near the size of
-# a core's L2 cache. Medians of interleaved calls (2-vCPU VM, 4 MB L2 per
-# core, float32, 1 BLAS thread) at 2 / 4 / 8 / 16 MB:
-# - vgg-tiny's four pools at 64x126x129, eval: 56.2 / 58.8 / 61.1 / 61.3 ms;
-# - the same at 13x126x129, recording forward plus backward: 26.6 / 27.1 /
-#   27.4 / 27.2 ms; the 13x16x126x129 recording forward alone: 7.3 / 7.7 /
-#   7.8 / 7.9 ms;
+# a core's L2 cache. These blocks serve the recording forward: `Network`'s
+# eval forward already hands the pools blocks of samples this small (see
+# `network._STACK_BLOCK_BYTES`). Medians of interleaved calls (2-vCPU VM,
+# 4 MB L2 per core, float32, 1 BLAS thread) at 2 / 4 / 8 / 16 MB:
+# - vgg-tiny's four pools at 13x126x129, recording forward plus backward:
+#   26.6 / 27.1 / 27.4 / 27.2 ms; the 13x16x126x129 recording forward
+#   alone: 7.3 / 7.7 / 7.8 / 7.9 ms;
+# - the four pools on 64x126x129 in one eval call: 56.2 / 58.8 / 61.1 /
+#   61.3 ms, and 175 ms without blocks against 93 ms in 8 MB blocks for the
+#   first pool alone;
 # - at 32x37 every size gives one block and the same time.
-# Without blocks, 64 spectrograms at 126x129 (66 MB) took 175 ms per call
-# in the first pool against 93 ms in 8 MB blocks.
 _POOL_BLOCK_BYTES = 2 << 20
 
 

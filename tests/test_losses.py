@@ -229,6 +229,39 @@ def tiny_net(seed):
     return build(arch, seed=seed, dtype=np.float64)
 
 
+class TestExtractorChannelOrder:
+    """The Gram term compares channel i of the trained network with channel
+    i of the extractor, so the same extractor with its channels relabelled
+    gives another value; the channel-reducing aggregations do not see the
+    order. This pins the property; it does not fix it."""
+
+    def test_only_the_gram_term_depends_on_channel_order(self):
+        k = 2
+        arch = preset("vgg-tiny", (32, 37), 4)
+        net, extractor, relabelled = (build(arch, seed=s) for s in (1, 2, 2))
+        conv, after = relabelled.conv_layers()[k - 1:k + 1]
+        perm = np.random.default_rng(0).permutation(conv.out_channels)
+        relabelled.load_params({f"conv{k}.weight": conv.W[perm],
+                                f"conv{k}.bias": conv.b[perm],
+                                f"conv{k + 1}.weight": after.W[:, perm]})
+        # 20 samples: more than one block of the eval forward's conv stack
+        x = np.random.default_rng(1).standard_normal((20, 1, 32, 37))
+        np.testing.assert_allclose(relabelled.forward(x, record=False)[0],
+                                   extractor.forward(x, record=False)[0],
+                                   rtol=1e-12, atol=1e-12)
+        feats = extractor.tap_features(x, (k,))[k]
+        moved = relabelled.tap_features(x, (k,))[k]
+        np.testing.assert_allclose(moved, feats[:, perm], rtol=1e-12, atol=0)
+        trained = net.tap_features(x, (k,))[k]
+        for kind in ("gram", "mean", "max", "sum"):
+            cfg = ATConfig(layers=(k,), aggregation=kind)
+            before, now = at_loss(trained, feats, cfg), at_loss(trained, moved, cfg)
+            if kind == "gram":
+                assert abs(now - before) > 0.01 * before
+            else:
+                assert now == pytest.approx(before, rel=1e-12), kind
+
+
 class TestTotalLoss:
     """Cross-entropy, and the objective `training.batch_objective` composes
     from it and the per-layer anti-transfer terms."""

@@ -267,6 +267,23 @@ class TestForwardWithoutRecording:
         c, h, w = conv_feature_shapes(net.arch)[0]
         assert peak < 2 * 8 * c * h * w * x.itemsize
 
+    def test_eval_batch_peaks_below_a_quarter_of_conv1s_map(self):
+        """The conv stack runs in cache-sized blocks of samples: evaluating
+        64 spectrograms at 126x129 never holds a whole-batch conv 1 map
+        (64 MB), nor a quarter of one."""
+        net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
+        x = np.random.default_rng(0).standard_normal(
+            (64, 1, 126, 129)).astype(np.float32)
+        labels = np.arange(64) % 4
+        tracemalloc.start()
+        try:
+            evaluate(net, x, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c, h, w = conv_feature_shapes(net.arch)[0]
+        assert peak < 16e6 < len(x) * c * h * w * x.itemsize / 4
+
     def test_evaluation_gives_the_bytes_of_a_recording_forward(
             self, tiny_data_dir, orth_checkpoint, monkeypatch):
         """evaluate, _eval_losses and tap_features keep nothing for a
