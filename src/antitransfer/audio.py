@@ -1,9 +1,10 @@
 """Audio preprocessing pipeline: WAV ingestion, resampling to 16 kHz,
-fixed-duration segmentation, Hamming-window STFT magnitudes and dataset-level
+1 s segmentation, Hamming-window STFT magnitudes and dataset-level
 normalization.
 
-The reference geometry: 1 s at 16 kHz with a 16 ms window (256 samples) and
-50% overlap (hop 128) yields a 126 x 129 spectrogram. Framing is centered
+The geometry is the paper's and is fixed (module constants, no options):
+1 s at 16 kHz with a 16 ms window (256 samples) and 50% overlap (hop 128)
+yields a 126 x 129 spectrogram of linear magnitudes. Framing is centered
 (the signal is zero-padded by half a window on both ends), so the frame count
 is floor(N / hop) + 1.
 """
@@ -15,7 +16,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 from scipy.signal import firwin, resample_poly
@@ -25,8 +26,6 @@ from scipy.signal import firwin, resample_poly
 class AudioClip:
     samples: np.ndarray            # mono, float64, nominally within [-1, 1]
     sample_rate: int
-    target_label: Optional[str] = None
-    orth_labels: Tuple[str, ...] = ()
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -35,10 +34,6 @@ class AudioClip:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("audio samples must be finite")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class Spectrogram:
@@ -46,14 +41,6 @@ class Spectrogram:
     sample_rate: int
     window: int
     hop: int
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def bins(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -162,7 +149,10 @@ def write_wav(path, clip: AudioClip, encoding: str = "pcm16") -> None:
 # Pipeline stages
 # ---------------------------------------------------------------------------
 
-TARGET_RATE = 16000
+TARGET_RATE = 16000   # Hz
+SEGMENT_S = 1.0       # seconds per segment
+WINDOW_S = 0.016      # seconds per STFT window
+OVERLAP = 0.5         # fraction of a window shared with the next
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,25 +168,23 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     return h
 
 
-def resample(clip: AudioClip, target_rate: int = TARGET_RATE) -> AudioClip:
-    """Polyphase (linear-phase) resample; pass-through when already at rate."""
+def resample(clip: AudioClip) -> AudioClip:
+    """Polyphase (linear-phase) resample to TARGET_RATE; pass-through when
+    already at rate."""
     if len(clip.samples) == 0:
         raise ValueError("cannot resample an empty clip")
-    if clip.sample_rate == target_rate:
+    if clip.sample_rate == TARGET_RATE:
         return clip
-    g = math.gcd(clip.sample_rate, target_rate)
-    up, down = target_rate // g, clip.sample_rate // g
+    g = math.gcd(clip.sample_rate, TARGET_RATE)
+    up, down = TARGET_RATE // g, clip.sample_rate // g
     y = resample_poly(clip.samples, up, down, window=_lowpass(up, down))
-    return AudioClip(samples=y, sample_rate=target_rate,
-                     target_label=clip.target_label, orth_labels=clip.orth_labels)
+    return AudioClip(samples=y, sample_rate=TARGET_RATE)
 
 
-def segment_or_pad(clip: AudioClip, duration_s: float) -> List[AudioClip]:
-    """Cut into non-overlapping fixed-duration fragments; the final remainder
-    (or a short clip) is right-padded with zeros."""
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
-    n = int(round(duration_s * clip.sample_rate))
+def segment_or_pad(clip: AudioClip) -> List[AudioClip]:
+    """Cut into non-overlapping SEGMENT_S fragments; the final remainder (or
+    a short clip) is right-padded with zeros."""
+    n = int(round(SEGMENT_S * clip.sample_rate))
     x = clip.samples
     pieces = []
     if len(x) <= n:
@@ -207,27 +195,26 @@ def segment_or_pad(clip: AudioClip, duration_s: float) -> List[AudioClip]:
             if len(chunk) < n:
                 chunk = np.concatenate([chunk, np.zeros(n - len(chunk))])
             pieces.append(chunk)
-    return [AudioClip(samples=p, sample_rate=clip.sample_rate,
-                      target_label=clip.target_label, orth_labels=clip.orth_labels)
-            for p in pieces]
+    return [AudioClip(samples=p, sample_rate=clip.sample_rate) for p in pieces]
 
 
 def hamming_periodic(n: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft_magnitude(clip: AudioClip, window_s: float = 0.016,
-                   overlap: float = 0.5, log: bool = False) -> Spectrogram:
-    """Hamming-windowed DFT magnitudes, phase discarded.
+def stft_magnitude(clip: AudioClip) -> Spectrogram:
+    """Hamming-windowed DFT magnitudes (linear), phase discarded, over
+    WINDOW_S windows at the clip's own rate with OVERLAP.
 
     Centered framing: the signal is zero-padded by window//2 on both ends, so
-    frames = floor(N / hop) + 1 and bins = window/2 + 1. With log=True the
-    magnitudes are compressed to dB (20 log10); the default is linear.
+    frames = floor(N / hop) + 1 and bins = window/2 + 1.
     """
-    win = int(round(window_s * clip.sample_rate))
-    hop = int(round(win * (1.0 - overlap)))
+    win = int(round(WINDOW_S * clip.sample_rate))
+    hop = int(round(win * (1.0 - OVERLAP)))
     if hop < 1:
-        raise ValueError("overlap too large: hop collapses to zero")
+        raise ValueError(f"sample rate {clip.sample_rate} Hz is too low: a "
+                         f"{WINDOW_S * 1000:g} ms window's hop rounds to zero "
+                         "samples")
     x = clip.samples
     if len(x) < win:
         raise ValueError(f"clip ({len(x)} samples) shorter than one window ({win})")
@@ -236,8 +223,6 @@ def stft_magnitude(clip: AudioClip, window_s: float = 0.016,
     n_frames = (len(xp) - win) // hop + 1
     frames = np.lib.stride_tricks.sliding_window_view(xp, win)[::hop][:n_frames]
     mags = np.abs(np.fft.rfft(frames * hamming_periodic(win), axis=1))
-    if log:
-        mags = 20.0 * np.log10(mags + 1e-10)
     return Spectrogram(values=mags, sample_rate=clip.sample_rate,
                        window=win, hop=hop)
 
@@ -263,14 +248,10 @@ def normalize(spectrograms: Sequence[np.ndarray], stats: NormStats
             for s in spectrograms]
 
 
-def preprocess_clip(clip: AudioClip, duration_s: float = 1.0,
-                    target_rate: int = TARGET_RATE, window_s: float = 0.016,
-                    overlap: float = 0.5, log: bool = False) -> List[Spectrogram]:
+def preprocess_clip(clip: AudioClip) -> List[Spectrogram]:
     """resample -> segment/zero-pad -> STFT magnitude, for one clip.
 
     Normalization happens at the dataset level once training-split stats
     exist; see compute_norm_stats / normalize.
     """
-    clip = resample(clip, target_rate)
-    return [stft_magnitude(piece, window_s=window_s, overlap=overlap, log=log)
-            for piece in segment_or_pad(clip, duration_s)]
+    return [stft_magnitude(piece) for piece in segment_or_pad(resample(clip))]

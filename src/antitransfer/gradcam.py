@@ -68,8 +68,6 @@ def gradcam(net: Network, x: np.ndarray, class_index: int, conv_layer: int,
     n_classes = net.arch.n_classes
     if not (0 <= class_index < n_classes):
         raise ValueError(f"class index {class_index} outside [0, {n_classes})")
-    if conv_layer not in net.tap_positions:
-        raise ValueError(f"conv layer {conv_layer} outside 1..{net.arch.conv_count}")
     logits, tapped = net.forward(x, taps=(conv_layer,))
     fmap = tapped[conv_layer][0]              # (c, h, w)
     dlogits = np.zeros_like(logits)

@@ -96,7 +96,7 @@ def gradcheck(loss_fn: Callable[[], float], params: Sequence[np.ndarray],
 # ---------------------------------------------------------------------------
 
 def _layer_check(name, layer, x, rng_proj, tolerance=1e-6, h=1e-5,
-                 train=False, rng_seed=None, extra_params=()):
+                 train=False, rng_seed=None):
     """Check one layer against a random linear functional of its output."""
     def fwd():
         rng = np.random.default_rng(rng_seed) if rng_seed is not None else None

@@ -268,7 +268,11 @@ class Conv2D(Layer):
         block = self._block(oh, ow, x.itemsize)
         # A recording forward pads the whole batch and keeps it for backward;
         # one that does not copies each block into a padded buffer whose zero
-        # border is written once per forward.
+        # border is written once per forward. That buffer pays for itself:
+        # with an np.pad per block instead, perfbench's audio-infer (64
+        # spectrograms at 126x129, 2-vCPU VM, 1 BLAS thread, medians of 5
+        # alternating 30 s pairs) fell from 187.1 to 174.6 samples/s and its
+        # evaluate rose from 0.246 to 0.271 s (worse in 4 of 5 pairs each).
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p and record else x
         self._xp = xp if record else None
         pad_buf = (np.zeros((min(block, n), c, h + 2 * p, w + 2 * p), dtype=x.dtype)
@@ -367,22 +371,6 @@ def _fold_argmax(taps, acc, hit, arg, index):
     return acc
 
 
-# Max-pool forward runs over blocks of samples of at most this many input
-# bytes (or one sample), so that a block's temporaries stay near the size of
-# a core's L2 cache. These blocks serve the recording forward: `Network`'s
-# eval forward already hands the pools blocks of samples this small (see
-# `network._STACK_BLOCK_BYTES`). Medians of interleaved calls (2-vCPU VM,
-# 4 MB L2 per core, float32, 1 BLAS thread) at 2 / 4 / 8 / 16 MB:
-# - vgg-tiny's four pools at 13x126x129, recording forward plus backward:
-#   26.6 / 27.1 / 27.4 / 27.2 ms; the 13x16x126x129 recording forward
-#   alone: 7.3 / 7.7 / 7.8 / 7.9 ms;
-# - the four pools on 64x126x129 in one eval call: 56.2 / 58.8 / 61.1 /
-#   61.3 ms, and 175 ms without blocks against 93 ms in 8 MB blocks for the
-#   first pool alone;
-# - at 32x37 every size gives one block and the same time.
-_POOL_BLOCK_BYTES = 2 << 20
-
-
 class MaxPool2D(Layer):
     """Max pooling. A ceil-mode window that overhangs the right/bottom edge
     takes the max of its taps inside the input. Ties go to the first tap in
@@ -393,6 +381,10 @@ class MaxPool2D(Layer):
     gradient goes to the first maximal tap of the rows above the window's
     first row holding a NaN or, when that is the top row, to the first
     maximal tap left of its first NaN (the top-left tap if that is the NaN).
+
+    Forward pools the whole batch it is given in one pass. An eval forward
+    of a `Network` hands it blocks of a few samples (the depth-first stack);
+    a training forward hands it the whole batch.
     """
 
     def __init__(self, spec: LayerSpec, name: str = "maxpool"):
@@ -411,23 +403,14 @@ class MaxPool2D(Layer):
         rows = [slice(i, i + s * (oh - 1) + 1, s) for i in range(k)]
         cols = [slice(j, j + s * (ow - 1) + 1, s) for j in range(k)]
         out = np.empty((n, c, oh, ow), dtype=x.dtype)
-        # i*k+j of the max tap, which only backward reads
-        arg = np.empty((n, c, oh, ow), dtype=np.int8) if record else None
-        block = max(1, _POOL_BLOCK_BYTES // max(c * h * w * x.itemsize, 1))
-        for b in range(0, n, block):
-            self._pool(x[b:b + block], rows, cols, out[b:b + block],
-                       None if arg is None else arg[b:b + block])
-        self._arg = arg
+        self._arg = None
         self._in_shape = x.shape
-        return out
-
-    def _pool(self, x, rows, cols, out, arg):
         # Separable max: over the column taps into buf, then over the row
         # taps of buf. np.maximum(tap, acc) keeps acc on a tie, so every
         # window gets the value of its first maximal tap in row-major order,
         # signed zeros included.
         buf = x[:, :, :, cols[0]].copy()
-        if arg is None:
+        if not record:
             for col in cols[1:]:
                 tap = x[:, :, :, col]
                 acc = buf[:, :, :, :tap.shape[3]]
@@ -437,22 +420,24 @@ class MaxPool2D(Layer):
                 tap = buf[:, :, row]
                 acc = out[:, :, :tap.shape[2]]
                 np.maximum(tap, acc, out=acc)
-            return
-        # The same maxima with their argmax: colarg takes the first maximal
-        # column tap j of each row of buf, then arg the first maximal row
-        # tap i of each window, whose tap is i*k + j.
-        k = self.kernel
+            return out
+        # The same maxima with their argmax, which only backward reads:
+        # colarg takes the first maximal column tap j of each row of buf,
+        # then arg the first maximal row tap i of each window, whose tap is
+        # i*k + j.
         colarg = np.zeros(buf.shape, dtype=np.int8)
         hit = np.empty(buf.shape, dtype=bool)
         buf = _fold_argmax([x[:, :, :, col] for col in cols], buf, hit,
                            colarg, lambda j: j)
         np.copyto(out, buf[:, :, rows[0]])
-        np.copyto(arg, colarg[:, :, rows[0]])
+        arg = colarg[:, :, rows[0]].copy()
         res = _fold_argmax([buf[:, :, row] for row in rows], out,
                            np.empty(out.shape, dtype=bool), arg,
                            lambda i: colarg[:, :, rows[i]] + np.int8(i * k))
         if res is not out:
             np.copyto(out, res)
+        self._arg = arg
+        return out
 
     def backward(self, dout):
         if self._arg is None:

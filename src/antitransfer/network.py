@@ -80,7 +80,7 @@ def _vgg_block(channels: int, convs: int) -> List[LayerSpec]:
     return specs
 
 
-def vgg16(input_hw: Tuple[int, int], n_classes: int, in_channels: int = 1,
+def vgg16(input_hw: Tuple[int, int], n_classes: int,
           dropout_p: float = 0.5) -> ArchConfig:
     """Full 13-conv VGG16 stack (64x2, 128x2, 256x3, 512x3, 512x3) on a
     single-channel input, with the classic 4096-unit head."""
@@ -91,29 +91,29 @@ def vgg16(input_hw: Tuple[int, int], n_classes: int, in_channels: int = 1,
               dense(4096), relu(), dropout(dropout_p),
               dense(4096), relu(), dropout(dropout_p),
               dense(n_classes)]
-    return ArchConfig(layers=specs, input_shape=(in_channels, *input_hw),
+    return ArchConfig(layers=specs, input_shape=(1, *input_hw),
                       n_classes=n_classes, name="vgg16")
 
 
-def vgg_small(input_hw: Tuple[int, int], n_classes: int, in_channels: int = 1,
+def vgg_small(input_hw: Tuple[int, int], n_classes: int,
               dropout_p: float = 0.5) -> ArchConfig:
     """8-conv reduction (32x2, 64x2, 128x2, 256x2) for mid-size experiments."""
     specs: List[LayerSpec] = []
     for ch in (32, 64, 128, 256):
         specs += _vgg_block(ch, 2)
     specs += [flatten(), dense(256), relu(), dropout(dropout_p), dense(n_classes)]
-    return ArchConfig(layers=specs, input_shape=(in_channels, *input_hw),
+    return ArchConfig(layers=specs, input_shape=(1, *input_hw),
                       n_classes=n_classes, name="vgg-small")
 
 
-def vgg_tiny(input_hw: Tuple[int, int], n_classes: int, in_channels: int = 1,
+def vgg_tiny(input_hw: Tuple[int, int], n_classes: int,
              dropout_p: float = 0.5) -> ArchConfig:
     """4-conv desk-scale preset (16/32/64/64 channels, pool after each conv)."""
     specs: List[LayerSpec] = []
     for ch in (16, 32, 64, 64):
         specs += _vgg_block(ch, 1)
     specs += [flatten(), dense(64), relu(), dropout(dropout_p), dense(n_classes)]
-    return ArchConfig(layers=specs, input_shape=(in_channels, *input_hw),
+    return ArchConfig(layers=specs, input_shape=(1, *input_hw),
                       n_classes=n_classes, name="vgg-tiny")
 
 
@@ -133,6 +133,12 @@ def preset(name: str, input_hw: Tuple[int, int], n_classes: int, **kw) -> ArchCo
 # Layers whose forward returns a new array that only the next layer sees: a
 # ReLU right after one overwrites it. (A conv's output is a tap only when no
 # ReLU follows; dropout at eval and flatten pass on their own input.)
+# Training still needs the in-place ReLU, and `backward`'s aliasing guard
+# with it: without the two, perfbench's paper-at (2-vCPU VM, 1 BLAS thread,
+# medians of 5 alternating 30 s pairs) fell from 56.6 to 53.2 samples/s and
+# its epoch rose from 0.617 to 0.648 s (worse in 5 of 5 pairs each).
+# Evaluation no longer needs them: the depth-first stack keeps its maps
+# small.
 _FRESH_OUTPUT = ("conv2d", "maxpool2d", "dense")
 
 # An eval forward runs the conv stack over blocks of whole samples whose

@@ -133,28 +133,6 @@ def render(spec: SynthSpec, target_class: int, orth_class: int,
     return img
 
 
-def target_pixel_mask(spec: SynthSpec) -> np.ndarray:
-    """Union over target classes of the pixels family A can touch."""
-    frames, bins = spec.image_size
-    mask = np.zeros((frames, bins), dtype=bool)
-    for k in range(spec.n_target_classes):
-        for b0, b1 in _band_positions(spec, k):
-            mask[:, b0:b1] = True
-    return mask
-
-
-def orth_pixel_mask(spec: SynthSpec) -> np.ndarray:
-    """Union over orth classes of the pixels family B can touch."""
-    frames, bins = spec.image_size
-    half = _bin_split(spec)
-    mask = np.zeros((frames, bins), dtype=bool)
-    for m in range(spec.n_orth_classes):
-        for f0, f1 in _spike_positions(spec, m):
-            mask[f0:f1, half + 1:] = True
-        mask[np.arange(frames), _diagonal_path(spec, m)] = True
-    return mask
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------

@@ -277,9 +277,9 @@ def _oracle_pool_backward(dout, arg, in_shape, k, s):
 @given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 10),
        w=st.integers(1, 10), k=st.integers(1, 4), s=st.integers(1, 4),
        ceil_mode=st.booleans(), dtype=st.sampled_from([np.float32, np.float64]),
-       block=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_maxpool_is_bitwise_the_tap_loop(n, c, h, w, k, s, ceil_mode, dtype,
-                                         block, seed):
+                                         seed):
     spec = L.maxpool2d(kernel=k, stride=s, ceil_mode=ceil_mode)
     try:
         oh, ow = L.output_hw(spec, h, w)
@@ -293,9 +293,7 @@ def test_maxpool_is_bitwise_the_tap_loop(n, c, h, w, k, s, ceil_mode, dtype,
                    rng.standard_normal(shape)).astype(dtype)
     x = pre * (pre > 0)
     pool = L.MaxPool2D(spec)
-    # forward in blocks of `block` samples, as it runs on large batches
-    with mock.patch.object(L, "_POOL_BLOCK_BYTES", block * x[0].nbytes):
-        out = pool.forward(x, train=False, rng=None)
+    out = pool.forward(x, train=False, rng=None)
     want_out, want_arg = _oracle_pool_forward(x, k, s, oh, ow)
     assert out.dtype == want_out.dtype
     assert out.tobytes() == want_out.tobytes()
@@ -308,14 +306,13 @@ def test_maxpool_is_bitwise_the_tap_loop(n, c, h, w, k, s, ceil_mode, dtype,
     assert dx.tobytes() == want_dx.tobytes()
 
 
-def _check_pool_against_oracle(spec, x, block, rng):
-    """A recording forward in blocks of `block` samples and its backward
-    give the bytes of out, arg and dx of the tap-loop oracles."""
+def _check_pool_against_oracle(spec, x, rng):
+    """A recording forward and its backward give the bytes of out, arg and
+    dx of the tap-loop oracles."""
     k, s = spec.kernel, spec.stride
     oh, ow = L.output_hw(spec, *x.shape[2:])
     pool = L.MaxPool2D(spec)
-    with mock.patch.object(L, "_POOL_BLOCK_BYTES", block * x[0].nbytes):
-        out = pool.forward(x, train=False, rng=None)
+    out = pool.forward(x, train=False, rng=None)
     want_out, want_arg = _oracle_pool_forward(x, k, s, oh, ow)
     assert out.dtype == want_out.dtype
     assert out.tobytes() == want_out.tobytes()
@@ -332,7 +329,7 @@ def _check_pool_against_oracle(spec, x, block, rng):
 def test_vgg_tiny_pools_match_the_tap_loop(hw):
     """Every max-pool of vgg-tiny at both workload geometries, float32, 13
     samples of post-ReLU input (ties between small integers and at 0 of
-    both signs), in blocks of 5 samples and a remainder of 3."""
+    both signs)."""
     arch = preset("vgg-tiny", hw, 4)
     pools = [spec for spec in arch.layers if spec.kind == "maxpool2d"]
     rng = np.random.default_rng(12)
@@ -340,7 +337,7 @@ def test_vgg_tiny_pools_match_the_tap_loop(hw):
         shape = (13, c, h, w)
         pre = np.where(rng.random(shape) < 0.5, rng.integers(-2, 3, shape),
                        rng.standard_normal(shape)).astype(np.float32)
-        _check_pool_against_oracle(spec, pre * (pre > 0), 5, rng)
+        _check_pool_against_oracle(spec, pre * (pre > 0), rng)
 
 
 def test_maxpool_routes_non_finite_inputs():

@@ -1,12 +1,14 @@
 """Synthetic two-factor dataset generator: determinism, correlation control,
 pattern structure, and the emitted manifest/container layout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from antitransfer.data import load_split_dir, read_manifest
 from antitransfer.synth import (SynthSpec, cramers_v, generate, generate_arrays,
-                                orth_pixel_mask, render, target_pixel_mask)
+                                render)
 
 SMALL = SynthSpec(n_target_classes=4, n_orth_classes=4,
                   samples_per_split=(300, 60, 60), image_size=(32, 33),
@@ -79,10 +81,25 @@ class TestSampling:
 
     def test_different_seeds_differ(self):
         base = SynthSpec(samples_per_split=(40, 10, 10), image_size=(16, 17))
-        from dataclasses import replace
         a = generate_arrays(replace(base, seed=0))["train"][0]
         b = generate_arrays(replace(base, seed=1))["train"][0]
         assert not np.array_equal(a, b)
+
+
+def target_pixel_mask(spec):
+    """Pixels any target class's bands touch: renders with no orthogonal
+    pattern."""
+    quiet = replace(spec, orth_amplitude=0.0)
+    return np.any([render(quiet, k, 0) != 0
+                   for k in range(spec.n_target_classes)], axis=0)
+
+
+def orth_pixel_mask(spec):
+    """Pixels any orthogonal class's spikes and ramp touch: renders with no
+    target bands."""
+    quiet = replace(spec, target_amplitude=0.0)
+    return np.any([render(quiet, 0, m) != 0
+                   for m in range(spec.n_orth_classes)], axis=0)
 
 
 class TestPatterns:

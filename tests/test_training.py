@@ -251,8 +251,9 @@ class TestPretrainAndEvaluate:
 
 class TestForwardWithoutRecording:
     def test_eval_forward_holds_conv1_output_once(self):
-        """The ReLU after conv 1 overwrites conv 1's output instead of
-        copying it, so an eval batch peaks below two such outputs."""
+        """An eval batch peaks below two whole-batch conv 1 outputs. The
+        depth-first stack keeps that peak low: it never holds conv 1's
+        output for the whole batch (with or without the in-place ReLU)."""
         net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal(
             (8, 1, 126, 129)).astype(np.float32)
