@@ -149,12 +149,15 @@ def _resolve_config(args, with_at_flags: bool) -> ExperimentConfig:
 
 
 def _prepare_run(cfg: ExperimentConfig):
-    """Echo the config into its run directory and prepare its data;
-    returns (run directory, data)."""
+    """Echo the config into its run directory, prepare its data and check
+    that the data has the training label and the network the anti-transfer
+    layers; returns (run directory, data)."""
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.save(out_dir / "config.json")
-    return out_dir, prepare_data(cfg, out_dir)
+    data = prepare_data(cfg, out_dir)
+    training.check_at_layers(cfg.train, data)
+    return out_dir, data
 
 
 def cmd_pretrain(args) -> int:
@@ -174,7 +177,6 @@ def cmd_train(args) -> int:
     with _setup():
         cfg = _resolve_config(args, with_at_flags=True)
         out_dir, data = _prepare_run(cfg)
-        training.check_at_layers(cfg.train, data)
     result = training.train(cfg.train, data, out_dir)
     print(f"strategy {cfg.train.strategy}: best epoch {result.best_epoch}, "
           f"val acc {result.val_accuracy:.4f}, test acc {result.test_accuracy:.4f}")

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .checkpoint import read_container, write_container
+from .checkpoint import atomic_open, read_container, write_container
 
 MANIFEST_NAMES = {"train": "train_manifest.csv",
                   "val": "val_manifest.csv",
@@ -45,7 +45,7 @@ def read_sample(path) -> np.ndarray:
 def write_manifest(path, rows: Sequence[ManifestRow]) -> None:
     n_orth = max((len(r.orth_labels) for r in rows), default=1)
     header = ["path", "target_label"] + [f"orth_label_{i + 1}" for i in range(n_orth)]
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w") as f:
         w = csv.writer(f)
         w.writerow(header)
         for r in rows:
@@ -101,6 +101,9 @@ class Dataset:
         raise ValueError(f"unknown label field {label_field!r}")
 
     def classes_for(self, label_field: str) -> int:
+        """Class count of `labels_for(label_field)`, whose ValueError it
+        raises. Both orth columns index the one `orth_vocab`."""
+        self.labels_for(label_field)
         return len(self.target_vocab if label_field == "target" else self.orth_vocab)
 
 

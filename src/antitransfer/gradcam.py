@@ -14,6 +14,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from .checkpoint import atomic_open
 from .layers import ShapeError
 from .network import Network
 
@@ -93,7 +94,7 @@ def write_pgm(path, values01: np.ndarray) -> None:
     v = np.clip(np.asarray(values01, dtype=np.float64), 0.0, 1.0)
     data = np.rint(v * 255.0).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as f:
+    with atomic_open(path) as f:
         f.write(f"P5\n{w} {h}\n255\n".encode())
         f.write(data.tobytes())
 
@@ -163,6 +164,7 @@ def render(heatmap: Heatmap, spectrogram: np.ndarray, out_prefix,
     write_pgm(paths["overlay"], overlay8 / 255.0)
     if dump_csv:
         csv_path = out_prefix.with_suffix(".heat.csv")
-        np.savetxt(csv_path, heatmap.values, delimiter=",", fmt="%.8g")
+        with atomic_open(csv_path, "w") as f:
+            np.savetxt(f, heatmap.values, delimiter=",", fmt="%.8g")
         paths["csv"] = csv_path
     return paths

@@ -16,9 +16,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .layers import (Layer, LayerSpec, NonFiniteError, ShapeError,
-                     check_finite, conv2d, dense, dropout, flatten, make_layer,
-                     maxpool2d, output_hw, relu)
+from .layers import (Layer, LayerSpec, ShapeError, check_finite, conv2d,
+                     dense, dropout, flatten, make_layer, maxpool2d,
+                     output_hw, relu)
 
 
 @dataclass
@@ -80,39 +80,36 @@ def _vgg_block(channels: int, convs: int) -> List[LayerSpec]:
     return specs
 
 
-def vgg16(input_hw: Tuple[int, int], n_classes: int,
-          dropout_p: float = 0.5) -> ArchConfig:
+def vgg16(input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
     """Full 13-conv VGG16 stack (64x2, 128x2, 256x3, 512x3, 512x3) on a
     single-channel input, with the classic 4096-unit head."""
     specs: List[LayerSpec] = []
     for ch, n in ((64, 2), (128, 2), (256, 3), (512, 3), (512, 3)):
         specs += _vgg_block(ch, n)
     specs += [flatten(),
-              dense(4096), relu(), dropout(dropout_p),
-              dense(4096), relu(), dropout(dropout_p),
+              dense(4096), relu(), dropout(),
+              dense(4096), relu(), dropout(),
               dense(n_classes)]
     return ArchConfig(layers=specs, input_shape=(1, *input_hw),
                       n_classes=n_classes, name="vgg16")
 
 
-def vgg_small(input_hw: Tuple[int, int], n_classes: int,
-              dropout_p: float = 0.5) -> ArchConfig:
+def vgg_small(input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
     """8-conv reduction (32x2, 64x2, 128x2, 256x2) for mid-size experiments."""
     specs: List[LayerSpec] = []
     for ch in (32, 64, 128, 256):
         specs += _vgg_block(ch, 2)
-    specs += [flatten(), dense(256), relu(), dropout(dropout_p), dense(n_classes)]
+    specs += [flatten(), dense(256), relu(), dropout(), dense(n_classes)]
     return ArchConfig(layers=specs, input_shape=(1, *input_hw),
                       n_classes=n_classes, name="vgg-small")
 
 
-def vgg_tiny(input_hw: Tuple[int, int], n_classes: int,
-             dropout_p: float = 0.5) -> ArchConfig:
+def vgg_tiny(input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
     """4-conv desk-scale preset (16/32/64/64 channels, pool after each conv)."""
     specs: List[LayerSpec] = []
     for ch in (16, 32, 64, 64):
         specs += _vgg_block(ch, 1)
-    specs += [flatten(), dense(64), relu(), dropout(dropout_p), dense(n_classes)]
+    specs += [flatten(), dense(64), relu(), dropout(), dense(n_classes)]
     return ArchConfig(layers=specs, input_shape=(1, *input_hw),
                       n_classes=n_classes, name="vgg-tiny")
 
@@ -120,10 +117,10 @@ def vgg_tiny(input_hw: Tuple[int, int], n_classes: int,
 PRESETS = {"vgg16": vgg16, "vgg-small": vgg_small, "vgg-tiny": vgg_tiny}
 
 
-def preset(name: str, input_hw: Tuple[int, int], n_classes: int, **kw) -> ArchConfig:
+def preset(name: str, input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name](input_hw, n_classes, **kw)
+    return PRESETS[name](input_hw, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +134,15 @@ def preset(name: str, input_hw: Tuple[int, int], n_classes: int, **kw) -> ArchCo
 # with it: without the two, perfbench's paper-at (2-vCPU VM, 1 BLAS thread,
 # medians of 5 alternating 30 s pairs) fell from 56.6 to 53.2 samples/s and
 # its epoch rose from 0.617 to 0.648 s (worse in 5 of 5 pairs each).
-# Evaluation no longer needs them: the depth-first stack keeps its maps
-# small.
+# Evaluation does not need them: its blocks of samples keep its maps small.
 _FRESH_OUTPUT = ("conv2d", "maxpool2d", "dense")
 
-# An eval forward runs the conv stack over blocks of whole samples whose
-# largest activation takes about this many bytes (or one sample), so that a
-# block's maps pass from layer to layer in cache instead of through DRAM.
-# `training.evaluate` of vgg-tiny, float32, 1 BLAS thread, 2-vCPU VM
+# A pass that does not record (evaluation, validation, the extractor
+# precompute) runs over blocks of whole samples whose largest activation
+# takes about this many bytes (or one sample; `Network.eval_block`), so that
+# a block's maps pass from layer to layer in cache instead of through DRAM.
+# Measured when the conv stack alone ran in such blocks: `training.evaluate`
+# of vgg-tiny, float32, 1 BLAS thread, 2-vCPU VM
 # (medians of two interleaved runs of 15 and 30 calls), whole batch against
 # 1 / 2 / 4 / 8 / 16 MB blocks:
 # - 64x126x129: 457 and 342 ms against 218-230 / 209-221 / 218-225 /
@@ -162,12 +160,13 @@ class Network:
     ("conv1.weight", ...) to the layer's own weight and gradient arrays;
     whatever reads or writes weights goes through them, in place.
 
-    A forward that records (training, Grad-CAM, the gradient oracle) runs
-    each layer over the whole batch. One that neither records nor trains
-    (evaluation, validation, `tap_features`) runs the layers before flatten
-    depth first, over cache-sized blocks of samples, and the dense head over
-    the whole batch; its outputs have the bytes of the layer-by-layer
-    forward (see `_run`)."""
+    A forward runs each layer over the batch it is given. Passes that do not
+    record (evaluation, validation, the extractor precompute) give it blocks
+    of `eval_block` samples, so that a block's maps stay in cache. A
+    sample's conv, ReLU and pool maps do not depend on the batch it is in,
+    so they keep their bytes; the dense head's logits can change in their
+    last bits with the number of rows, as the BLAS takes another GEMM path
+    for a few rows."""
 
     def __init__(self, arch: ArchConfig, seed: int = 0, dtype=np.float64):
         self.arch = arch
@@ -177,13 +176,10 @@ class Network:
         self.finite_checks = True
         rng = np.random.default_rng([int(seed), 0x1A17])
         self.layers: List[Layer] = []
-        self._shapes = shapes = _propagate_shapes(arch)
-        # the conv stack is every layer before flatten; an eval forward runs
-        # it in blocks sized by its largest per-sample activation
-        self._stack_end = next(pos for pos, spec in enumerate(arch.layers)
-                               if spec.kind == "flatten")
+        shapes = _propagate_shapes(arch)
+        # the largest per-sample activation, which sizes `eval_block`
         self._sample_bytes = self.dtype.itemsize * max(
-            c * h * w for c, h, w in shapes[:self._stack_end + 1])
+            c * h * w for c, h, w in shapes if h is not None)
         conv_i = 0
         dense_i = 0
         for pos, spec in enumerate(arch.layers):
@@ -261,6 +257,13 @@ class Network:
 
     # -- execution ----------------------------------------------------------
 
+    @property
+    def eval_block(self) -> int:
+        """Samples per block of a forward that does not record: as many as
+        keep the largest per-sample activation within `_STACK_BLOCK_BYTES`,
+        and at least one."""
+        return max(1, _STACK_BLOCK_BYTES // self._sample_bytes)
+
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 taps: Iterable[int] = (),
@@ -277,19 +280,9 @@ class Network:
         return self._run(x, False, None, taps, False, last_tap_only=True)[1]
 
     def _run(self, x, train, rng, taps, record: bool, last_tap_only: bool):
-        """The forward behind `forward` and `tap_features`.
-
-        One that neither records nor trains (evaluation, validation, the
-        extractor precompute) runs the conv stack, the layers before
-        flatten, depth first: each block of samples (`_STACK_BLOCK_BYTES`)
-        goes through every stacked layer and its finite check while it is
-        still in cache, and only the stack's output and the tapped maps are
-        written into whole-batch arrays. Each sample's conv, ReLU and pool
-        output does not depend on the batch it is in, so the outputs keep
-        their bytes. The head runs on the whole batch: the BLAS takes
-        another GEMM path for a few rows, which changes the logits' bytes.
-        Any other forward runs each layer over the whole batch.
-        """
+        """The forward behind `forward` and `tap_features`: each layer, and
+        its finite check, runs over the whole batch in turn, so a
+        non-finite map names the lowest layer any sample fails at."""
         taps = sorted(set(taps))
         for k in taps:
             if k not in self.tap_positions:
@@ -301,50 +294,14 @@ class Network:
         check_finite(x, "network input")
         tap_at = {self.tap_positions[k]: k for k in taps}
         stop = max(tap_at, default=-1) + 1 if last_tap_only else len(self.layers)
-        out, tapped, start = x, {}, 0
-        end = min(self._stack_end, stop)
-        block = max(1, _STACK_BLOCK_BYTES // self._sample_bytes)
-        if not (record or train) and end > 0 and len(x) > block:
-            out, tapped = self._stack_by_blocks(x, end, block, tap_at)
-            start = end
-        for pos in range(start, stop):
-            out = self._layer_forward(pos, out, train, rng, record)
+        out, tapped = x, {}
+        for pos, layer in enumerate(self.layers[:stop]):
+            out = layer.forward(out, train, rng, record)
+            if self.finite_checks:
+                check_finite(out, f"activations after {layer.name or type(layer).__name__}")
             if pos in tap_at:
                 tapped[tap_at[pos]] = out
         return out, tapped
-
-    def _layer_forward(self, pos, x, train, rng, record):
-        layer = self.layers[pos]
-        out = layer.forward(x, train, rng, record)
-        if self.finite_checks:
-            check_finite(out, f"activations after {layer.name or type(layer).__name__}")
-        return out
-
-    def _stack_by_blocks(self, x, end, block, tap_at):
-        """Eval forward of layers 0..end-1, `block` samples at a time.
-        Returns the output of layer end - 1 and the tapped maps among them,
-        each written into one whole-batch array; when layer end - 1 is a
-        tap, its array is both."""
-        n = len(x)
-        full = {pos: np.empty((n, *self._shapes[pos + 1]), dtype=self.dtype)
-                for pos in {end - 1, *(p for p in tap_at if p < end)}}
-        failed = None
-        for a in range(0, n, block):
-            out = x[a:a + block]
-            try:
-                for pos in range(end):
-                    out = self._layer_forward(pos, out, False, None, False)
-                    if pos in full:
-                        full[pos][a:a + len(out)] = out
-            except NonFiniteError as err:
-                # a sample's maps do not depend on the others, so the whole
-                # batch stops at the lowest layer that any block stops at;
-                # later blocks only need the layers below it
-                failed, end = err, pos
-        if failed is not None:
-            raise failed
-        return full[end - 1], {k: full[pos] for pos, k in tap_at.items()
-                               if pos < end}
 
     def backward(self, dout: np.ndarray,
                  tap_grad_in: Optional[Dict[int, np.ndarray]] = None,

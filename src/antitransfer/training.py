@@ -29,6 +29,7 @@ from .network import ArchConfig, Network, build, conv_feature_shapes, preset
 from .optim import Adam
 
 STRATEGIES = ("scratch", "wi", "wi_freeze", "at", "at_inverse", "dual_at")
+LABEL_FIELDS = ("target", "orth1", "orth2")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -46,17 +47,12 @@ class TrainConfig:
     task_name: str = ""
     arch_preset: str = "vgg-tiny"
     lr: float = 5e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 13
     max_epochs: int = 50
     patience: int = 5
-    dropout_p: float = 0.5
     seed: int = 0
     dtype: str = "float32"
     normalize_inputs: bool = True
-    eval_batch_size: int = 64
     split_policy: str = "random"
     split_fractions: Tuple[float, float, float] = (0.7, 0.2, 0.1)
 
@@ -67,6 +63,9 @@ class TrainConfig:
         self.split_fractions = tuple(self.split_fractions)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
+        if self.label_field not in LABEL_FIELDS:
+            raise ValueError(f"unknown label field {self.label_field!r}; "
+                             f"choose from {LABEL_FIELDS}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
         need = {"at": 1, "at_inverse": 1, "dual_at": 2}.get(self.strategy)
@@ -131,15 +130,21 @@ class TrainResult:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+# Evaluation, validation and the extractor precompute run the network over
+# blocks of `Network.eval_block` samples and reduce each block's logits and
+# tapped maps before the next, so no whole-batch map is built.
+
 def evaluate(net: Network, x: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> Tuple[float, np.ndarray]:
-    """Eval-mode accuracy and confusion matrix (rows = true class)."""
+    """Eval-mode accuracy and confusion matrix (rows = true class), over
+    blocks of at most `batch_size` samples."""
     n_classes = net.arch.n_classes
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for start in range(0, len(x), batch_size):
-        xb = x[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        logits, _ = net.forward(xb, record=False)
+    block = min(batch_size, net.eval_block)
+    for start in range(0, len(x), block):
+        rows = slice(start, start + block)
+        yb = labels[rows]
+        logits, _ = net.forward(x[rows], record=False)
         pred = logits.argmax(axis=1)
         np.add.at(confusion, (yb, pred), 1)
     correct = int(np.trace(confusion))
@@ -173,14 +178,14 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
 
 
 def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
-                 agg_cache: Optional[Dict[int, np.ndarray]], batch_size: int,
-                 sign: float = 1.0):
+                 agg_cache: Optional[Dict[int, np.ndarray]], sign: float = 1.0):
     """Validation cross-entropy, accuracy and per-layer anti-transfer terms."""
     total_ce = 0.0
     correct = 0
     at_sums = {k: 0.0 for k in (at_cfg.layers if at_cfg else ())}
-    for start in range(0, len(x), batch_size):
-        rows = slice(start, start + batch_size)
+    block = net.eval_block
+    for start in range(0, len(x), block):
+        rows = slice(start, start + block)
         yb = labels[rows]
         logits, ce, at_vals, _, _ = batch_objective(net, x[rows], yb, at_cfg,
                                                     agg_cache, rows, record=False,
@@ -198,12 +203,12 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
 # ---------------------------------------------------------------------------
 
 def _precompute_extractor_aggs(extractor: Network, x: np.ndarray,
-                               at_cfg: ATConfig, batch_size: int
-                               ) -> Dict[int, np.ndarray]:
+                               at_cfg: ATConfig) -> Dict[int, np.ndarray]:
     """Per-sample aggregated representations of the frozen extractor."""
     out: Dict[int, List[np.ndarray]] = {k: [] for k in at_cfg.layers}
-    for start in range(0, len(x), batch_size):
-        tapped = extractor.tap_features(x[start:start + batch_size], at_cfg.layers)
+    block = extractor.eval_block
+    for start in range(0, len(x), block):
+        tapped = extractor.tap_features(x[start:start + block], at_cfg.layers)
         for k, fmap in tapped.items():
             out[k].append(aggregate(fmap, at_cfg.aggregation))
     return {k: np.concatenate(chunks) for k, chunks in out.items()}
@@ -229,15 +234,17 @@ def _check_extractor_compatible(net: Network, extractor: Network,
 def _arch(config: TrainConfig, train_set: Dataset) -> ArchConfig:
     """The architecture a run of `config` trains on `train_set`."""
     return preset(config.arch_preset, train_set.x.shape[2:],
-                  train_set.classes_for(config.label_field),
-                  dropout_p=config.dropout_p)
+                  train_set.classes_for(config.label_field))
 
 
 def check_at_layers(config: TrainConfig, data: Dict[str, Dataset],
                     layers: Optional[Sequence[int]] = None) -> None:
-    """Raise ValueError unless the network `config` trains on `data` has a
-    feature map at each anti-transfer layer: `layers`, or by default the
-    configured ones when the strategy uses them. Nothing is trained."""
+    """Raise ValueError unless every split of `data` has `config`'s label
+    and the network `config` trains on it has a feature map at each
+    anti-transfer layer: `layers`, or by default the configured ones when
+    the strategy uses them. Nothing is trained."""
+    for split in data.values():
+        split.labels_for(config.label_field)
     if layers is None:
         layers = () if config.strategy in ("scratch", "wi") else config.at.layers
     k = len(conv_feature_shapes(_arch(config, data["train"])))
@@ -279,10 +286,9 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
         extractor_hash_before = extractor.weight_hash()
         for split in ("train", "val"):
             agg_caches[split] = _precompute_extractor_aggs(
-                extractor, xs[split], at_cfg, config.eval_batch_size)
+                extractor, xs[split], at_cfg)
 
-    optimizer = Adam(lr=config.lr, beta1=config.adam_beta1,
-                     beta2=config.adam_beta2, eps=config.adam_eps)
+    optimizer = Adam(lr=config.lr)
     rng_order = np.random.default_rng([config.seed, 1])
     rng_dropout = np.random.default_rng([config.seed, 2])
 
@@ -330,8 +336,8 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
             net.finite_checks = True
 
             val_ce, val_acc, val_at = _eval_losses(
-                net, xs["val"], labels["val"], at_cfg,
-                agg_caches.get("val"), config.eval_batch_size, sign)
+                net, xs["val"], labels["val"], at_cfg, agg_caches.get("val"),
+                sign)
             train_at_layers = {k: v / n_train for k, v in at_sums.items()}
             em = EpochMetrics(
                 epoch=epoch,
@@ -360,8 +366,7 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
     if best["weights"] is not None:
         net.load_params(best["weights"])
 
-    test_acc, confusion = evaluate(net, xs["test"], labels["test"],
-                                   config.eval_batch_size)
+    test_acc, confusion = evaluate(net, xs["test"], labels["test"])
     if extractor is not None:
         extractor_hash_after = extractor.weight_hash()
 
@@ -508,7 +513,7 @@ def sweep(points: Sequence[Tuple[float, TrainConfig]], label: str,
     else:
         best_i = min(range(len(rows)), key=lambda i: rows[i].val_loss)
     rows[best_i].best = True
-    with open(out_dir / "sweep.csv", "w", newline="") as f:
+    with ckpt.atomic_open(out_dir / "sweep.csv", "w") as f:
         w = csv.writer(f)
         w.writerow([label, "train_acc", "val_acc", "test_acc", "val_loss", "best"])
         for r in rows:

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from antitransfer import checkpoint as ck
 from antitransfer import layers as L
 from antitransfer import training
-from antitransfer.data import load_split_dir
+from antitransfer.data import ManifestRow, load_split_dir, write_manifest
+from antitransfer.gradcam import Heatmap, render
 from antitransfer.network import ArchConfig, build, preset
 from antitransfer.training import TrainConfig
 
@@ -125,6 +126,65 @@ class TestContainer:
         prov = {"task": "speaker", "seed": 11, "epoch": 7}
         ck.save(tiny_net, path, provenance=prov)
         assert ck.load(path).provenance == prov
+
+
+class TestRunArtifacts:
+    """Run artifacts other than checkpoints are written through
+    `atomic_open` too: one whose write fails midway keeps its old bytes."""
+
+    @staticmethod
+    def _writers(tmp_path, monkeypatch):
+        """name -> function writing that artifact with content i."""
+        def manifest(i):
+            write_manifest(tmp_path / "m.csv",
+                           [ManifestRow(f"s{i}.atck", "t0", ("o1",))] * 3)
+
+        def sweep(i):
+            monkeypatch.setattr(training, "_sweep_point",
+                                lambda *args: (0.5, 0.5, 0.5, float(i)))
+            training.sweep([(1.0, None), (2.0, None)], "beta", {}, tmp_path)
+
+        def gradcam(i):
+            values = np.full((4, 5), 0.25 * (i + 1))
+            render(Heatmap(values=values, class_index=0, layer=1),
+                   np.zeros((4, 5)), tmp_path / "out", dump_csv=True)
+
+        return {"m.csv": manifest, "sweep.csv": sweep,
+                "out.heat.pgm": gradcam, "out.heat.csv": gradcam}
+
+    @pytest.mark.parametrize("name", ["m.csv", "sweep.csv", "out.heat.pgm",
+                                      "out.heat.csv"])
+    def test_write_failing_midway_keeps_previous_file(self, name, tmp_path,
+                                                      monkeypatch):
+        write = self._writers(tmp_path, monkeypatch)[name]
+        write(0)
+        before = (tmp_path / name).read_bytes()
+
+        class HalfWritten:
+            """A file whose first write puts down half its data and raises."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                self.f.write(data[:len(data) // 2])
+                raise OSError("disk full")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def interrupting_open(file, *args, **kwargs):
+            f = open(file, *args, **kwargs)
+            return HalfWritten(f) if file.name == name + ".tmp" else f
+
+        monkeypatch.setattr(ck, "open", interrupting_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write(1)
+        assert (tmp_path / name).read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestMalformedCheckpoints:

@@ -4,6 +4,7 @@ import json
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from antitransfer import checkpoint as ck
 from antitransfer.cli import _resolve_config, build_parser, main
@@ -179,6 +180,24 @@ class TestTrainCommand:
         assert code == 0
         assert (tmp_path / "run" / "intermediate" / "model.atck").exists()
         assert (tmp_path / "run" / "final_init.atck").exists()
+
+
+class TestLabelField:
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    @pytest.mark.parametrize("label, message", [
+        ("bogus", "unknown label field 'bogus'"),
+        ("orth2", "dataset has no complete orth2 labels")])
+    def test_label_the_data_cannot_give_exits_2(self, tmp_path, capsys,
+                                                command, label, message):
+        """The synth data has one orth column; neither label can train."""
+        cfg_path = write_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"]["label_field"] = label
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not (tmp_path / "run" / "model.atck").exists()
 
 
 class TestPretrainCommand:

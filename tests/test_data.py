@@ -48,6 +48,32 @@ class TestManifests:
         assert ds.orth_ids[:, 0].tolist() == [1, 0, 0]
         assert ds.x.shape == (3, 1, 2, 2)
 
+    def test_orth2_ids_index_the_shared_orth_vocab(self, tmp_path):
+        """Both orth columns map through one vocabulary, so orth2's ids
+        index `orth_vocab` and classes_for("orth2") counts it."""
+        rows = []
+        for i, (o1, o2) in enumerate([("x", "p"), ("y", "q"), ("x", "r")]):
+            name = f"s{i}.atck"
+            write_sample(tmp_path / name, np.zeros((2, 2), dtype=np.float32))
+            rows.append(ManifestRow(name, "t", (o1, o2)))
+        write_manifest(tmp_path / "m.csv", rows)
+        ds = load_dataset(tmp_path / "m.csv")
+        assert ds.orth_vocab == ["p", "q", "r", "x", "y"]
+        assert ds.classes_for("orth2") == ds.classes_for("orth1") == 5
+        assert [ds.orth_vocab[i] for i in ds.labels_for("orth2")] == ["p", "q", "r"]
+        assert [ds.orth_vocab[i] for i in ds.labels_for("orth1")] == ["x", "y", "x"]
+
+    def test_classes_for_a_label_the_data_lacks_raises(self, tmp_path):
+        write_sample(tmp_path / "s.atck", np.zeros((2, 2), dtype=np.float32))
+        write_manifest(tmp_path / "m.csv", [ManifestRow("s.atck", "t", ("o",))])
+        ds = load_dataset(tmp_path / "m.csv")
+        for field, message in (("orth2", "no complete orth2 labels"),
+                               ("bogus", "unknown label field 'bogus'")):
+            with pytest.raises(ValueError, match=message):
+                ds.labels_for(field)
+            with pytest.raises(ValueError, match=message):
+                ds.classes_for(field)
+
     def test_label_missing_from_train_is_named(self, unseen_label_dir):
         with pytest.raises(ValueError, match="val_manifest.csv.*'unseen'"):
             load_split_dir(unseen_label_dir)

@@ -241,82 +241,34 @@ class TestInPlaceActivations:
             assert caps[0][k].tobytes() == caps[1][k].tobytes()
 
 
-def _layer_by_layer(net, x, taps):
-    """The oracle: an eval forward that runs each layer over the whole
-    batch, checks it for NaN/Inf and keeps the tapped maps."""
-    tap_at = {net.tap_positions[k]: k for k in taps}
-    out = np.ascontiguousarray(x, dtype=net.dtype)
-    L.check_finite(out, "network input")
-    tapped = {}
-    for pos, layer in enumerate(net.layers):
-        out = layer.forward(out, False, None, False)
-        if net.finite_checks:
-            L.check_finite(out, f"activations after {layer.name or type(layer).__name__}")
-        if pos in tap_at:
-            tapped[tap_at[pos]] = out
-    return out, tapped
-
-
-def _conv1_batches(net, monkeypatch):
-    """The batch sizes conv 1's forward is called with, from now on."""
-    conv1 = net.conv_layers()[0]
-    seen, forward = [], conv1.forward
-    monkeypatch.setattr(conv1, "forward",
-                        lambda x, *a, **kw: seen.append(len(x)) or forward(x, *a, **kw))
-    return seen
-
-
 class TestDepthFirstEval:
-    """An eval forward runs the conv stack in blocks of samples; its logits
-    and tapped maps keep the bytes of the whole-batch forward."""
+    """Passes that do not record run the network over blocks of samples
+    (`Network.eval_block`). A sample's tapped maps keep their bytes in any
+    block, and a forward that does not record gives the bytes of one that
+    does."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("hw", [(126, 129), (32, 37)])
-    def test_blocks_give_the_bytes_of_the_whole_batch_forward(
-            self, hw, dtype, monkeypatch):
+    def test_blocks_give_the_bytes_of_the_whole_batch_forward(self, hw, dtype):
         net = build(preset("vgg-tiny", hw, 4), seed=3, dtype=dtype)
         x = np.random.default_rng(4).standard_normal((13, 1, *hw)).astype(dtype)
-        want, want_taps = _layer_by_layer(net, x, (1, 2, 3, 4))
-        recorded, recorded_taps = net.forward(x, taps=(1, 2, 3, 4))
-        assert recorded.tobytes() == want.tobytes()
-        seen = _conv1_batches(net, monkeypatch)
-        # one sample per block, and blocks of 5 (13 = 5 + 5 + 3)
-        for budget, blocks in ((1, [1] * 13), (5 * net._sample_bytes, [5, 5, 3])):
-            monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", budget)
-            for taps in ({1}, {2, 4}):
-                seen.clear()
-                logits, tapped = net.forward(x, taps=taps, record=False)
-                assert seen == blocks
-                assert logits.tobytes() == want.tobytes()
-                assert sorted(tapped) == sorted(taps)
-                for k in taps:
-                    assert tapped[k].tobytes() == want_taps[k].tobytes()
-                    assert tapped[k].tobytes() == recorded_taps[k].tobytes()
-            # the stack ends at the deepest tap, which is its output
-            seen.clear()
-            feats = net.tap_features(x, (1,))
-            assert seen == blocks
-            assert feats[1].tobytes() == want_taps[1].tobytes()
-
-    @pytest.mark.parametrize("budget", [1, 2 << 20])
-    def test_tap_at_the_stacks_last_layer_is_its_output(self, budget, monkeypatch):
-        """conv 2's ReLU is the last layer before flatten, so the stack's
-        output is itself a tapped map."""
-        arch = ArchConfig(layers=[L.conv2d(3), L.relu(), L.maxpool2d(),
-                                  L.conv2d(4), L.relu(), L.flatten(),
-                                  L.dense(5), L.relu(), L.dense(3)],
-                          input_shape=(2, 9, 11), n_classes=3)
-        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", budget)
-        net = build(arch, seed=5)
-        x = np.random.default_rng(6).standard_normal((7, 2, 9, 11))
-        want, want_taps = _layer_by_layer(net, x, (1, 2))
-        seen = _conv1_batches(net, monkeypatch)
-        logits, tapped = net.forward(x, taps=(1, 2), record=False)
-        assert max(seen) < len(x) if budget == 1 else seen == [len(x)]
+        want, want_taps = net.forward(x, taps=(1, 2, 3, 4))
+        logits, tapped = net.forward(x, taps=(1, 2, 3, 4), record=False)
         assert logits.tobytes() == want.tobytes()
-        for k in (1, 2):
+        for k in want_taps:
             assert tapped[k].tobytes() == want_taps[k].tobytes()
-        assert logits.tobytes() == net.forward(x, taps=(1, 2))[0].tobytes()
+        # one sample per block, and blocks of 5 (13 = 5 + 5 + 3)
+        for block in (1, 5):
+            starts = range(0, len(x), block)
+            for taps in ({1}, {2, 4}):
+                parts = [net.forward(x[a:a + block], taps=taps, record=False)[1]
+                         for a in starts]
+                for k in taps:
+                    got = np.concatenate([p[k] for p in parts])
+                    assert got.tobytes() == want_taps[k].tobytes()
+            got = np.concatenate([net.tap_features(x[a:a + block], (1,))[1]
+                                  for a in starts])
+            assert got.tobytes() == want_taps[1].tobytes()
 
     @staticmethod
     def _overflowing_net():
@@ -330,31 +282,25 @@ class TestDepthFirstEval:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("first", [0.0, 1e37])
-    def test_non_finite_in_a_later_block_names_the_whole_batch_layer(
-            self, first, monkeypatch):
-        """The last sample overflows at conv 1, in the last block. With the
-        first sample overflowing only at conv 2, the first block stops at a
-        deeper layer than the whole batch does."""
-        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 1)
+    def test_non_finite_in_a_later_block_names_the_whole_batch_layer(self, first):
+        """The last sample overflows at conv 1. With the first sample
+        overflowing only at conv 2, a forward still names conv 1, the lowest
+        layer any sample of its batch fails at."""
         net = self._overflowing_net()
         x = np.random.default_rng(7).standard_normal((6, 1, 32, 37)).astype(np.float32)
         x[0] += np.float32(first)
         x[-1] = 1e38
-        with pytest.raises(L.NonFiniteError) as whole:
-            _layer_by_layer(net, x, ())
-        assert "after conv1" in str(whole.value)
-        for run in (lambda: net.forward(x, record=False),
+        for run in (lambda: net.forward(x), lambda: net.forward(x, record=False),
                     lambda: net.tap_features(x, (3,))):
-            with pytest.raises(L.NonFiniteError) as blocked:
+            with pytest.raises(L.NonFiniteError,
+                               match="^non-finite values in activations after conv1$"):
                 run()
-            assert str(blocked.value) == str(whole.value)
         x[-1, 0, 5, 5] = np.nan
         with pytest.raises(L.NonFiniteError, match="network input"):
             net.forward(x, record=False)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finite_checks_off_skips_the_layer_scans(self, monkeypatch):
-        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 1)
         net = self._overflowing_net()
         x = np.random.default_rng(8).standard_normal((3, 1, 32, 37)).astype(np.float32)
         x[-1] = 1e38

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from antitransfer import checkpoint as ck
-from antitransfer import losses, training
+from antitransfer import layers as L
+from antitransfer import losses, network, training
 from antitransfer.data import load_split_dir
 from antitransfer.losses import ATConfig
 from antitransfer.training import TrainConfig, evaluate
@@ -43,6 +44,10 @@ class TestConfigValidation:
     def test_fraction_sum_checked(self):
         with pytest.raises(ValueError):
             TrainConfig(split_fractions=(0.5, 0.2, 0.2))
+
+    def test_unknown_label_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown label field 'bogus'"):
+            TrainConfig(label_field="bogus")
 
     def test_round_trip(self):
         cfg = TrainConfig(strategy="scratch", seed=5,
@@ -97,6 +102,8 @@ class TestAntiTransfer:
         """The precomputed Grams are byte-equal to those of a full forward,
         and no layer past the deepest tapped conv runs."""
         extractor = build(preset("vgg-tiny", (16, 17), 4), seed=11, dtype=np.float32)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
+                            8 * extractor._sample_bytes)
         x = np.random.default_rng(5).standard_normal((20, 1, 16, 17)).astype(np.float32)
         at_cfg = ATConfig(layers=(1, 3))
         want = {k: [] for k in at_cfg.layers}
@@ -109,7 +116,7 @@ class TestAntiTransfer:
             raise AssertionError("layer past the deepest tap ran")
         for layer in extractor.layers[extractor.tap_positions[3] + 1:]:
             monkeypatch.setattr(layer, "forward", not_reached)
-        got = training._precompute_extractor_aggs(extractor, x, at_cfg, 8)
+        got = training._precompute_extractor_aggs(extractor, x, at_cfg)
         assert sorted(got) == [1, 3]
         for k in at_cfg.layers:
             assert got[k].tobytes() == np.concatenate(want[k]).tobytes()
@@ -249,28 +256,119 @@ class TestPretrainAndEvaluate:
         assert abs(np.mean(accs) - 0.25) < 0.15
 
 
+def _peak_bytes(run):
+    """tracemalloc's peak during a second call of `run`."""
+    run()   # first call outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _conv1_batches(net, monkeypatch):
+    """The batch sizes conv 1's forward is called with, from now on."""
+    conv1 = net.conv_layers()[0]
+    seen, forward = [], conv1.forward
+    monkeypatch.setattr(conv1, "forward",
+                        lambda x, *a, **kw: seen.append(len(x)) or forward(x, *a, **kw))
+    return seen
+
+
 class TestForwardWithoutRecording:
+    def test_eval_loops_run_blocks_of_eval_block_samples(self, monkeypatch):
+        """evaluate, _eval_losses and the extractor precompute each run the
+        network over blocks of `eval_block` samples (13 = 5 + 5 + 3). The
+        maps they score and aggregate keep the bytes of a whole-batch
+        recording forward; confusion and accuracy equal its, and the
+        cross-entropy and anti-transfer terms agree within rtol 1e-6."""
+        hw = (32, 37)
+        net = build(preset("vgg-tiny", hw, 4), seed=3, dtype=np.float32)
+        extractor = build(preset("vgg-tiny", hw, 4), seed=4, dtype=np.float32)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 5 * net._sample_bytes)
+        assert net.eval_block == extractor.eval_block == 5
+        x = np.random.default_rng(5).standard_normal((13, 1, *hw)).astype(np.float32)
+        y = np.arange(13) % 4
+        at_cfg = ATConfig(layers=(1, 3), beta=1.0)
+        logits, taps = net.forward(x, taps=at_cfg.layers)
+        _, ext_taps = extractor.forward(x, taps=at_cfg.layers)
+        want_aggs = {k: losses.aggregate(f, at_cfg.aggregation)
+                     for k, f in ext_taps.items()}
+        scored, at_term = [], training._at_term
+        monkeypatch.setattr(training, "_at_term", lambda fmap, *a: (
+            scored.append(fmap) or at_term(fmap, *a)))
+        seen = [_conv1_batches(n, monkeypatch) for n in (net, extractor)]
+
+        aggs = training._precompute_extractor_aggs(extractor, x, at_cfg)
+        val_ce, val_acc, val_at = training._eval_losses(net, x, y, at_cfg, aggs)
+        acc, confusion = evaluate(net, x, y)
+        assert seen == [[5, 5, 3] * 2, [5, 5, 3]]
+        for i, k in enumerate(at_cfg.layers):
+            assert aggs[k].tobytes() == want_aggs[k].tobytes()
+            got = np.concatenate(scored[i::len(at_cfg.layers)])
+            assert got.tobytes() == taps[k].tobytes()
+            np.testing.assert_allclose(
+                val_at[k], at_term(taps[k], want_aggs[k], at_cfg)[0], rtol=1e-6)
+        want_confusion = np.zeros((4, 4), dtype=np.int64)
+        np.add.at(want_confusion, (y, logits.argmax(axis=1)), 1)
+        assert np.array_equal(confusion, want_confusion)
+        assert acc == val_acc == np.trace(want_confusion) / len(x)
+        np.testing.assert_allclose(
+            val_ce, losses.cross_entropy_and_grad(logits, y)[0], rtol=1e-6)
+
+    def test_precompute_and_validation_never_hold_a_whole_batch_map(self):
+        """With the anti-transfer tap at conv 1 at 126x129, the extractor
+        precompute of 39 samples peaks below a quarter of their conv 1 map
+        (40 MB), and validation of 13 below theirs (13.5 MB): each block's
+        maps are reduced before the next block runs."""
+        hw = (126, 129)
+        net = build(preset("vgg-tiny", hw, 4), seed=0, dtype=np.float32)
+        extractor = build(preset("vgg-tiny", hw, 4), seed=1, dtype=np.float32)
+        x = np.random.default_rng(0).standard_normal((39, 1, *hw)).astype(np.float32)
+        y = np.arange(39) % 4
+        at_cfg = ATConfig(layers=(1,), beta=1.0)
+        c, h, w = conv_feature_shapes(net.arch)[0]
+        sample_map = c * h * w * x.itemsize
+        assert _peak_bytes(lambda: training._precompute_extractor_aggs(
+            extractor, x, at_cfg)) < len(x) * sample_map / 4
+        x, y = x[:13], y[:13]
+        aggs = training._precompute_extractor_aggs(extractor, x, at_cfg)
+        assert _peak_bytes(lambda: training._eval_losses(
+            net, x, y, at_cfg, aggs)) < len(x) * sample_map
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_evaluation_stops_at_the_first_block_that_fails(self, monkeypatch):
+        """Sample 0 overflows only at conv 2, the last sample at conv 1.
+        Over blocks of one sample, evaluation names conv 2, where its first
+        block fails; a forward of the whole batch names conv 1."""
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=2, dtype=np.float32)
+        for conv in net.conv_layers()[:2]:
+            conv.W[0] = 1.0
+        x = np.random.default_rng(7).standard_normal((6, 1, 32, 37)).astype(np.float32)
+        x[0] += np.float32(1e37)
+        x[-1] = 1e38
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 1)
+        with pytest.raises(L.NonFiniteError, match="after conv2$"):
+            evaluate(net, x, np.arange(6) % 4)
+        with pytest.raises(L.NonFiniteError, match="after conv1$"):
+            net.forward(x, record=False)
+
     def test_eval_forward_holds_conv1_output_once(self):
-        """An eval batch peaks below two whole-batch conv 1 outputs. The
-        depth-first stack keeps that peak low: it never holds conv 1's
+        """An eval batch peaks below two whole-batch conv 1 outputs. Its
+        blocks of samples keep that peak low: it never holds conv 1's
         output for the whole batch (with or without the in-place ReLU)."""
         net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal(
             (8, 1, 126, 129)).astype(np.float32)
         labels = np.arange(8) % 4
-        evaluate(net, x, labels)   # first call outside the trace
-        tracemalloc.start()
-        try:
-            evaluate(net, x, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak_bytes(lambda: evaluate(net, x, labels))
         c, h, w = conv_feature_shapes(net.arch)[0]
         assert peak < 2 * 8 * c * h * w * x.itemsize
 
     def test_eval_batch_peaks_below_a_quarter_of_conv1s_map(self):
-        """The conv stack runs in cache-sized blocks of samples: evaluating
-        64 spectrograms at 126x129 never holds a whole-batch conv 1 map
+        """Evaluation runs in cache-sized blocks of samples: evaluating 64
+        spectrograms at 126x129 never holds a whole-batch conv 1 map
         (64 MB), nor a quarter of one."""
         net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal(
@@ -297,6 +395,7 @@ class TestForwardWithoutRecording:
                     seed=1, dtype=np.float32)
         extractor = ck.load(orth_checkpoint)
         at_cfg = ATConfig(layers=(1, 3), beta=1.0)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 7 * net._sample_bytes)
         dlogits = np.ones((len(x) % 7, net.arch.n_classes), np.float32)
 
         _, recorded = extractor.forward(x, taps=at_cfg.layers)
@@ -312,14 +411,14 @@ class TestForwardWithoutRecording:
         aggs = {k: losses.aggregate(f, at_cfg.aggregation)
                 for k, f in feats.items()}
         got = (evaluate(net, x, y, batch_size=7),
-               training._eval_losses(net, x, y, at_cfg, aggs, 7))
+               training._eval_losses(net, x, y, at_cfg, aggs))
         with pytest.raises(RuntimeError, match="recording forward"):
             net.backward(dlogits)
         forward = type(net).forward
         monkeypatch.setattr(net, "forward", lambda *a, **kw: forward(
             net, *a, **{**kw, "record": True}))
         want = (evaluate(net, x, y, batch_size=7),
-                training._eval_losses(net, x, y, at_cfg, aggs, 7))
+                training._eval_losses(net, x, y, at_cfg, aggs))
         net.backward(dlogits)
         assert got[0][0] == want[0][0]
         assert np.array_equal(got[0][1], want[0][1])
