@@ -266,29 +266,31 @@ class Conv2D(Layer):
         p, k, oc = self.pad, self.kernel, self.out_channels
         rows = c * k * k
         block = self._block(oh, ow, x.itemsize)
-        # A recording forward pads the whole batch and keeps it for backward;
-        # one that does not copies each block into a padded buffer whose zero
-        # border is written once per forward. That buffer pays for itself:
-        # with an np.pad per block instead, perfbench's audio-infer (64
-        # spectrograms at 126x129, 2-vCPU VM, 1 BLAS thread, medians of 5
+        # Each block is copied into a zero-padded buffer just before its
+        # columns are filled. A recording forward keeps the whole padded
+        # batch for backward; one that does not reuses one block's buffer,
+        # whose zero border is written once per forward. That buffer pays for
+        # itself: with an np.pad per block instead, perfbench's audio-infer
+        # (64 spectrograms at 126x129, 2-vCPU VM, 1 BLAS thread, medians of 5
         # alternating 30 s pairs) fell from 187.1 to 174.6 samples/s and its
         # evaluate rose from 0.246 to 0.271 s (worse in 4 of 5 pairs each).
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p and record else x
-        self._xp = xp if record else None
-        pad_buf = (np.zeros((min(block, n), c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-                   if p and not record else None)
+        padded = (np.zeros((n if record else min(block, n), c, h + 2 * p, w + 2 * p),
+                           dtype=x.dtype) if p else None)
+        self._xp = (x if padded is None else padded) if record else None
         cols = np.empty((min(block, n), c, k, k, oh, ow), dtype=x.dtype)
         weights = self.W.reshape(oc, rows)
         out = np.empty((n, oc, oh * ow), dtype=x.dtype)
         for a in range(0, n, block):
-            xb, ob = xp[a:a + block], out[a:a + block]
-            if pad_buf is not None:
-                pad_buf[:len(xb), :, p:p + h, p:p + w] = xb
-                xb = pad_buf[:len(xb)]
-            cb = cols[:len(xb)]
+            m = min(block, n - a)
+            xb, ob = x[a:a + m], out[a:a + m]
+            if padded is not None:
+                at = a if record else 0
+                padded[at:at + m, :, p:p + h, p:p + w] = xb
+                xb = padded[at:at + m]
+            cb = cols[:m]
             self._fill_columns(cb, xb)
             # (oc, c * k * k) x (c * k * k, oh * ow) for each sample
-            np.matmul(weights, cb.reshape(len(xb), rows, -1), out=ob)
+            np.matmul(weights, cb.reshape(m, rows, -1), out=ob)
             ob += self.b[:, None]
         return out.reshape(n, oc, oh, ow)
 
@@ -404,7 +406,6 @@ class MaxPool2D(Layer):
         cols = [slice(j, j + s * (ow - 1) + 1, s) for j in range(k)]
         out = np.empty((n, c, oh, ow), dtype=x.dtype)
         self._arg = None
-        self._in_shape = x.shape
         # Separable max: over the column taps into buf, then over the row
         # taps of buf. np.maximum(tap, acc) keeps acc on a tie, so every
         # window gets the value of its first maximal tap in row-major order,
@@ -436,7 +437,7 @@ class MaxPool2D(Layer):
                            lambda i: colarg[:, :, rows[i]] + np.int8(i * k))
         if res is not out:
             np.copyto(out, res)
-        self._arg = arg
+        self._arg, self._in_shape = arg, x.shape
         return out
 
     def backward(self, dout):

@@ -178,7 +178,7 @@ def similarity(v: np.ndarray, w: np.ndarray, kind: str
 # ---------------------------------------------------------------------------
 
 def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
-                     config: ATConfig, sign: float = 1.0
+                     config: ATConfig, sign: float = 1.0, with_grad: bool = True
                      ) -> Tuple[float, Optional[np.ndarray]]:
     """Single-layer anti-transfer term and its gradient w.r.t. the trained map.
 
@@ -189,7 +189,8 @@ def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
     penalizes similarity, -1 encourages it. No gradient exists for the
     pretrained side.
     beta == 0 short-circuits to (0.0, None) so a zero-weight run is
-    arithmetically identical to not having the term at all.
+    arithmetically identical to not having the term at all. With `with_grad`
+    false the gradient is None and not computed; the value is the same.
     """
     if config.beta == 0.0:
         return 0.0, None
@@ -202,6 +203,8 @@ def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
     sims, dv = similarity(agg_t.reshape(b, -1), agg_pretrained.reshape(b, -1),
                           config.similarity)
     loss = sign * config.beta * float(np.mean(sims))
+    if not with_grad:
+        return loss, None
     dagg = (sign * config.beta / b) * dv.reshape(agg_t.shape)
     return loss, pullback(dagg).astype(trained.dtype, copy=False)
 

@@ -137,10 +137,20 @@ def preset(name: str, input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
 # Evaluation does not need them: its blocks of samples keep its maps small.
 _FRESH_OUTPUT = ("conv2d", "maxpool2d", "dense")
 
+# Layers that map finite inputs to finite outputs, forward and backward: a
+# finite check after one could never be the first to fail, so none runs
+# there. A pool's backward is not among them: np.add.at sums the gradients of
+# overlapping windows, which can overflow.
+_FINITE_FORWARD = ("relu", "maxpool2d", "flatten")
+_FINITE_BACKWARD = ("relu", "flatten")
+
 # A pass that does not record (evaluation, validation, the extractor
 # precompute) runs over blocks of whole samples whose largest activation
 # takes about this many bytes (or one sample; `Network.eval_block`), so that
 # a block's maps pass from layer to layer in cache instead of through DRAM.
+# 2 MB is the private L2 of one core of the VM measured below. A pass spread
+# over several CPUs gives each thread whole blocks of this size, so the
+# blocks, and with them the outputs, do not depend on the number of CPUs.
 # Measured when the conv stack alone ran in such blocks: `training.evaluate`
 # of vgg-tiny, float32, 1 BLAS thread, 2-vCPU VM
 # (medians of two interleaved runs of 15 and 30 calls), whole batch against
@@ -166,7 +176,12 @@ class Network:
     sample's conv, ReLU and pool maps do not depend on the batch it is in,
     so they keep their bytes; the dense head's logits can change in their
     last bits with the number of rows, as the BLAS takes another GEMM path
-    for a few rows."""
+    for a few rows.
+
+    Forwards that do not record may run concurrently on one network, as
+    evaluation runs its blocks on several threads: they only read the
+    weights and write nothing to the layers but the cleared caches. A
+    recording forward, and the backward after it, must run alone."""
 
     def __init__(self, arch: ArchConfig, seed: int = 0, dtype=np.float64):
         self.arch = arch
@@ -196,6 +211,12 @@ class Network:
             owns = pos > 0 and arch.layers[pos - 1].kind in _FRESH_OUTPUT
             self.layers.append(make_layer(spec, c_in, feats, rng, self.dtype,
                                           name, owns_input=owns))
+        # the positions whose output (forward) or input gradient (backward)
+        # a finite check scans
+        self._checked_forward = {pos for pos, spec in enumerate(arch.layers)
+                                 if spec.kind not in _FINITE_FORWARD}
+        self._checked_backward = {pos for pos, spec in enumerate(arch.layers)
+                                  if spec.kind not in _FINITE_BACKWARD}
         # conv index k (1-based) -> position of its post-activation output
         self.tap_positions: Dict[int, int] = {}
         k = 0
@@ -282,7 +303,8 @@ class Network:
     def _run(self, x, train, rng, taps, record: bool, last_tap_only: bool):
         """The forward behind `forward` and `tap_features`: each layer, and
         its finite check, runs over the whole batch in turn, so a
-        non-finite map names the lowest layer any sample fails at."""
+        non-finite map names the lowest layer any sample fails at. Only the
+        layers that can turn finite inputs non-finite are checked."""
         taps = sorted(set(taps))
         for k in taps:
             if k not in self.tap_positions:
@@ -297,7 +319,7 @@ class Network:
         out, tapped = x, {}
         for pos, layer in enumerate(self.layers[:stop]):
             out = layer.forward(out, train, rng, record)
-            if self.finite_checks:
+            if self.finite_checks and pos in self._checked_forward:
                 check_finite(out, f"activations after {layer.name or type(layer).__name__}")
             if pos in tap_at:
                 tapped[tap_at[pos]] = out
@@ -341,7 +363,7 @@ class Network:
             if layer.inplace and any(np.may_share_memory(g, a) for a in held):
                 g = g.copy()
             g = layer.backward(g)
-            if self.finite_checks:
+            if self.finite_checks and pos in self._checked_backward:
                 check_finite(g, f"gradient through {layer.name or type(layer).__name__}")
         return captured
 

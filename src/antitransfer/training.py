@@ -12,8 +12,9 @@ in parallel on every batch, just cheaper.
 from __future__ import annotations
 
 import csv
+import os
 import time
-from concurrent.futures import Executor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -132,21 +133,63 @@ class TrainResult:
 
 # Evaluation, validation and the extractor precompute run the network over
 # blocks of `Network.eval_block` samples and reduce each block's logits and
-# tapped maps before the next, so no whole-batch map is built.
+# tapped maps before the next, so no whole-batch map is built. The blocks are
+# spread over every CPU the process may run on (`_map_blocks`); the block
+# partition does not depend on how many there are, and the blocks' results
+# are folded in block order, so neither do the outputs.
+
+def _eval_workers() -> int:
+    """Threads a pass over blocks runs on: one per CPU in the affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, n: int, block: int) -> list:
+    """[fn(rows) for each slice `rows` of `block` consecutive samples of n],
+    in block order.
+
+    The calling thread runs the first contiguous share of the blocks, and a
+    pool thread per further worker (`_eval_workers`) the next share each;
+    numpy releases the GIL in the matmuls, ufuncs and copies that take most
+    of a block's time. The pool is joined before the call returns. A share
+    stops at its first failing block, and the error of the lowest failing
+    share is raised: that of the first failing block in block order. What
+    the later shares return or raise is not needed and is dropped."""
+    blocks = [slice(a, a + block) for a in range(0, n, block)]
+    workers = min(_eval_workers(), len(blocks))
+
+    def run(share):
+        return [fn(rows) for rows in share]
+
+    if workers <= 1:
+        return run(blocks)
+    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+    shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="eval-block") as pool:
+        rest = [pool.submit(run, share) for share in shares[1:]]
+        results = run(shares[0])
+        for future in rest:
+            results += future.result()
+    return results
+
 
 def evaluate(net: Network, x: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> Tuple[float, np.ndarray]:
     """Eval-mode accuracy and confusion matrix (rows = true class), over
     blocks of at most `batch_size` samples."""
     n_classes = net.arch.n_classes
-    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    block = min(batch_size, net.eval_block)
-    for start in range(0, len(x), block):
-        rows = slice(start, start + block)
-        yb = labels[rows]
-        logits, _ = net.forward(x[rows], record=False)
-        pred = logits.argmax(axis=1)
-        np.add.at(confusion, (yb, pred), 1)
+
+    def block_confusion(rows):
+        pred = net.forward(x[rows], record=False)[0].argmax(axis=1)
+        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+        np.add.at(confusion, (labels[rows], pred), 1)
+        return confusion
+
+    confusion = sum(_map_blocks(block_confusion, len(x),
+                                min(batch_size, net.eval_block)),
+                    np.zeros((n_classes, n_classes), dtype=np.int64))
     correct = int(np.trace(confusion))
     return correct / max(len(x), 1), confusion
 
@@ -163,7 +206,8 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
     Returns (logits, ce, {layer: at value}, dlogits, {layer: gradient to
     inject at that tap}); a zero-weight term has a value but no gradient.
     The trainer, validation and the gradient oracle all call this; with
-    `record` false the forward keeps nothing for `net.backward`.
+    `record` false the forward keeps nothing for `net.backward` and no tap
+    gradient is computed.
     """
     taps = at_cfg.layers if at_cfg else ()
     logits, tapped = net.forward(xb, train=train, rng=rng, taps=taps,
@@ -171,7 +215,8 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
     ce, dlogits = cross_entropy_and_grad(logits, yb)
     at_vals, tap_grads = {}, {}
     for k in taps:
-        at_vals[k], grad = _at_term(tapped[k], aggs[k][rows], at_cfg, sign)
+        at_vals[k], grad = _at_term(tapped[k], aggs[k][rows], at_cfg, sign,
+                                    record)
         if grad is not None:
             tap_grads[k] = grad
     return logits, ce, at_vals, dlogits, tap_grads
@@ -180,20 +225,23 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
 def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
                  agg_cache: Optional[Dict[int, np.ndarray]], sign: float = 1.0):
     """Validation cross-entropy, accuracy and per-layer anti-transfer terms."""
-    total_ce = 0.0
-    correct = 0
-    at_sums = {k: 0.0 for k in (at_cfg.layers if at_cfg else ())}
-    block = net.eval_block
-    for start in range(0, len(x), block):
-        rows = slice(start, start + block)
+
+    def block_losses(rows):
         yb = labels[rows]
         logits, ce, at_vals, _, _ = batch_objective(net, x[rows], yb, at_cfg,
                                                     agg_cache, rows, record=False,
                                                     sign=sign)
-        total_ce += ce * len(yb)
-        correct += int((logits.argmax(axis=1) == yb).sum())
+        return len(yb), ce, int((logits.argmax(axis=1) == yb).sum()), at_vals
+
+    total_ce = 0.0
+    correct = 0
+    at_sums = {k: 0.0 for k in (at_cfg.layers if at_cfg else ())}
+    for n_b, ce, correct_b, at_vals in _map_blocks(block_losses, len(x),
+                                                   net.eval_block):
+        total_ce += ce * n_b
+        correct += correct_b
         for k, val in at_vals.items():
-            at_sums[k] += val * len(yb)
+            at_sums[k] += val * n_b
     n = max(len(x), 1)
     return (total_ce / n, correct / n, {k: v / n for k, v in at_sums.items()})
 
@@ -205,13 +253,13 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
 def _precompute_extractor_aggs(extractor: Network, x: np.ndarray,
                                at_cfg: ATConfig) -> Dict[int, np.ndarray]:
     """Per-sample aggregated representations of the frozen extractor."""
-    out: Dict[int, List[np.ndarray]] = {k: [] for k in at_cfg.layers}
-    block = extractor.eval_block
-    for start in range(0, len(x), block):
-        tapped = extractor.tap_features(x[start:start + block], at_cfg.layers)
-        for k, fmap in tapped.items():
-            out[k].append(aggregate(fmap, at_cfg.aggregation))
-    return {k: np.concatenate(chunks) for k, chunks in out.items()}
+
+    def block_aggs(rows):
+        tapped = extractor.tap_features(x[rows], at_cfg.layers)
+        return {k: aggregate(fmap, at_cfg.aggregation) for k, fmap in tapped.items()}
+
+    blocks = _map_blocks(block_aggs, len(x), extractor.eval_block)
+    return {k: np.concatenate([b[k] for b in blocks]) for k in at_cfg.layers}
 
 
 def _check_extractor_compatible(net: Network, extractor: Network,

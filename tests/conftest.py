@@ -1,9 +1,11 @@
 """Shared fixtures: a small synthetic dataset and an orthogonal-task
-checkpoint, generated once per session."""
+checkpoint, generated once per session, and a guard that fails any test
+leaving a thread running."""
 
 from dataclasses import replace
 
 import importlib
+import threading
 
 import pytest
 
@@ -17,6 +19,17 @@ TINY_SPEC = SynthSpec(n_target_classes=4, n_orth_classes=4,
                       samples_per_split=(60, 20, 40),
                       train_correlation=0.9, test_correlation=0.0,
                       image_size=(16, 17), noise_sigma=0.1, seed=42)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fails a test that leaves a non-daemon thread running: the evaluation
+    pool, like any other, must be joined before its call returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t not in before and not t.daemon and t.is_alive()]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -203,6 +203,21 @@ class TestATLoss:
         assert le == pytest.approx(-lp)
         assert np.array_equal(ge, -gp)
 
+    @pytest.mark.parametrize("aggregation", ["gram", "mean", "max"])
+    @pytest.mark.parametrize("similarity", ["squared_cosine", "sigmoid_mse"])
+    def test_value_without_the_gradient_is_the_same(self, aggregation,
+                                                    similarity):
+        rng = np.random.default_rng(5)
+        ft = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
+        agg = aggregate(rng.standard_normal((3, 4, 5, 6)).astype(np.float32),
+                        aggregation)
+        cfg = ATConfig(layers=(1,), beta=0.7, similarity=similarity,
+                       aggregation=aggregation)
+        for sign in (1.0, -1.0):
+            loss, grad = at_loss_and_grad(ft, agg, cfg, sign)
+            assert grad is not None
+            assert at_loss_and_grad(ft, agg, cfg, sign, False) == (loss, None)
+
     def test_shape_mismatch_is_architecture_error(self):
         # maps differing only spatially give Grams of equal shape; a channel
         # count mismatch is what reaches the loss
@@ -290,6 +305,10 @@ class TestTotalLoss:
             val, grad = at_loss_and_grad(tapped[k], aggs[k][rows], cfg)
             assert at_vals[k] == val > 0
             assert np.array_equal(tap_grads[k], grad)
+        # without recording, the same values and no tap gradient
+        _, ce_eval, at_eval, _, no_grads = batch_objective(
+            net, x[rows], labels[rows], cfg, aggs, rows, record=False)
+        assert (ce_eval, at_eval, no_grads) == (ce, at_vals, {})
 
     def test_empty_at_set_is_plain_cross_entropy(self):
         net = tiny_net(3)

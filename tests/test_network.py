@@ -270,6 +270,18 @@ class TestDepthFirstEval:
                                   for a in starts])
             assert got.tobytes() == want_taps[1].tobytes()
 
+    def test_a_forward_that_does_not_record_only_clears_caches(self):
+        """What lets forwards that do not record run concurrently on one
+        network: they set no layer attribute but the caches they clear."""
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
+        x = np.random.default_rng(4).standard_normal((5, 1, 32, 37)).astype(np.float32)
+        net.forward(x)
+        before = [dict(vars(layer)) for layer in net.layers]
+        net.forward(x[:3], taps=(1, 2), record=False)
+        for layer, old in zip(net.layers, before):
+            for name, value in vars(layer).items():
+                assert value is old.get(name) or value is None, (layer.name, name)
+
     @staticmethod
     def _overflowing_net():
         """vgg-tiny, float32, whose conv 1 and conv 2 each have a channel of

@@ -3,6 +3,9 @@ frozen-extractor guarantee, dual anti-transfer plumbing, and run artifacts."""
 
 import csv
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,6 +18,15 @@ from antitransfer.data import load_split_dir
 from antitransfer.losses import ATConfig
 from antitransfer.training import TrainConfig, evaluate
 from antitransfer.network import build, conv_feature_shapes, preset
+
+
+@pytest.fixture
+def eval_workers(monkeypatch):
+    """Pins the number of threads a pass over evaluation blocks runs on:
+    `eval_workers(n)`."""
+    def pin(n):
+        monkeypatch.setattr(training, "_eval_workers", lambda: n)
+    return pin
 
 
 def cfg_for(strategy, checkpoint=None, layers=(2,), seed=3, epochs=3, **kw):
@@ -267,22 +279,35 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
-def _conv1_batches(net, monkeypatch):
-    """The batch sizes conv 1's forward is called with, from now on."""
+def _row_of(part, whole):
+    """The row of `whole` that equals `part`'s first row; there must be one."""
+    rows = [i for i in range(len(whole)) if whole[i].tobytes() == part[0].tobytes()]
+    assert len(rows) == 1
+    return rows[0]
+
+
+def _conv1_blocks(net, x, monkeypatch):
+    """(start, length) of each block of `x` that conv 1's forward is called
+    with from now on, and the thread it ran on, in completion order."""
     conv1 = net.conv_layers()[0]
     seen, forward = [], conv1.forward
-    monkeypatch.setattr(conv1, "forward",
-                        lambda x, *a, **kw: seen.append(len(x)) or forward(x, *a, **kw))
+
+    def record(xb, *a, **kw):
+        seen.append((_row_of(xb, x), len(xb), threading.current_thread()))
+        return forward(xb, *a, **kw)
+    monkeypatch.setattr(conv1, "forward", record)
     return seen
 
 
 class TestForwardWithoutRecording:
-    def test_eval_loops_run_blocks_of_eval_block_samples(self, monkeypatch):
+    def test_eval_loops_run_blocks_of_eval_block_samples(self, monkeypatch,
+                                                          eval_workers):
         """evaluate, _eval_losses and the extractor precompute each run the
-        network over blocks of `eval_block` samples (13 = 5 + 5 + 3). The
-        maps they score and aggregate keep the bytes of a whole-batch
-        recording forward; confusion and accuracy equal its, and the
-        cross-entropy and anti-transfer terms agree within rtol 1e-6."""
+        network over blocks of `eval_block` samples (13 = 5 + 5 + 3), here on
+        two threads. The maps they score and aggregate keep the bytes of a
+        whole-batch recording forward; confusion and accuracy equal its, and
+        the cross-entropy and anti-transfer terms agree within rtol 1e-6."""
+        eval_workers(2)
         hw = (32, 37)
         net = build(preset("vgg-tiny", hw, 4), seed=3, dtype=np.float32)
         extractor = build(preset("vgg-tiny", hw, 4), seed=4, dtype=np.float32)
@@ -295,18 +320,30 @@ class TestForwardWithoutRecording:
         _, ext_taps = extractor.forward(x, taps=at_cfg.layers)
         want_aggs = {k: losses.aggregate(f, at_cfg.aggregation)
                      for k, f in ext_taps.items()}
+        # (layer, first row, map) per anti-transfer term scored; the layer is
+        # told by the map's shape, the row by the extractor aggregates'
+        layer_of = {f.shape[1:]: k for k, f in taps.items()}
         scored, at_term = [], training._at_term
-        monkeypatch.setattr(training, "_at_term", lambda fmap, *a: (
-            scored.append(fmap) or at_term(fmap, *a)))
-        seen = [_conv1_batches(n, monkeypatch) for n in (net, extractor)]
+
+        def score(fmap, agg_rows, *a):
+            k = layer_of[fmap.shape[1:]]
+            scored.append((k, _row_of(agg_rows, want_aggs[k]), fmap))
+            return at_term(fmap, agg_rows, *a)
+        monkeypatch.setattr(training, "_at_term", score)
+        seen = [_conv1_blocks(n, x, monkeypatch) for n in (net, extractor)]
 
         aggs = training._precompute_extractor_aggs(extractor, x, at_cfg)
         val_ce, val_acc, val_at = training._eval_losses(net, x, y, at_cfg, aggs)
         acc, confusion = evaluate(net, x, y)
-        assert seen == [[5, 5, 3] * 2, [5, 5, 3]]
-        for i, k in enumerate(at_cfg.layers):
+        blocks = [(0, 5), (5, 5), (10, 3)]
+        assert sorted(b[:2] for b in seen[0]) == sorted(blocks * 2)
+        assert sorted(b[:2] for b in seen[1]) == blocks
+        for k in at_cfg.layers:
             assert aggs[k].tobytes() == want_aggs[k].tobytes()
-            got = np.concatenate(scored[i::len(at_cfg.layers)])
+            parts = sorted(((row, fmap) for layer, row, fmap in scored
+                            if layer == k), key=lambda part: part[0])
+            assert [row for row, _ in parts] == [0, 5, 10]
+            got = np.concatenate([fmap for _, fmap in parts])
             assert got.tobytes() == taps[k].tobytes()
             np.testing.assert_allclose(
                 val_at[k], at_term(taps[k], want_aggs[k], at_cfg)[0], rtol=1e-6)
@@ -317,11 +354,96 @@ class TestForwardWithoutRecording:
         np.testing.assert_allclose(
             val_ce, losses.cross_entropy_and_grad(logits, y)[0], rtol=1e-6)
 
-    def test_precompute_and_validation_never_hold_a_whole_batch_map(self):
+    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                        eval_workers):
+        """evaluate, _eval_losses and the extractor precompute give the same
+        bytes on 1, 2 and 3 threads, over 7 blocks (13 = 6 x 2 + 1), which
+        neither 2 nor 3 divides; with threads switching every 10 us."""
+        hw = (32, 37)
+        net = build(preset("vgg-tiny", hw, 4), seed=5, dtype=np.float32)
+        extractor = build(preset("vgg-tiny", hw, 4), seed=6, dtype=np.float32)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 2 * net._sample_bytes)
+        x = np.random.default_rng(9).standard_normal((13, 1, *hw)).astype(np.float32)
+        y = np.arange(13) % 4
+        at_cfg = ATConfig(layers=(2, 4), beta=1.0)
+
+        def outputs():
+            aggs = training._precompute_extractor_aggs(extractor, x, at_cfg)
+            acc, confusion = evaluate(net, x, y)
+            return ({k: a.tobytes() for k, a in aggs.items()},
+                    training._eval_losses(net, x, y, at_cfg, aggs, sign=-1.0),
+                    acc, confusion.tolist())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            got = {}
+            for n in (1, 2, 3):
+                eval_workers(n)
+                got[n] = outputs()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[1] == got[2] == got[3]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("fails", [None, 0, -1])
+    @pytest.mark.parametrize("run", ["evaluate", "_eval_losses",
+                                     "_precompute_extractor_aggs"])
+    def test_no_thread_outlives_a_pass(self, run, fails, monkeypatch,
+                                       eval_workers):
+        """On two threads, each pass runs blocks on both and joins the pool
+        before it returns, or raises from a block on either thread."""
+        eval_workers(2)
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=2, dtype=np.float32)
+        net.conv_layers()[0].W[0] = 1.0   # 1e38 in a sample overflows conv 1
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 2 * net._sample_bytes)
+        x = np.random.default_rng(7).standard_normal((8, 1, 32, 37)).astype(np.float32)
+        if fails is not None:
+            x[fails] = 1e38
+        y = np.arange(8) % 4
+        at_cfg = ATConfig(layers=(1,), beta=1.0)
+        aggs = {1: np.ones((8, 16, 16), np.float32)}
+        call = {"evaluate": lambda: evaluate(net, x, y),
+                "_eval_losses": lambda: training._eval_losses(net, x, y,
+                                                              at_cfg, aggs),
+                "_precompute_extractor_aggs":
+                    lambda: training._precompute_extractor_aggs(net, x, at_cfg),
+                }[run]
+        seen = _conv1_blocks(net, x, monkeypatch)
+        if fails is None:
+            call()
+        else:
+            with pytest.raises(L.NonFiniteError, match="after conv1$"):
+                call()
+        threads = {thread for _, _, thread in seen}
+        assert threading.current_thread() in threads and len(threads) == 2
+        assert not any(t.is_alive() for t in threads
+                       if t is not threading.current_thread())
+
+    def test_one_cpu_runs_every_block_on_the_caller_in_order(self, monkeypatch):
+        """With one CPU in the affinity mask no thread starts: the blocks
+        run on the calling thread, in order."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert training._eval_workers() == 1
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 3 * net._sample_bytes)
+        x = np.random.default_rng(5).standard_normal((10, 1, 32, 37)).astype(np.float32)
+        seen = _conv1_blocks(net, x, monkeypatch)
+        started = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "start", None)  # no thread starts
+        evaluate(net, x, np.arange(10) % 4)
+        assert threading.active_count() == started
+        assert seen == [(a, min(3, 10 - a), threading.current_thread())
+                        for a in (0, 3, 6, 9)]
+
+    def test_precompute_and_validation_never_hold_a_whole_batch_map(
+            self, eval_workers):
         """With the anti-transfer tap at conv 1 at 126x129, the extractor
         precompute of 39 samples peaks below a quarter of their conv 1 map
         (40 MB), and validation of 13 below theirs (13.5 MB): each block's
         maps are reduced before the next block runs."""
+        eval_workers(2)
         hw = (126, 129)
         net = build(preset("vgg-tiny", hw, 4), seed=0, dtype=np.float32)
         extractor = build(preset("vgg-tiny", hw, 4), seed=1, dtype=np.float32)
@@ -338,7 +460,8 @@ class TestForwardWithoutRecording:
             net, x, y, at_cfg, aggs)) < len(x) * sample_map
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_evaluation_stops_at_the_first_block_that_fails(self, monkeypatch):
+    def test_evaluation_stops_at_the_first_block_that_fails(self, monkeypatch,
+                                                            eval_workers):
         """Sample 0 overflows only at conv 2, the last sample at conv 1.
         Over blocks of one sample, evaluation names conv 2, where its first
         block fails; a forward of the whole batch names conv 1."""
@@ -349,15 +472,17 @@ class TestForwardWithoutRecording:
         x[0] += np.float32(1e37)
         x[-1] = 1e38
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 1)
+        eval_workers(2)
         with pytest.raises(L.NonFiniteError, match="after conv2$"):
             evaluate(net, x, np.arange(6) % 4)
         with pytest.raises(L.NonFiniteError, match="after conv1$"):
             net.forward(x, record=False)
 
-    def test_eval_forward_holds_conv1_output_once(self):
+    def test_eval_forward_holds_conv1_output_once(self, eval_workers):
         """An eval batch peaks below two whole-batch conv 1 outputs. Its
         blocks of samples keep that peak low: it never holds conv 1's
         output for the whole batch (with or without the in-place ReLU)."""
+        eval_workers(2)
         net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal(
             (8, 1, 126, 129)).astype(np.float32)
@@ -366,10 +491,12 @@ class TestForwardWithoutRecording:
         c, h, w = conv_feature_shapes(net.arch)[0]
         assert peak < 2 * 8 * c * h * w * x.itemsize
 
-    def test_eval_batch_peaks_below_a_quarter_of_conv1s_map(self):
+    def test_eval_batch_peaks_below_a_quarter_of_conv1s_map(self,
+                                                            eval_workers):
         """Evaluation runs in cache-sized blocks of samples: evaluating 64
         spectrograms at 126x129 never holds a whole-batch conv 1 map
         (64 MB), nor a quarter of one."""
+        eval_workers(2)
         net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
         x = np.random.default_rng(0).standard_normal(
             (64, 1, 126, 129)).astype(np.float32)
@@ -384,9 +511,10 @@ class TestForwardWithoutRecording:
         assert peak < 16e6 < len(x) * c * h * w * x.itemsize / 4
 
     def test_evaluation_gives_the_bytes_of_a_recording_forward(
-            self, tiny_data_dir, orth_checkpoint, monkeypatch):
+            self, tiny_data_dir, orth_checkpoint, monkeypatch, eval_workers):
         """evaluate, _eval_losses and tap_features keep nothing for a
-        backward, and their outputs equal a recording forward's."""
+        backward, and their outputs equal a recording forward's. Recording
+        forwards must run alone: the reference runs on one thread."""
         data = load_split_dir(tiny_data_dir)
         x = data["val"].x.astype(np.float32)
         y = data["val"].labels_for("target")
@@ -410,6 +538,7 @@ class TestForwardWithoutRecording:
 
         aggs = {k: losses.aggregate(f, at_cfg.aggregation)
                 for k, f in feats.items()}
+        eval_workers(2)
         got = (evaluate(net, x, y, batch_size=7),
                training._eval_losses(net, x, y, at_cfg, aggs))
         with pytest.raises(RuntimeError, match="recording forward"):
@@ -417,6 +546,7 @@ class TestForwardWithoutRecording:
         forward = type(net).forward
         monkeypatch.setattr(net, "forward", lambda *a, **kw: forward(
             net, *a, **{**kw, "record": True}))
+        eval_workers(1)
         want = (evaluate(net, x, y, batch_size=7),
                 training._eval_losses(net, x, y, at_cfg, aggs))
         net.backward(dlogits)
