@@ -32,7 +32,7 @@ from .config import ConfigError, ExperimentConfig, prepare_data
 from .data import read_sample
 from .gradcheck import run_oracle_suite
 from .layers import NonFiniteError
-from .losses import AGGREGATIONS, SIMILARITIES, estimate_memory
+from .losses import AGGREGATIONS, estimate_memory
 from .network import PRESETS, preset
 from .training import TrainingDivergedError
 
@@ -58,7 +58,6 @@ def _add_at_flags(p):
                    metavar="N", help="conv layer for the anti-transfer term "
                    "(repeat for multi-layer)")
     p.add_argument("--beta", type=float, help="anti-transfer loss weight")
-    p.add_argument("--similarity", choices=SIMILARITIES)
     p.add_argument("--aggregation", choices=AGGREGATIONS)
     p.add_argument("--checkpoint", action="append", default=None, metavar="PATH",
                    help="pretrained orthogonal checkpoint (order matters for "
@@ -138,7 +137,7 @@ def _resolve_config(args, with_at_flags: bool) -> ExperimentConfig:
     at = {}
     if with_at_flags:
         at = _given(layers=args.at_layer, beta=args.beta,
-                    similarity=args.similarity, aggregation=args.aggregation)
+                    aggregation=args.aggregation)
         overrides.update(_given(pretrained_checkpoints=args.checkpoint,
                                 strategy=_STRATEGY_FLAGS.get(args.strategy)))
     # one replace: the strategy/checkpoint pairing is checked once, on the

@@ -15,7 +15,8 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from . import layers as L
-from .losses import ATConfig, aggregate, at_loss_and_grad, cross_entropy_and_grad
+from .losses import (AGGREGATIONS, ATConfig, aggregate, at_loss_and_grad,
+                     cross_entropy_and_grad)
 from .network import ArchConfig, Network, build
 from .training import batch_objective
 
@@ -125,9 +126,9 @@ def _two_conv_net(seed: int = 0, n_classes: int = 3) -> Network:
     return build(arch, seed=seed, dtype=np.float64)
 
 
-def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
-                         tolerance: float = 1e-4, h: float = 1e-5,
-                         beta: float = 1.0, sign: float = 1.0) -> GradCheckReport:
+def total_loss_gradcheck(at_layer: int, seed: int = 0, tolerance: float = 1e-4,
+                         h: float = 1e-5, beta: float = 1.0,
+                         sign: float = 1.0) -> GradCheckReport:
     """Check d(total objective)/d(every trainable parameter) on a two-conv
     network with the anti-transfer term of sign `sign` (-1 for at_inverse)
     on one layer. Both the loss and the analytic gradient come from
@@ -136,14 +137,8 @@ def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
     extractor = _two_conv_net(seed=seed + 101)
     rng = np.random.default_rng(seed + 7)
     x = rng.standard_normal((2, 1, 8, 9))
-    if similarity == "sigmoid_mse":
-        # On unit-scale inputs the Grams differ by an MSE in the hundreds, the
-        # sigmoid saturates and the anti-transfer gradient vanishes, so the
-        # check would pass whatever that gradient is. A quarter of the input
-        # brings the MSE to about 1 at both taps.
-        x *= 0.25
     labels = np.array([0, 2])
-    cfg = ATConfig(layers=(at_layer,), beta=beta, similarity=similarity)
+    cfg = ATConfig(layers=(at_layer,), beta=beta)
 
     ptaps = extractor.tap_features(x, cfg.layers)
     paggs = {k: aggregate(ptaps[k], cfg.aggregation) for k in cfg.layers}
@@ -156,7 +151,7 @@ def total_loss_gradcheck(at_layer: int, similarity: str, seed: int = 0,
     _, _, _, dce, inject = batch_objective(net, x, labels, cfg, paggs, sign=sign)
     net.backward(dce, tap_grad_in=inject)
     inverse = ", at_inverse sign" if sign < 0 else ""
-    name = f"total objective (AT layer {at_layer}, {similarity}{inverse})"
+    name = f"total objective (AT layer {at_layer}, squared_cosine{inverse})"
     return gradcheck(loss_fn, list(net.params.values()),
                      list(net.grads.values()), h=h, tolerance=tolerance,
                      name=name)
@@ -210,33 +205,26 @@ def run_oracle_suite() -> List[GradCheckReport]:
     reports.append(gradcheck(ce_fn, [scores], [dce], h=1e-5, tolerance=1e-6,
                              name="softmax cross-entropy (3 classes)"))
 
-    # anti-transfer loss w.r.t. the trained feature map, all variants; inputs
-    # are positive (comp_mul-safe) and scaled so sigmoid_mse stays off its
-    # saturated tails and the check is not vacuously zero-gradient
-    base_t = rng.standard_normal((2, 4, 5, 6)) ** 2 + 0.05
-    base_p = rng.standard_normal((2, 4, 5, 6)) ** 2 + 0.05
-    for aggregation in ("gram", "mean", "sum", "max", "comp_mul"):
-        for similarity in ("squared_cosine", "sigmoid_mse"):
-            scale = 0.35 if (similarity == "sigmoid_mse"
-                             and aggregation in ("gram", "sum")) else 1.0
-            ft = base_t * scale
-            cfg = ATConfig(layers=(1,), beta=1.3, similarity=similarity,
-                           aggregation=aggregation)
-            agg_p = aggregate(base_p * scale, aggregation)
+    # anti-transfer loss w.r.t. the trained feature map, each aggregation;
+    # inputs are positive like the post-ReLU maps the network taps
+    ft = rng.standard_normal((2, 4, 5, 6)) ** 2 + 0.05
+    fp = rng.standard_normal((2, 4, 5, 6)) ** 2 + 0.05
+    for aggregation in AGGREGATIONS:
+        cfg = ATConfig(layers=(1,), beta=1.3, aggregation=aggregation)
+        agg_p = aggregate(fp, aggregation)
 
-            def at_fn(ft=ft, agg_p=agg_p, cfg=cfg):
-                return at_loss_and_grad(ft, agg_p, cfg)[0]
+        def at_fn(agg_p=agg_p, cfg=cfg):
+            return at_loss_and_grad(ft, agg_p, cfg)[0]
 
-            _, g = at_loss_and_grad(ft, agg_p, cfg)
-            reports.append(gradcheck(
-                at_fn, [ft], [g], h=1e-5, tolerance=1e-4,
-                name=f"anti-transfer loss ({aggregation} + {similarity})"))
+        _, g = at_loss_and_grad(ft, agg_p, cfg)
+        reports.append(gradcheck(
+            at_fn, [ft], [g], h=1e-5, tolerance=1e-4,
+            name=f"anti-transfer loss ({aggregation} + squared_cosine)"))
 
     # whole objective through a small network, each conv layer in turn,
     # then once with the at_inverse sign
     for at_layer in (1, 2):
-        for similarity in ("squared_cosine", "sigmoid_mse"):
-            reports.append(total_loss_gradcheck(at_layer, similarity))
-    reports.append(total_loss_gradcheck(1, "squared_cosine", sign=-1.0))
+        reports.append(total_loss_gradcheck(at_layer))
+    reports.append(total_loss_gradcheck(1, sign=-1.0))
 
     return reports

@@ -1,12 +1,12 @@
-"""Anti-transfer loss: channel aggregation, similarity measures, the
-cross-entropy, and the training-time memory estimator. The two terms are
+"""Anti-transfer loss: channel aggregation, the squared-cosine similarity,
+the cross-entropy, and the training-time memory estimator. The two terms are
 combined into the training objective by `training.batch_objective`.
 
 The anti-transfer term of one conv layer compares the layer's feature map in
 the network being trained against the same layer of a frozen network that was
 pre-trained on an orthogonal task. Feature maps are aggregated per sample
-(channel-wise Gram matrix by default), compared with a similarity function
-(squared cosine by default), averaged over the batch and scaled by beta.
+(channel-wise Gram matrix by default, or the channel mean or max), compared by
+squared cosine, averaged over the batch and scaled by beta.
 The term's sign is an argument: +1 penalizes similarity (anti-transfer),
 -1 encourages it (the `at_inverse` strategy). Gradients flow into the
 trained network only; the pre-trained side is a constant.
@@ -23,11 +23,9 @@ import numpy as np
 from .layers import ShapeError
 from .network import ArchConfig, conv_feature_shapes
 
-SIMILARITIES = ("squared_cosine", "sigmoid_mse")
-AGGREGATIONS = ("gram", "mean", "sum", "max", "comp_mul")
+AGGREGATIONS = ("gram", "mean", "max")
 
 DEGENERATE_NORM = 1e-12  # below this a Gram/aggregate is treated as all-zero
-COMP_MUL_EXPONENT = 0.001
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,6 @@ class ATConfig:
 
     layers: Tuple[int, ...] = (1,)
     beta: float = 1.0
-    similarity: str = "squared_cosine"
     aggregation: str = "gram"
 
     def __post_init__(self):
@@ -47,8 +44,6 @@ class ATConfig:
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValueError(f"beta must be a finite number >= 0, got {self.beta} "
                              "(the at_inverse strategy flips the sign)")
-        if self.similarity not in SIMILARITIES:
-            raise ValueError(f"similarity must be one of {SIMILARITIES}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
 
@@ -77,24 +72,15 @@ def gram(feature: np.ndarray) -> np.ndarray:
 def aggregate(feature: np.ndarray, kind: str) -> np.ndarray:
     """Per-sample channel reduction of a (batch, c, x, y) map.
 
-    gram returns (batch, c, c) channel Gram matrices; mean, sum, max and
-    comp_mul reduce pixel-wise over channels to a (batch, x, y) map.
-    comp_mul compresses each value to v**0.001 before multiplying along the
-    channel axis, so products of many small activations do not round to zero;
-    it requires nonnegative inputs.
+    gram returns (batch, c, c) channel Gram matrices; mean and max reduce
+    pixel-wise over channels to a (batch, x, y) map.
     """
     if feature.ndim != 4:
         raise ShapeError(f"expected (batch, c, x, y), got {feature.shape}")
     if kind == "mean":
         return feature.mean(axis=1)
-    if kind == "sum":
-        return feature.sum(axis=1)
     if kind == "max":
         return feature.max(axis=1)
-    if kind == "comp_mul":
-        if np.any(feature < 0):
-            raise ValueError("comp_mul requires nonnegative activations")
-        return np.prod(feature ** COMP_MUL_EXPONENT, axis=1)
     if kind == "gram":
         return gram(feature)
     raise ValueError(f"unknown aggregation {kind!r}")
@@ -114,22 +100,12 @@ def _aggregate_with_grad(feature: np.ndarray, kind: str):
     elif kind == "mean":
         def pullback(da):
             return np.repeat(da[:, None] / c, c, axis=1)
-    elif kind == "sum":
-        def pullback(da):
-            return np.repeat(da[:, None], c, axis=1)
-    elif kind == "max":
+    else:  # max
         def pullback(da):
             df = np.zeros_like(feature)
             np.put_along_axis(df, feature.argmax(axis=1)[:, None], da[:, None],
                               axis=1)
             return df
-    else:  # comp_mul
-        def pullback(da):
-            # d prod / d v_c = a * prod / v_c for v_c > 0; zero activations get
-            # a zero subgradient (the true derivative is unbounded there)
-            pos = feature > 0
-            safe = np.where(pos, feature, 1.0)
-            return da[:, None] * COMP_MUL_EXPONENT * out[:, None] / safe * pos
     return out, pullback
 
 
@@ -137,40 +113,26 @@ def _aggregate_with_grad(feature: np.ndarray, kind: str):
 # Similarity
 # ---------------------------------------------------------------------------
 
-def similarity(v: np.ndarray, w: np.ndarray, kind: str
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row similarity of (batch, m) arrays, and its gradient w.r.t. v.
+def similarity(v: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row squared cosine of (batch, m) arrays, and its gradient w.r.t. v.
 
-    squared_cosine is the squared cosine of each row pair, in [0, 1]; a row
-    whose norm is below 1e-12 is treated as maximally dissimilar (0, zero
-    gradient) rather than dividing by ~0. sigmoid_mse is the logistic of the
-    negative mean squared error: 0.5 at equality, falling monotonically
-    towards 0 as the rows move apart.
+    Each value is in [0, 1]. A row whose norm is below 1e-12 is treated as
+    maximally dissimilar (0, zero gradient) rather than dividing by ~0.
     """
     if v.shape != w.shape:
         raise ShapeError(f"shape mismatch {v.shape} vs {w.shape}")
-    if kind == "squared_cosine":
-        nv = np.linalg.norm(v, axis=1)
-        nw = np.linalg.norm(w, axis=1)
-        ok = (nv >= DEGENERATE_NORM) & (nw >= DEGENERATE_NORM)
-        nv_safe = np.where(ok, nv, 1.0)
-        nw_safe = np.where(ok, nw, 1.0)
-        dot = np.einsum("bm,bm->b", v, w)
-        cos = np.where(ok, dot / (nv_safe * nw_safe), 0.0)
-        sim = cos * cos
-        dv = 2.0 * cos[:, None] * (w / (nv_safe * nw_safe)[:, None]
-                                   - cos[:, None] * v / (nv_safe ** 2)[:, None])
-        dv *= ok[:, None]
-        return sim, dv
-    if kind == "sigmoid_mse":
-        m = v.shape[1]
-        diff = v - w
-        mse = np.mean(diff * diff, axis=1)
-        e = np.exp(-mse)  # mse >= 0: overflow-safe
-        sim = e / (1.0 + e)
-        dv = (sim * (1.0 - sim))[:, None] * (-2.0 / m) * diff
-        return sim, dv
-    raise ValueError(f"unknown similarity {kind!r}")
+    nv = np.linalg.norm(v, axis=1)
+    nw = np.linalg.norm(w, axis=1)
+    ok = (nv >= DEGENERATE_NORM) & (nw >= DEGENERATE_NORM)
+    nv_safe = np.where(ok, nv, 1.0)
+    nw_safe = np.where(ok, nw, 1.0)
+    dot = np.einsum("bm,bm->b", v, w)
+    cos = np.where(ok, dot / (nv_safe * nw_safe), 0.0)
+    sim = cos * cos
+    dv = 2.0 * cos[:, None] * (w / (nv_safe * nw_safe)[:, None]
+                               - cos[:, None] * v / (nv_safe ** 2)[:, None])
+    dv *= ok[:, None]
+    return sim, dv
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +146,8 @@ def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
 
     agg_pretrained is aggregate(pretrained_map, config.aggregation): the
     frozen side is a constant of the run, so callers aggregate it once. The
-    trained map is aggregated per sample, compared with the configured
-    similarity, averaged over the batch and scaled by sign * beta: sign +1
+    trained map is aggregated per sample, compared by squared cosine,
+    averaged over the batch and scaled by sign * beta: sign +1
     penalizes similarity, -1 encourages it. No gradient exists for the
     pretrained side.
     beta == 0 short-circuits to (0.0, None) so a zero-weight run is
@@ -200,8 +162,7 @@ def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
         raise ShapeError(
             f"aggregated maps disagree: {agg_t.shape} vs {agg_pretrained.shape} "
             "(architectures are incompatible at this layer)")
-    sims, dv = similarity(agg_t.reshape(b, -1), agg_pretrained.reshape(b, -1),
-                          config.similarity)
+    sims, dv = similarity(agg_t.reshape(b, -1), agg_pretrained.reshape(b, -1))
     loss = sign * config.beta * float(np.mean(sims))
     if not with_grad:
         return loss, None
@@ -272,6 +233,10 @@ def estimate_memory(arch: ArchConfig, batch_size: int, at_layers: Sequence[int],
     2 * (batch * channels^2 + batch * channels * x * y) numbers (Gram matrix
     and feature map, for both the trained and the pre-trained network).
     """
+    if batch_size < 1:
+        raise ValueError(f"batch size must be >= 1, got {batch_size}")
+    if bytes_per_number < 1:
+        raise ValueError(f"bytes per number must be >= 1, got {bytes_per_number}")
     shapes = conv_feature_shapes(arch)
     for k in at_layers:
         if not (1 <= k <= len(shapes)):

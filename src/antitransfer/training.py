@@ -12,6 +12,7 @@ in parallel on every batch, just cheaper.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -69,6 +70,13 @@ class TrainConfig:
                              f"choose from {LABEL_FIELDS}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, "
+                                 f"got {value!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
         need = {"at": 1, "at_inverse": 1, "dual_at": 2}.get(self.strategy)
         if need is not None and len(self.pretrained_checkpoints) != need:
             raise ValueError(f"strategy {self.strategy} requires exactly {need} "

@@ -60,7 +60,6 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--strategy", "at",
                      "--checkpoint", str(orth_checkpoint),
                      "--at-layer", "2", "--beta", "1.0",
-                     "--similarity", "squared_cosine",
                      "--aggregation", "gram"])
         assert code == 0
         echoed = json.loads((tmp_path / "run" / "config.json").read_text())
@@ -271,6 +270,21 @@ class TestSweepCommand:
             assert err.count("\n") == 1 and "1..4" in err
         assert not list((tmp_path / "run").glob("layer_*"))
 
+    def test_zero_epochs_exits_2_before_training(self, tmp_path,
+                                                 orth_checkpoint,
+                                                 tiny_data_dir, capsys):
+        cfg_path = write_config(tmp_path, strategy="at",
+                                checkpoints=(orth_checkpoint,),
+                                data_dir=tiny_data_dir)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"]["max_epochs"] = 0
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path), "--betas", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "max_epochs" in err
+        assert not list(tmp_path.rglob("metrics.csv"))
+
     def test_needs_exactly_one_grid(self, tmp_path, orth_checkpoint,
                                     tiny_data_dir):
         cfg = write_config(tmp_path, strategy="at",
@@ -373,6 +387,16 @@ class TestEstimateMemoryCommand:
         assert main(["estimate-memory", "--arch", "vgg16", "--at-layer", "13",
                      "--input-size", "16x16"]) == 2
 
-    def test_out_of_range_layer_exits_2(self):
-        assert main(["estimate-memory", "--arch", "vgg16", "--at-layer", "14",
-                     "--input-size", "126x129"]) == 2
+    @pytest.mark.parametrize("flags", [["--at-layer", "14"],
+                                       ["--at-layer", "1", "--batch", "-4"],
+                                       ["--at-layer", "1", "--batch", "0"],
+                                       ["--at-layer", "1",
+                                        "--bytes-per-number", "0"]],
+                             ids=["layer 14", "batch -4", "batch 0",
+                                  "bytes-per-number 0"])
+    def test_out_of_range_layer_exits_2(self, flags, capsys):
+        assert main(["estimate-memory", "--arch", "vgg16",
+                     "--input-size", "126x129", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert out == ""

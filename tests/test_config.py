@@ -60,8 +60,9 @@ class TestStrictness:
                 ExperimentConfig.load(path)
 
     @pytest.mark.parametrize("key, value", [("betas", [1]),
-                                            ("direction", "encourage")],
-                             ids=["betas", "direction"])
+                                            ("direction", "encourage"),
+                                            ("similarity", "squared_cosine")],
+                             ids=["betas", "direction", "similarity"])
     def test_unknown_at_key_rejected(self, tmp_path, key, value):
         d = make_config().to_dict()
         d["train"]["at"][key] = value

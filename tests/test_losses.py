@@ -6,20 +6,16 @@ import pytest
 
 from antitransfer import layers as L
 from antitransfer.layers import ShapeError
-from antitransfer.losses import (ATConfig, aggregate, at_loss_and_grad,
-                                 cross_entropy_and_grad, estimate_memory, gram,
-                                 similarity)
+from antitransfer.losses import (AGGREGATIONS, ATConfig, aggregate,
+                                 at_loss_and_grad, cross_entropy_and_grad,
+                                 estimate_memory, gram, similarity)
 from antitransfer.network import ArchConfig, build, preset
 from antitransfer.training import batch_objective
 
 
 def squared_cosine(a, b):
     """One pair of flat vectors through the batched similarity."""
-    return float(similarity(a[None], b[None], "squared_cosine")[0][0])
-
-
-def sigmoid_mse(a, b):
-    return float(similarity(a[None], b[None], "sigmoid_mse")[0][0])
+    return float(similarity(a[None], b[None])[0][0])
 
 
 def at_loss(trained, pretrained, cfg):
@@ -82,10 +78,6 @@ class TestGram:
 
 
 class TestAggregate:
-    def test_comp_mul_all_ones(self):
-        f = np.ones((1, 2, 1, 2))
-        assert np.allclose(aggregate(f, "comp_mul"), np.ones((1, 1, 2)))
-
     def test_mean(self):
         f = np.array([[[1.0, 2.0]], [[3.0, 4.0]]]).reshape(1, 2, 1, 2)
         assert np.allclose(aggregate(f, "mean"), [[[2.0, 3.0]]])
@@ -94,13 +86,10 @@ class TestAggregate:
         f = np.array([[[1.0, 2.0]], [[3.0, 4.0]]]).reshape(1, 2, 1, 2)
         assert np.allclose(aggregate(f, "max"), [[[3.0, 4.0]]])
 
-    def test_sum(self):
-        f = np.array([[[1.0, 2.0]], [[3.0, 4.0]]]).reshape(1, 2, 1, 2)
-        assert np.allclose(aggregate(f, "sum"), [[[4.0, 6.0]]])
-
-    def test_comp_mul_rejects_negative(self):
-        with pytest.raises(ValueError):
-            aggregate(-np.ones((1, 2, 2, 2)), "comp_mul")
+    @pytest.mark.parametrize("kind", ["sum", "comp_mul"])
+    def test_removed_aggregations_rejected(self, kind):
+        with pytest.raises(ValueError, match="aggregation must be one of"):
+            ATConfig(aggregation=kind)
 
 
 class TestSimilarities:
@@ -122,30 +111,9 @@ class TestSimilarities:
         assert squared_cosine(np.zeros(4), np.ones(4)) == 0.0
         assert squared_cosine(np.ones(4), np.zeros(4)) == 0.0
 
-    def test_sigmoid_mse_at_equality(self):
-        a = np.array([0.3, -0.7])
-        assert sigmoid_mse(a, a.copy()) == pytest.approx(0.5)
-
-    def test_sigmoid_mse_hand_value(self):
-        # MSE([0],[2]) = 4 -> sigmoid(-4)
-        assert sigmoid_mse(np.array([0.0]), np.array([2.0])) == pytest.approx(
-            1.0 / (1.0 + np.exp(4.0)), rel=1e-9)
-        assert sigmoid_mse(np.array([0.0]), np.array([2.0])) == pytest.approx(
-            0.0180, abs=1e-4)
-
-    def test_sigmoid_mse_limits(self):
-        a = np.zeros(3)
-        assert sigmoid_mse(a, np.full(3, 1e4)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_sigmoid_mse_monotone_in_distance(self):
-        a = np.zeros(5)
-        vals = [sigmoid_mse(a, np.full(5, d)) for d in (0.0, 0.5, 1.0, 2.0, 4.0)]
-        assert all(x > y for x, y in zip(vals, vals[1:]))
-
     def test_shape_mismatch_raises(self):
-        for kind in ("squared_cosine", "sigmoid_mse"):
-            with pytest.raises(ShapeError):
-                similarity(np.zeros((1, 3)), np.zeros((1, 4)), kind)
+        with pytest.raises(ShapeError):
+            similarity(np.zeros((1, 3)), np.zeros((1, 4)))
 
 
 class TestATLoss:
@@ -203,16 +171,13 @@ class TestATLoss:
         assert le == pytest.approx(-lp)
         assert np.array_equal(ge, -gp)
 
-    @pytest.mark.parametrize("aggregation", ["gram", "mean", "max"])
-    @pytest.mark.parametrize("similarity", ["squared_cosine", "sigmoid_mse"])
-    def test_value_without_the_gradient_is_the_same(self, aggregation,
-                                                    similarity):
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    def test_value_without_the_gradient_is_the_same(self, aggregation):
         rng = np.random.default_rng(5)
         ft = rng.standard_normal((3, 4, 5, 6)).astype(np.float32)
         agg = aggregate(rng.standard_normal((3, 4, 5, 6)).astype(np.float32),
                         aggregation)
-        cfg = ATConfig(layers=(1,), beta=0.7, similarity=similarity,
-                       aggregation=aggregation)
+        cfg = ATConfig(layers=(1,), beta=0.7, aggregation=aggregation)
         for sign in (1.0, -1.0):
             loss, grad = at_loss_and_grad(ft, agg, cfg, sign)
             assert grad is not None
@@ -268,7 +233,7 @@ class TestExtractorChannelOrder:
         moved = relabelled.tap_features(x, (k,))[k]
         np.testing.assert_allclose(moved, feats[:, perm], rtol=1e-12, atol=0)
         trained = net.tap_features(x, (k,))[k]
-        for kind in ("gram", "mean", "max", "sum"):
+        for kind in AGGREGATIONS:
             cfg = ATConfig(layers=(k,), aggregation=kind)
             before, now = at_loss(trained, feats, cfg), at_loss(trained, moved, cfg)
             if kind == "gram":

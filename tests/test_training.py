@@ -34,8 +34,10 @@ def cfg_for(strategy, checkpoint=None, layers=(2,), seed=3, epochs=3, **kw):
     if checkpoint is not None:
         n = 2 if strategy == "dual_at" else 1
         checkpoints = (str(checkpoint),) * n
+    at = ATConfig(layers=layers, beta=kw.pop("beta", 1.0),
+                  aggregation=kw.pop("aggregation", "gram"))
     return TrainConfig(strategy=strategy, pretrained_checkpoints=checkpoints,
-                       at=ATConfig(layers=layers, beta=kw.pop("beta", 1.0)),
+                       at=at,
                        seed=seed, max_epochs=epochs, arch_preset="vgg-tiny",
                        **kw)
 
@@ -60,6 +62,18 @@ class TestConfigValidation:
     def test_unknown_label_field_rejected(self):
         with pytest.raises(ValueError, match="unknown label field 'bogus'"):
             TrainConfig(label_field="bogus")
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -3), ("batch_size", 2.5),
+        ("max_epochs", 0), ("max_epochs", 1.5), ("patience", -1), ("lr", 0.0),
+        ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf"))])
+    def test_impossible_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_smallest_numbers_accepted(self):
+        cfg = TrainConfig(batch_size=1, max_epochs=1, patience=0, lr=1e-12)
+        assert (cfg.batch_size, cfg.max_epochs, cfg.patience) == (1, 1, 0)
 
     def test_round_trip(self):
         cfg = TrainConfig(strategy="scratch", seed=5,
@@ -143,6 +157,20 @@ class TestAntiTransfer:
         for (ma, mb) in zip(scratch.metrics, at0.metrics):
             assert ma.train_ce == mb.train_ce
             assert mb.train_at == 0.0
+
+    def test_every_aggregation_changes_training(self, tiny_data_dir,
+                                                orth_checkpoint, tmp_path):
+        """Each accepted aggregation trains weights of its own: none is
+        inert (scratch's weights) or a duplicate of another."""
+        data = load_split_dir(tiny_data_dir)
+        hashes = {"scratch": training.train(cfg_for("scratch", epochs=2), data,
+                                            tmp_path / "scratch"
+                                            ).network.weight_hash()}
+        for kind in losses.AGGREGATIONS:
+            cfg = cfg_for("at", orth_checkpoint, epochs=2, aggregation=kind)
+            hashes[kind] = training.train(cfg, data, tmp_path / kind
+                                          ).network.weight_hash()
+        assert len(set(hashes.values())) == len(hashes), hashes
 
     def test_extractor_untouched_by_training(self, tiny_data_dir,
                                              orth_checkpoint, tmp_path):
