@@ -201,6 +201,8 @@ def cmd_sweep(args) -> int:
         cfg = _resolve_config(args, with_at_flags=True)
         if bool(args.layers) == bool(args.betas):
             raise ConfigError("sweep needs exactly one of --layers or --betas")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         flag, label, text = (("--layers", "layer", args.layers.strip())
                              if args.layers else ("--betas", "beta", args.betas))
         with _setup(f"{flag} {text!r} is not a valid grid"):

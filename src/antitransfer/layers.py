@@ -14,10 +14,16 @@ after a conv, pool or dense layer, whose fresh output nothing else holds,
 and hands them in backward only gradients it made itself: never the
 caller's output gradient, nor one it has captured for the caller.
 `ReLU()` itself leaves its arguments untouched.
+
+Conv and max-pool layers run a pass over blocks of whole samples on every
+CPU (`_map_blocks`); the other layers run over the whole batch on the
+calling thread.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import Optional, Tuple, Union
 
@@ -35,6 +41,54 @@ class NonFiniteError(FloatingPointError):
 def check_finite(x: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(x)):
         raise NonFiniteError(f"non-finite values in {where}")
+
+
+# ---------------------------------------------------------------------------
+# Passes over blocks of samples
+# ---------------------------------------------------------------------------
+
+# A pass over a batch (a conv or pool layer's forward or backward, and
+# evaluation's passes over the network) runs over blocks of whole samples,
+# spread over every CPU the process may run on. The caller picks the blocks,
+# so they do not depend on how many CPUs there are; each block writes only
+# its own samples' slices and keeps its own temporaries, and results come
+# back in block order, so neither do the outputs.
+
+def _workers() -> int:
+    """Threads a pass over blocks runs on: one per CPU in the affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, n: int, block: int) -> list:
+    """[fn(rows) for each slice `rows` of `block` consecutive samples of n],
+    in block order.
+
+    The calling thread runs the first contiguous share of the blocks, and a
+    pool thread per further worker (`_workers`) the next share each; numpy
+    releases the GIL in the matmuls, ufuncs and copies that take most of a
+    block's time. The pool is joined before the call returns. A share stops
+    at its first failing block, and the error of the lowest failing share is
+    raised: that of the first failing block in block order. What the later
+    shares return or raise is not needed and is dropped."""
+    blocks = [slice(a, a + block) for a in range(0, n, block)]
+    workers = min(_workers(), len(blocks))
+
+    def run(share):
+        return [fn(rows) for rows in share]
+
+    if workers <= 1:
+        return run(blocks)
+    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
+    shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="block") as pool:
+        rest = [pool.submit(run, share) for share in shares[1:]]
+        results = run(shares[0])
+        for future in rest:
+            results += future.result()
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -178,37 +232,46 @@ class Layer:
         raise NotImplementedError
 
 
-# Conv forward and backward run over blocks of whole samples whose column
-# buffer and output take about this many bytes (or one sample), so their
-# buffers stay in cache and never grow with the batch. On 64 float32
-# spectrograms at 126x129 (2-vCPU VM, 1 BLAS thread) vgg-tiny's four convs
-# took 174 ms per forward in 1 MB blocks, 158-176 ms from 256 KB to 4 MB,
-# against 361 ms for one GEMM per kernel tap; at 13x32x37, 3.8 ms against
-# 6.0. Their four backwards at batch 13 (medians of 31 and 151 calls,
-# interleaved in one process, same VM) took, in 256 KB / 512 KB / 1 / 2 /
-# 4 MB blocks, 64.1 / 63.4 / 63.4 / 63.3 / 65.3 ms at 126x129 and 8.25 /
-# 7.23 / 7.00 / 7.04 / 7.06 ms at 32x37, against 100.5 and 8.11 ms for two
-# GEMMs per kernel tap over the whole batch. In 1 MB blocks every conv was
-# faster than that except, in some runs, conv 3 or 4 at 32x37 (8x9 and 4x4
-# maps), by 2-4 %.
+# Within a block of a pass, conv forward and backward run over inner blocks
+# of whole samples whose column buffer and output take about this many bytes
+# (or one sample), so their buffers stay in cache and never grow with the
+# batch. On 64 float32 spectrograms at 126x129 (2-vCPU VM, 1 BLAS thread)
+# vgg-tiny's four convs took 174 ms per forward in 1 MB blocks, 158-176 ms
+# from 256 KB to 4 MB, against 361 ms for one GEMM per kernel tap; at
+# 13x32x37, 3.8 ms against 6.0. Their four backwards at batch 13 (medians of
+# 31 and 151 calls, interleaved in one process, same VM) took, in 256 KB /
+# 512 KB / 1 / 2 / 4 MB blocks, 64.1 / 63.4 / 63.4 / 63.3 / 65.3 ms at
+# 126x129 and 8.25 / 7.23 / 7.00 / 7.04 / 7.06 ms at 32x37, against 100.5 and
+# 8.11 ms for two GEMMs per kernel tap over the whole batch. In 1 MB blocks
+# every conv was faster than that except, in some runs, conv 3 or 4 at 32x37
+# (8x9 and 4x4 maps), by 2-4 %.
 _CONV_BLOCK_BYTES = 1 << 20
 
 
 class Conv2D(Layer):
     """2-D convolution, NCHW layout, square kernel, zero padding.
 
-    Forward is im2col (Chellapilla et al. 2006) over blocks of samples
-    (`_CONV_BLOCK_BYTES`): k*k strided copies fill a (samples, in channels x
-    taps, positions) column buffer, one matmul with the (out, in x taps)
-    weights turns it into the block's output, and the bias is added last.
-    numpy runs that matmul as one GEMM per sample, all of the same shape, so
-    a sample's output does not depend on the batch it is in.
+    A pass runs over blocks of `block` whole samples (by default one block
+    of the batch; a `Network` gives `sample_block`), which `_map_blocks`
+    spreads over every CPU; backward reuses its forward's blocks. Each block
+    writes only its samples' slices of the output, the kept padded input and
+    the input gradient, and allocates its own buffers.
 
-    Backward (col2im) runs over the same blocks. A trainable conv refills
-    the forward's column buffer from the padded input it kept, and one GEMM
-    per sample of the output gradient with the columns gives that sample's
-    weight gradient; these are added in sample order, so the weight gradient
-    does not depend on the blocks. One GEMM per sample of the transposed
+    Within a block, forward is im2col (Chellapilla et al. 2006) over inner
+    blocks of samples (`_CONV_BLOCK_BYTES`): k*k strided copies fill a
+    (samples, in channels x taps, positions) column buffer, one matmul with
+    the (out, in x taps) weights turns it into the inner block's output, and
+    the bias is added last. numpy runs that matmul as one GEMM per sample,
+    all of the same shape, so a sample's output does not depend on the batch
+    or the block it is in.
+
+    Backward (col2im) runs over the same inner blocks. A trainable conv
+    refills the forward's column buffer from the padded input it kept, and
+    one GEMM per sample of the output gradient with the columns gives that
+    sample's weight gradient term. The blocks return their terms and the
+    calling thread adds them in sample order, so the weight gradient does
+    not depend on the blocks or the threads; the bias gradient is one sum
+    over the whole batch there. One GEMM per sample of the transposed
     weights with the output gradient then gives the column gradient, in the
     same buffer, and k*k strided adds in tap order fold it back into the
     padded input gradient, so a sample's input gradient does not depend on
@@ -258,40 +321,51 @@ class Conv2D(Layer):
             for j in range(self.kernel):
                 cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
 
-    def forward(self, x, train, rng, record=True):
+    def forward(self, x, train, rng, record=True, block=None):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
         oh, ow = output_hw(self.spec, h, w)
         p, k, oc = self.pad, self.kernel, self.out_channels
         rows = c * k * k
-        block = self._block(oh, ow, x.itemsize)
-        # Each block is copied into a zero-padded buffer just before its
-        # columns are filled. A recording forward keeps the whole padded
-        # batch for backward; one that does not reuses one block's buffer,
-        # whose zero border is written once per forward. That buffer pays for
-        # itself: with an np.pad per block instead, perfbench's audio-infer
-        # (64 spectrograms at 126x129, 2-vCPU VM, 1 BLAS thread, medians of 5
-        # alternating 30 s pairs) fell from 187.1 to 174.6 samples/s and its
-        # evaluate rose from 0.246 to 0.271 s (worse in 4 of 5 pairs each).
-        padded = (np.zeros((n if record else min(block, n), c, h + 2 * p, w + 2 * p),
-                           dtype=x.dtype) if p else None)
-        self._xp = (x if padded is None else padded) if record else None
-        cols = np.empty((min(block, n), c, k, k, oh, ow), dtype=x.dtype)
+        inner = self._block(oh, ow, x.itemsize)
         weights = self.W.reshape(oc, rows)
         out = np.empty((n, oc, oh * ow), dtype=x.dtype)
-        for a in range(0, n, block):
-            m = min(block, n - a)
-            xb, ob = x[a:a + m], out[a:a + m]
-            if padded is not None:
-                at = a if record else 0
-                padded[at:at + m, :, p:p + h, p:p + w] = xb
-                xb = padded[at:at + m]
-            cb = cols[:m]
-            self._fill_columns(cb, xb)
-            # (oc, c * k * k) x (c * k * k, oh * ow) for each sample
-            np.matmul(weights, cb.reshape(m, rows, -1), out=ob)
-            ob += self.b[:, None]
+        # Each inner block is copied into a zero-padded buffer just before its
+        # columns are filled. A recording forward keeps the whole padded
+        # batch for backward; one that does not reuses one inner block's
+        # buffer, whose zero border is written once per block of the pass.
+        # That buffer pays for itself: with an np.pad per block instead,
+        # perfbench's audio-infer (64 spectrograms at 126x129, 2-vCPU VM, 1
+        # BLAS thread, medians of 5 alternating 30 s pairs) fell from 187.1
+        # to 174.6 samples/s and its evaluate rose from 0.246 to 0.271 s
+        # (worse in 4 of 5 pairs each).
+        kept = (np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype) if p
+                else x) if record else None
+
+        def run(samples):
+            xs, outs = x[samples], out[samples]
+            m = len(xs)
+            padded = None
+            if p:
+                padded = kept[samples] if record else np.zeros(
+                    (min(inner, m), c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+            cols = np.empty((min(inner, m), c, k, k, oh, ow), dtype=x.dtype)
+            for a in range(0, m, inner):
+                b = min(inner, m - a)
+                xb, ob = xs[a:a + b], outs[a:a + b]
+                if padded is not None:
+                    at = a if record else 0
+                    padded[at:at + b, :, p:p + h, p:p + w] = xb
+                    xb = padded[at:at + b]
+                cb = cols[:b]
+                self._fill_columns(cb, xb)
+                # (oc, c * k * k) x (c * k * k, oh * ow) for each sample
+                np.matmul(weights, cb.reshape(b, rows, -1), out=ob)
+                ob += self.b[:, None]
+
+        self._xp, self._samples = kept, block or max(n, 1)
+        _map_blocks(run, n, self._samples)
         return out.reshape(n, oc, oh, ow)
 
     def backward(self, dout):
@@ -302,43 +376,61 @@ class Conv2D(Layer):
         oh, ow = dout.shape[2], dout.shape[3]
         s, p, k, oc = self.stride, self.pad, self.kernel, self.out_channels
         rows = c * k * k
-        block = self._block(oh, ow, xp.itemsize)
-        nb = min(block, n)
+        inner = self._block(oh, ow, xp.itemsize)
         wide = (oh - 1) * wp + ow   # positions up to the last window's
-        # the block's output gradient on rows of width wp, zero past ow
-        d_wide = np.zeros((nb, oc, oh, wp), dtype=xp.dtype)
-        # one buffer holds the block's columns, then its column gradient
-        buf = np.empty(nb * rows * wide, dtype=xp.dtype)
-        cols = buf[:nb * rows * oh * ow].reshape(nb, c, k, k, oh, ow)
-        dcols = buf.reshape(nb, c, k, k, wide)
         weights_t = self.W.reshape(oc, rows).T
         d = dout.reshape(n, oc, oh * ow)
-        dxp = np.zeros_like(xp)
+        dxp = np.empty_like(xp)
         planes = dxp.reshape(n, c, hp * wp)
-        if self.trainable:
+        trainable = self.trainable
+
+        def run(samples):
+            """Fills the samples' input gradient; returns their weight
+            gradient terms, one (c * k * k, oc) matrix per sample."""
+            xs, ds, pbs = xp[samples], d[samples], planes[samples]
+            douts = dout[samples]
+            m = len(xs)
+            nb = min(inner, m)
+            pbs.fill(0)
+            # the inner block's output gradient on rows of width wp, zero
+            # past ow
+            d_wide = np.zeros((nb, oc, oh, wp), dtype=xp.dtype)
+            # one buffer holds the inner block's columns, then its column
+            # gradient
+            buf = np.empty(nb * rows * wide, dtype=xp.dtype)
+            cols = buf[:nb * rows * oh * ow].reshape(nb, c, k, k, oh, ow)
+            dcols = buf.reshape(nb, c, k, k, wide)
+            terms = []
+            for a in range(0, m, inner):
+                b = min(inner, m - a)
+                if trainable:
+                    self._fill_columns(cols[:b], xs[a:a + b])
+                    # (c * k * k, oh * ow) x (oh * ow, oc) for each sample:
+                    # the transposed weight gradient, which OpenBLAS computes
+                    # faster than d x cols.T (one 16x63x64 sample into 32
+                    # channels: 0.50 against 0.92 ms)
+                    terms.append(np.matmul(cols[:b].reshape(b, rows, -1),
+                                           ds[a:a + b].transpose(0, 2, 1)))
+                d_wide[:b, :, :, :ow] = douts[a:a + b]
+                # (c * k * k, oc) x (oc, wide) for each sample
+                np.matmul(weights_t, d_wide[:b].reshape(b, oc, -1)[:, :, :wide],
+                          out=dcols[:b].reshape(b, rows, wide))
+                pb = pbs[a:a + b]
+                for i in range(k):
+                    for j in range(k):
+                        at = i * wp + j
+                        pb[:, :, at:at + s * (wide - 1) + 1:s] += dcols[:b, :, i, j]
+            return terms
+
+        if trainable:
             dout.sum(axis=(0, 2, 3), out=self.gb)
+        blocks = _map_blocks(run, n, self._samples)
+        if trainable:
             gw_t = np.zeros((rows, oc), dtype=xp.dtype)
-        for a in range(0, n, block):
-            m = min(block, n - a)
-            if self.trainable:
-                self._fill_columns(cols[:m], xp[a:a + m])
-                # (c * k * k, oh * ow) x (oh * ow, oc) for each sample: the
-                # transposed weight gradient, which OpenBLAS computes faster
-                # than d x cols.T (one 16x63x64 sample into 32 channels:
-                # 0.50 against 0.92 ms)
-                for g in np.matmul(cols[:m].reshape(m, rows, -1),
-                                   d[a:a + m].transpose(0, 2, 1)):
-                    gw_t += g
-            d_wide[:m, :, :, :ow] = dout[a:a + m]
-            # (c * k * k, oc) x (oc, wide) for each sample
-            np.matmul(weights_t, d_wide[:m].reshape(m, oc, -1)[:, :, :wide],
-                      out=dcols[:m].reshape(m, rows, wide))
-            pb = planes[a:a + m]
-            for i in range(k):
-                for j in range(k):
-                    at = i * wp + j
-                    pb[:, :, at:at + s * (wide - 1) + 1:s] += dcols[:m, :, i, j]
-        if self.trainable:
+            for terms in blocks:
+                for stack in terms:
+                    for g in stack:
+                        gw_t += g
             self.gW[...] = gw_t.T.reshape(self.gW.shape)
         return dxp[:, :, p:hp - p, p:wp - p] if p else dxp
 
@@ -384,9 +476,13 @@ class MaxPool2D(Layer):
     first row holding a NaN or, when that is the top row, to the first
     maximal tap left of its first NaN (the top-left tap if that is the NaN).
 
-    Forward pools the whole batch it is given in one pass. An eval forward
-    of a `Network` hands it blocks of a few samples (the depth-first stack);
-    a training forward hands it the whole batch.
+    Forward and backward run over blocks of `block` whole samples (by
+    default one block of the batch; a `Network` gives `sample_block`), which
+    `_map_blocks` spreads over every CPU; backward reuses its forward's
+    blocks. Each block writes only its samples' slices of the output, the
+    argmax and the input gradient, and allocates its own fold buffers and
+    `np.add.at` indices, so no byte depends on the blocks or the threads and
+    no temporary grows with the batch.
     """
 
     def __init__(self, spec: LayerSpec, name: str = "maxpool"):
@@ -396,7 +492,7 @@ class MaxPool2D(Layer):
         self.stride = spec.stride
         self._arg = None
 
-    def forward(self, x, train, rng, record=True):
+    def forward(self, x, train, rng, record=True, block=None):
         n, c, h, w = x.shape
         k, s = self.kernel, self.stride
         oh, ow = output_hw(self.spec, h, w)
@@ -405,39 +501,48 @@ class MaxPool2D(Layer):
         rows = [slice(i, i + s * (oh - 1) + 1, s) for i in range(k)]
         cols = [slice(j, j + s * (ow - 1) + 1, s) for j in range(k)]
         out = np.empty((n, c, oh, ow), dtype=x.dtype)
+        arg = np.empty(out.shape, dtype=np.int8) if record else None
+
+        def run(samples):
+            xs, outs = x[samples], out[samples]
+            # Separable max: over the column taps into buf, then over the row
+            # taps of buf. np.maximum(tap, acc) keeps acc on a tie, so every
+            # window gets the value of its first maximal tap in row-major
+            # order, signed zeros included.
+            buf = xs[:, :, :, cols[0]].copy()
+            if arg is None:
+                for col in cols[1:]:
+                    tap = xs[:, :, :, col]
+                    acc = buf[:, :, :, :tap.shape[3]]
+                    np.maximum(tap, acc, out=acc)
+                np.copyto(outs, buf[:, :, rows[0]])
+                for row in rows[1:]:
+                    tap = buf[:, :, row]
+                    acc = outs[:, :, :tap.shape[2]]
+                    np.maximum(tap, acc, out=acc)
+                return
+            # The same maxima with their argmax, which only backward reads:
+            # colarg takes the first maximal column tap j of each row of buf,
+            # then arg the first maximal row tap i of each window, whose tap
+            # is i*k + j.
+            colarg = np.zeros(buf.shape, dtype=np.int8)
+            hit = np.empty(buf.shape, dtype=bool)
+            buf = _fold_argmax([xs[:, :, :, col] for col in cols], buf, hit,
+                               colarg, lambda j: j)
+            np.copyto(outs, buf[:, :, rows[0]])
+            args = arg[samples]
+            np.copyto(args, colarg[:, :, rows[0]])
+            res = _fold_argmax([buf[:, :, row] for row in rows], outs,
+                               np.empty(outs.shape, dtype=bool), args,
+                               lambda i: colarg[:, :, rows[i]] + np.int8(i * k))
+            if res is not outs:
+                np.copyto(outs, res)
+
         self._arg = None
-        # Separable max: over the column taps into buf, then over the row
-        # taps of buf. np.maximum(tap, acc) keeps acc on a tie, so every
-        # window gets the value of its first maximal tap in row-major order,
-        # signed zeros included.
-        buf = x[:, :, :, cols[0]].copy()
-        if not record:
-            for col in cols[1:]:
-                tap = x[:, :, :, col]
-                acc = buf[:, :, :, :tap.shape[3]]
-                np.maximum(tap, acc, out=acc)
-            np.copyto(out, buf[:, :, rows[0]])
-            for row in rows[1:]:
-                tap = buf[:, :, row]
-                acc = out[:, :, :tap.shape[2]]
-                np.maximum(tap, acc, out=acc)
-            return out
-        # The same maxima with their argmax, which only backward reads:
-        # colarg takes the first maximal column tap j of each row of buf,
-        # then arg the first maximal row tap i of each window, whose tap is
-        # i*k + j.
-        colarg = np.zeros(buf.shape, dtype=np.int8)
-        hit = np.empty(buf.shape, dtype=bool)
-        buf = _fold_argmax([x[:, :, :, col] for col in cols], buf, hit,
-                           colarg, lambda j: j)
-        np.copyto(out, buf[:, :, rows[0]])
-        arg = colarg[:, :, rows[0]].copy()
-        res = _fold_argmax([buf[:, :, row] for row in rows], out,
-                           np.empty(out.shape, dtype=bool), arg,
-                           lambda i: colarg[:, :, rows[i]] + np.int8(i * k))
-        if res is not out:
-            np.copyto(out, res)
-        self._arg, self._in_shape = arg, x.shape
+        block = block or max(n, 1)
+        _map_blocks(run, n, block)
+        if record:
+            self._arg, self._in_shape, self._samples = arg, x.shape, block
         return out
 
     def backward(self, dout):
@@ -449,15 +554,23 @@ class MaxPool2D(Layer):
         # flat input index of each window's max tap: the tap's offset in its
         # window, plus the window's origin, plus its (sample, channel) plane
         offset = (w * np.arange(k)[:, None] + np.arange(k)).ravel()
-        idx = offset.take(self._arg)
-        idx += s * (w * np.arange(oh)[:, None] + np.arange(ow))
-        idx += h * w * np.arange(n * c).reshape(n, c, 1, 1)
-        dx = np.zeros(n * c * h * w, dtype=dout.dtype)
-        # np.add.at adds in index order. Overlapping windows may route to
-        # the same cell; in reverse row-major window order a cell gets them
-        # in increasing tap order, as a loop over the taps would add them.
-        np.add.at(dx, idx.ravel()[::-1], dout.ravel()[::-1])
-        return dx.reshape(n, c, h, w)
+        origin = s * (w * np.arange(oh)[:, None] + np.arange(ow))
+        dx = np.empty((n, c, h, w), dtype=dout.dtype)
+
+        def run(samples):
+            idx = offset.take(self._arg[samples])
+            idx += origin
+            idx += h * w * np.arange(len(idx) * c).reshape(-1, c, 1, 1)
+            flat = dx[samples].reshape(-1)
+            flat.fill(0)
+            # np.add.at adds in index order. Overlapping windows may route
+            # to the same cell; in reverse row-major window order a cell gets
+            # them in increasing tap order, as a loop over the taps would
+            # add them.
+            np.add.at(flat, idx.ravel()[::-1], dout[samples].ravel()[::-1])
+
+        _map_blocks(run, n, self._samples)
+        return dx
 
 
 class Dense(Layer):

@@ -144,13 +144,14 @@ _FRESH_OUTPUT = ("conv2d", "maxpool2d", "dense")
 _FINITE_FORWARD = ("relu", "maxpool2d", "flatten")
 _FINITE_BACKWARD = ("relu", "flatten")
 
-# A pass that does not record (evaluation, validation, the extractor
-# precompute) runs over blocks of whole samples whose largest activation
-# takes about this many bytes (or one sample; `Network.eval_block`), so that
-# a block's maps pass from layer to layer in cache instead of through DRAM.
-# 2 MB is the private L2 of one core of the VM measured below. A pass spread
-# over several CPUs gives each thread whole blocks of this size, so the
-# blocks, and with them the outputs, do not depend on the number of CPUs.
+# Every pass runs over blocks of whole samples whose largest activation takes
+# about this many bytes (or one sample; `Network.sample_block`): evaluation,
+# validation and the extractor precompute run the network over such blocks,
+# and a training forward's conv and pool layers run theirs over them, so that
+# a block's maps stay in cache instead of going through DRAM. 2 MB is the
+# private L2 of one core of the VM measured below. A pass spread over several
+# CPUs gives each thread whole blocks of this size, so the blocks, and with
+# them the outputs, do not depend on the number of CPUs.
 # Measured when the conv stack alone ran in such blocks: `training.evaluate`
 # of vgg-tiny, float32, 1 BLAS thread, 2-vCPU VM
 # (medians of two interleaved runs of 15 and 30 calls), whole batch against
@@ -170,13 +171,22 @@ class Network:
     ("conv1.weight", ...) to the layer's own weight and gradient arrays;
     whatever reads or writes weights goes through them, in place.
 
-    A forward runs each layer over the batch it is given. Passes that do not
-    record (evaluation, validation, the extractor precompute) give it blocks
-    of `eval_block` samples, so that a block's maps stay in cache. A
-    sample's conv, ReLU and pool maps do not depend on the batch it is in,
-    so they keep their bytes; the dense head's logits can change in their
-    last bits with the number of rows, as the BLAS takes another GEMM path
-    for a few rows.
+    A forward runs each layer over the batch it is given, and hands each
+    conv and pool layer `sample_block`, the samples per block of the pass:
+    the layer spreads its blocks over every CPU (`layers._map_blocks`), and
+    its backward runs over the same blocks. Everything else (ReLU, dropout,
+    the dense head, the finite checks, and the caller's loss and optimizer)
+    runs on the calling thread over the whole batch, and the conv weight
+    gradients are summed there in sample order, so no byte depends on the
+    blocks or the CPUs. A batch of at most one block (vgg-tiny's batch of
+    13 at 32x37 is one) runs on the calling thread alone.
+
+    Passes that do not record (evaluation, validation, the extractor
+    precompute) give the network blocks of `sample_block` samples, so that a
+    block's maps stay in cache. A sample's conv, ReLU and pool maps do not
+    depend on the batch it is in, so they keep their bytes; the dense head's
+    logits can change in their last bits with the number of rows, as the
+    BLAS takes another GEMM path for a few rows.
 
     Forwards that do not record may run concurrently on one network, as
     evaluation runs its blocks on several threads: they only read the
@@ -192,7 +202,7 @@ class Network:
         rng = np.random.default_rng([int(seed), 0x1A17])
         self.layers: List[Layer] = []
         shapes = _propagate_shapes(arch)
-        # the largest per-sample activation, which sizes `eval_block`
+        # the largest per-sample activation, which sizes `sample_block`
         self._sample_bytes = self.dtype.itemsize * max(
             c * h * w for c, h, w in shapes if h is not None)
         conv_i = 0
@@ -211,6 +221,9 @@ class Network:
             owns = pos > 0 and arch.layers[pos - 1].kind in _FRESH_OUTPUT
             self.layers.append(make_layer(spec, c_in, feats, rng, self.dtype,
                                           name, owns_input=owns))
+        # the positions of the layers that run over blocks of samples
+        self._blocked = {pos for pos, spec in enumerate(arch.layers)
+                         if spec.kind in ("conv2d", "maxpool2d")}
         # the positions whose output (forward) or input gradient (backward)
         # a finite check scans
         self._checked_forward = {pos for pos, spec in enumerate(arch.layers)
@@ -279,10 +292,10 @@ class Network:
     # -- execution ----------------------------------------------------------
 
     @property
-    def eval_block(self) -> int:
-        """Samples per block of a forward that does not record: as many as
-        keep the largest per-sample activation within `_STACK_BLOCK_BYTES`,
-        and at least one."""
+    def sample_block(self) -> int:
+        """Samples per block of a pass: as many as keep the largest
+        per-sample activation within `_STACK_BLOCK_BYTES`, and at least
+        one."""
         return max(1, _STACK_BLOCK_BYTES // self._sample_bytes)
 
     def forward(self, x: np.ndarray, train: bool = False,
@@ -316,9 +329,11 @@ class Network:
         check_finite(x, "network input")
         tap_at = {self.tap_positions[k]: k for k in taps}
         stop = max(tap_at, default=-1) + 1 if last_tap_only else len(self.layers)
+        blocked = {"block": self.sample_block}
         out, tapped = x, {}
         for pos, layer in enumerate(self.layers[:stop]):
-            out = layer.forward(out, train, rng, record)
+            out = layer.forward(out, train, rng, record,
+                                **(blocked if pos in self._blocked else {}))
             if self.finite_checks and pos in self._checked_forward:
                 check_finite(out, f"activations after {layer.name or type(layer).__name__}")
             if pos in tap_at:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,6 +24,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .audio import NormStats, compute_norm_stats, normalize
 from .data import Dataset
+from .layers import _map_blocks
 from .losses import ATConfig, aggregate, cross_entropy_and_grad
 from .losses import at_loss_and_grad as _at_term
 from .network import ArchConfig, Network, build, conv_feature_shapes, preset
@@ -32,6 +32,13 @@ from .optim import Adam
 
 STRATEGIES = ("scratch", "wi", "wi_freeze", "at", "at_inverse", "dual_at")
 LABEL_FIELDS = ("target", "orth1", "orth2")
+# float16 goes non-finite in the first batch; integer types cannot train
+DTYPES = ("float32", "float64")
+
+
+def _is_number(value) -> bool:
+    """An int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -68,15 +75,25 @@ class TrainConfig:
         if self.label_field not in LABEL_FIELDS:
             raise ValueError(f"unknown label field {self.label_field!r}; "
                              f"choose from {LABEL_FIELDS}")
+        if not all(_is_number(f) and 0.0 <= f <= 1.0
+                   for f in self.split_fractions):
+            raise ValueError(f"split_fractions must each be in [0, 1], got "
+                             f"{list(self.split_fractions)}")
         if abs(sum(self.split_fractions) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
-        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 0)):
+        for name, low in (("batch_size", 1), ("max_epochs", 1), ("patience", 0),
+                          ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, int) and value >= low):
+            if not (_is_number(value) and isinstance(value, int) and value >= low):
                 raise ValueError(f"{name} must be an integer >= {low}, "
                                  f"got {value!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
+        if not (_is_number(self.lr) and math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {DTYPES}, got {self.dtype!r}")
+        if not isinstance(self.normalize_inputs, bool):
+            raise ValueError(f"normalize_inputs must be true or false, got "
+                             f"{self.normalize_inputs!r}")
         need = {"at": 1, "at_inverse": 1, "dual_at": 2}.get(self.strategy)
         if need is not None and len(self.pretrained_checkpoints) != need:
             raise ValueError(f"strategy {self.strategy} requires exactly {need} "
@@ -140,48 +157,10 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 
 # Evaluation, validation and the extractor precompute run the network over
-# blocks of `Network.eval_block` samples and reduce each block's logits and
+# blocks of `Network.sample_block` samples and reduce each block's logits and
 # tapped maps before the next, so no whole-batch map is built. The blocks are
-# spread over every CPU the process may run on (`_map_blocks`); the block
-# partition does not depend on how many there are, and the blocks' results
-# are folded in block order, so neither do the outputs.
-
-def _eval_workers() -> int:
-    """Threads a pass over blocks runs on: one per CPU in the affinity mask."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-def _map_blocks(fn, n: int, block: int) -> list:
-    """[fn(rows) for each slice `rows` of `block` consecutive samples of n],
-    in block order.
-
-    The calling thread runs the first contiguous share of the blocks, and a
-    pool thread per further worker (`_eval_workers`) the next share each;
-    numpy releases the GIL in the matmuls, ufuncs and copies that take most
-    of a block's time. The pool is joined before the call returns. A share
-    stops at its first failing block, and the error of the lowest failing
-    share is raised: that of the first failing block in block order. What
-    the later shares return or raise is not needed and is dropped."""
-    blocks = [slice(a, a + block) for a in range(0, n, block)]
-    workers = min(_eval_workers(), len(blocks))
-
-    def run(share):
-        return [fn(rows) for rows in share]
-
-    if workers <= 1:
-        return run(blocks)
-    cuts = [len(blocks) * i // workers for i in range(workers + 1)]
-    shares = [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
-    with ThreadPoolExecutor(workers - 1, thread_name_prefix="eval-block") as pool:
-        rest = [pool.submit(run, share) for share in shares[1:]]
-        results = run(shares[0])
-        for future in rest:
-            results += future.result()
-    return results
-
+# spread over every CPU the process may run on (`layers._map_blocks`), with
+# the bytes of a run on one.
 
 def evaluate(net: Network, x: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> Tuple[float, np.ndarray]:
@@ -196,7 +175,7 @@ def evaluate(net: Network, x: np.ndarray, labels: np.ndarray,
         return confusion
 
     confusion = sum(_map_blocks(block_confusion, len(x),
-                                min(batch_size, net.eval_block)),
+                                min(batch_size, net.sample_block)),
                     np.zeros((n_classes, n_classes), dtype=np.int64))
     correct = int(np.trace(confusion))
     return correct / max(len(x), 1), confusion
@@ -245,7 +224,7 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
     correct = 0
     at_sums = {k: 0.0 for k in (at_cfg.layers if at_cfg else ())}
     for n_b, ce, correct_b, at_vals in _map_blocks(block_losses, len(x),
-                                                   net.eval_block):
+                                                   net.sample_block):
         total_ce += ce * n_b
         correct += correct_b
         for k, val in at_vals.items():
@@ -266,7 +245,7 @@ def _precompute_extractor_aggs(extractor: Network, x: np.ndarray,
         tapped = extractor.tap_features(x[rows], at_cfg.layers)
         return {k: aggregate(fmap, at_cfg.aggregation) for k, fmap in tapped.items()}
 
-    blocks = _map_blocks(block_aggs, len(x), extractor.eval_block)
+    blocks = _map_blocks(block_aggs, len(x), extractor.sample_block)
     return {k: np.concatenate([b[k] for b in blocks]) for k in at_cfg.layers}
 
 

@@ -96,6 +96,17 @@ class TestTrainCommand:
                 err = capsys.readouterr().err
                 assert err.startswith("config error:") and str(cfg) in err
 
+    def test_integer_dtype_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"]["dtype"] = "int8"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "dtype" in err and "'int8'" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, tiny_data_dir):
         cfg = write_config(tmp_path, data_dir=tiny_data_dir)
         code = main(["train", "--config", str(cfg), "--strategy", "at",
@@ -284,6 +295,20 @@ class TestSweepCommand:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "max_epochs" in err
         assert not list(tmp_path.rglob("metrics.csv"))
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2_before_training(self, jobs, tmp_path,
+                                                    orth_checkpoint,
+                                                    tiny_data_dir, capsys):
+        cfg = write_config(tmp_path, strategy="at",
+                           checkpoints=(orth_checkpoint,),
+                           data_dir=tiny_data_dir)
+        assert main(["sweep", "--config", str(cfg), "--layers", "1",
+                     "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "--jobs" in err
+        assert not (tmp_path / "run").exists()
 
     def test_needs_exactly_one_grid(self, tmp_path, orth_checkpoint,
                                     tiny_data_dir):

@@ -243,7 +243,7 @@ class TestInPlaceActivations:
 
 class TestDepthFirstEval:
     """Passes that do not record run the network over blocks of samples
-    (`Network.eval_block`). A sample's tapped maps keep their bytes in any
+    (`Network.sample_block`). A sample's tapped maps keep their bytes in any
     block, and a forward that does not record gives the bytes of one that
     does."""
 

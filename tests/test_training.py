@@ -22,10 +22,10 @@ from antitransfer.network import build, conv_feature_shapes, preset
 
 @pytest.fixture
 def eval_workers(monkeypatch):
-    """Pins the number of threads a pass over evaluation blocks runs on:
-    `eval_workers(n)`."""
+    """Pins the number of threads a pass over blocks runs on (evaluation's
+    and the conv and pool layers'): `eval_workers(n)`."""
     def pin(n):
-        monkeypatch.setattr(training, "_eval_workers", lambda: n)
+        monkeypatch.setattr(L, "_workers", lambda: n)
     return pin
 
 
@@ -66,14 +66,32 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("batch_size", -3), ("batch_size", 2.5),
         ("max_epochs", 0), ("max_epochs", 1.5), ("patience", -1), ("lr", 0.0),
-        ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf"))])
+        ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf")),
+        ("seed", -1), ("seed", 1.5), ("lr", "0.1"),
+        ("batch_size", True), ("max_epochs", True), ("patience", False),
+        ("seed", True), ("lr", True),
+        ("split_fractions", (1.5, -0.3, -0.2)),
+        ("split_fractions", (1.0, 0.0, "0"))])
     def test_impossible_numbers_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("dtype", "bogus"), ("dtype", "int8"), ("dtype", "float16"),
+        ("normalize_inputs", "false"), ("normalize_inputs", 0)])
+    def test_unusable_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     def test_smallest_numbers_accepted(self):
-        cfg = TrainConfig(batch_size=1, max_epochs=1, patience=0, lr=1e-12)
-        assert (cfg.batch_size, cfg.max_epochs, cfg.patience) == (1, 1, 0)
+        cfg = TrainConfig(batch_size=1, max_epochs=1, patience=0, lr=1e-12,
+                          seed=0, split_fractions=(1.0, 0.0, 0.0))
+        assert (cfg.batch_size, cfg.max_epochs, cfg.patience, cfg.seed) == \
+            (1, 1, 0, 0)
+
+    @pytest.mark.parametrize("dtype", training.DTYPES)
+    def test_float_dtypes_accepted(self, dtype):
+        assert TrainConfig(dtype=dtype).dtype == dtype
 
     def test_round_trip(self):
         cfg = TrainConfig(strategy="scratch", seed=5,
@@ -328,11 +346,11 @@ def _conv1_blocks(net, x, monkeypatch):
 
 
 class TestForwardWithoutRecording:
-    def test_eval_loops_run_blocks_of_eval_block_samples(self, monkeypatch,
-                                                          eval_workers):
+    def test_eval_loops_run_blocks_of_sample_block_samples(self, monkeypatch,
+                                                            eval_workers):
         """evaluate, _eval_losses and the extractor precompute each run the
-        network over blocks of `eval_block` samples (13 = 5 + 5 + 3), here on
-        two threads. The maps they score and aggregate keep the bytes of a
+        network over blocks of `sample_block` samples (13 = 5 + 5 + 3), here
+        on two threads. The maps they score and aggregate keep the bytes of a
         whole-batch recording forward; confusion and accuracy equal its, and
         the cross-entropy and anti-transfer terms agree within rtol 1e-6."""
         eval_workers(2)
@@ -340,7 +358,7 @@ class TestForwardWithoutRecording:
         net = build(preset("vgg-tiny", hw, 4), seed=3, dtype=np.float32)
         extractor = build(preset("vgg-tiny", hw, 4), seed=4, dtype=np.float32)
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 5 * net._sample_bytes)
-        assert net.eval_block == extractor.eval_block == 5
+        assert net.sample_block == extractor.sample_block == 5
         x = np.random.default_rng(5).standard_normal((13, 1, *hw)).astype(np.float32)
         y = np.arange(13) % 4
         at_cfg = ATConfig(layers=(1, 3), beta=1.0)
@@ -453,7 +471,7 @@ class TestForwardWithoutRecording:
         run on the calling thread, in order."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
-        assert training._eval_workers() == 1
+        assert L._workers() == 1
         net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 3 * net._sample_bytes)
         x = np.random.default_rng(5).standard_normal((10, 1, 32, 37)).astype(np.float32)
@@ -581,6 +599,146 @@ class TestForwardWithoutRecording:
         assert got[0][0] == want[0][0]
         assert np.array_equal(got[0][1], want[0][1])
         assert got[1] == want[1]
+
+
+def _step(net, x, at_layer=1):
+    """One recording forward and backward with an anti-transfer gradient
+    injected at `at_layer`."""
+    logits, taps = net.forward(x, train=True, rng=np.random.default_rng(1),
+                               taps=(at_layer,))
+    net.backward(np.ones_like(logits) / len(x),
+                 tap_grad_in={at_layer: taps[at_layer] * 1e-3})
+
+
+class TestTrainingStepOverBlocks:
+    """A training step's conv and pool layers run over blocks of
+    `sample_block` samples on every CPU (`layers._map_blocks`)."""
+
+    def test_run_bytes_do_not_depend_on_blocks_or_workers(
+            self, tiny_data_dir, orth_checkpoint, tmp_path, monkeypatch,
+            eval_workers):
+        """An `at` run gives the weights and metrics.csv (but its seconds)
+        of a run whose every batch is one block, over blocks of 1, 2 and 5
+        samples on 1, 2 and 3 threads switching every 10 us."""
+        data = load_split_dir(tiny_data_dir)
+        cfg = cfg_for("at", orth_checkpoint, layers=(1, 2), epochs=2)
+        sample_bytes = build(preset("vgg-tiny", (16, 17), 4),
+                             dtype=np.float32)._sample_bytes
+
+        def run(tag):
+            result = training.train(cfg, data, tmp_path / tag)
+            with open(tmp_path / tag / "metrics.csv") as f:
+                rows = [row[:7] + row[8:] for row in csv.reader(f)]
+            return result.network.weight_hash(), rows
+
+        assert network._STACK_BLOCK_BYTES // sample_bytes >= cfg.batch_size
+        want = run("one-block")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for block in (1, 2, 5):
+                monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
+                                    block * sample_bytes)
+                for workers in (1, 2, 3):
+                    eval_workers(workers)
+                    assert run(f"b{block}w{workers}") == want, (block, workers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_step_tensors_do_not_depend_on_blocks_or_workers(
+            self, monkeypatch, eval_workers):
+        """Every layer's output and input gradient of one step, each pool's
+        argmax and each weight and bias gradient equal those of a single
+        block, over blocks of 1, 2 and 5 of 13 samples on 1, 2 and 3
+        threads."""
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
+        x = np.random.default_rng(2).standard_normal((13, 1, 32, 37)).astype(np.float32)
+        seen = []
+        for layer in net.layers:
+            for method in ("forward", "backward"):
+                def spy(*a, call=getattr(layer, method), layer=layer, **kw):
+                    out = call(*a, **kw)
+                    # copied now: an in-place ReLU overwrites it next
+                    seen.append((layer.name, out.copy()))
+                    if isinstance(layer, L.MaxPool2D) and layer._arg is not None:
+                        seen.append((layer.name, layer._arg.copy()))
+                    return out
+                monkeypatch.setattr(layer, method, spy)
+
+        def tensors():
+            seen.clear()
+            _step(net, x)
+            return ([(name, a.tobytes()) for name, a in seen]
+                    + [(name, g.tobytes()) for name, g in sorted(net.grads.items())])
+
+        assert net.sample_block >= len(x)
+        want = tensors()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for block in (1, 2, 5):
+                monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
+                                    block * net._sample_bytes)
+                assert net.sample_block == block
+                for workers in (1, 2, 3):
+                    eval_workers(workers)
+                    assert tensors() == want, (block, workers)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("fails", [None, 0, -1])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_no_thread_outlives_a_step(self, direction, fails, monkeypatch,
+                                       eval_workers):
+        """On two threads, every conv and pool pass of a step runs blocks on
+        the caller and a pool thread, and joins the pool before it returns,
+        or raises from a block of either share (sample 0 on the caller's,
+        the last sample on the pool's)."""
+        eval_workers(2)
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=2, dtype=np.float32)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 2 * net._sample_bytes)
+        x = np.random.default_rng(7).standard_normal((8, 1, 32, 37)).astype(np.float32)
+        rng = np.random.default_rng(0)
+        logits, taps = net.forward(x, train=True, rng=rng, taps=(1,))
+        threads, map_blocks = set(), L._map_blocks
+
+        def spy(fn, n, block):
+            def run(rows):
+                threads.add(threading.current_thread())
+                if fails is not None and rows.start <= range(n)[fails] < rows.stop:
+                    raise RuntimeError("block failed")
+                return fn(rows)
+            return map_blocks(run, n, block)
+        monkeypatch.setattr(L, "_map_blocks", spy)
+        if direction == "forward":
+            call = lambda: net.forward(x, train=True, rng=rng, taps=(1,))
+        else:
+            call = lambda: net.backward(np.ones_like(logits),
+                                        tap_grad_in={1: taps[1]})
+        if fails is None:
+            call()
+        else:
+            with pytest.raises(RuntimeError, match="block failed"):
+                call()
+        others = threads - {threading.current_thread()}
+        assert threading.current_thread() in threads and others
+        assert not any(t.is_alive() for t in others)
+
+    def test_recording_pool_forward_peaks_below_half_a_batch_pass(
+            self, eval_workers):
+        """A recording max-pool forward of 13x16x126x129 float32 on two
+        threads, over the blocks vgg-tiny at 126x129 gives it (2 samples),
+        peaks below 12 MB: its output and argmax take 4.2 MB, and each
+        thread's temporaries one block's. In one pass over the batch it
+        peaked at 20.2 MB; over these blocks it measured 9.2 MB."""
+        eval_workers(2)
+        net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
+        pool = net.layers[net.tap_positions[1] + 1]
+        assert isinstance(pool, L.MaxPool2D) and net.sample_block == 2
+        x = np.random.default_rng(0).standard_normal(
+            (13, 16, 126, 129)).astype(np.float32)
+        assert _peak_bytes(lambda: pool.forward(
+            x, True, None, block=net.sample_block)) < 12e6
 
 
 def sweep_layers(base_config, data, out_dir, layers):
