@@ -41,8 +41,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_STRATEGY_FLAGS = {"scratch": "scratch", "wi": "wi", "wi-freeze": "wi_freeze",
-                   "at": "at", "at-inverse": "at_inverse", "dual-at": "dual_at"}
+_STRATEGY_FLAGS = {s.replace("_", "-"): s for s in training.STRATEGIES}
 
 
 def _add_config_arg(p):
@@ -265,7 +264,7 @@ def cmd_estimate_memory(args) -> int:
     print(f"extractor conv-stack weights: {est.extractor_bytes:,} bytes "
           f"({est.extractor_bytes / 2**20:.2f} MiB)")
     for k, d in sorted(est.per_layer.items()):
-        layer_bytes = 2 * (d['gram_elems'] + d['feature_elems']) * est.bytes_per_number
+        layer_bytes = est.layer_bytes(k)
         print(f"layer {k}: gram elems {d['gram_elems']:,}, feature elems "
               f"{d['feature_elems']:,} -> {layer_bytes:,} bytes "
               f"({layer_bytes / 2**20:.2f} MiB)")

@@ -164,6 +164,7 @@ def load_split_dir(directory) -> Dict[str, Dataset]:
 # ---------------------------------------------------------------------------
 
 DEFAULT_FRACTIONS = (0.7, 0.2, 0.1)
+SPLIT_POLICIES = ("random", "class_wise")
 
 
 def _largest_remainder(total: int, fractions: Sequence[float]) -> List[int]:
@@ -260,15 +261,15 @@ def split_class_wise(orth_labels: Sequence[str], seed: int,
 def split_manifest(manifest_path, policy: str, seed: int, out_dir,
                    fractions: Sequence[float] = DEFAULT_FRACTIONS) -> Dict[str, Path]:
     """Materialize train/val/test manifests from one unsplit manifest."""
+    if policy not in SPLIT_POLICIES:
+        raise ValueError(f"unknown split policy {policy!r}")
     manifest_path = Path(manifest_path)
     rows = read_manifest(manifest_path)
     if policy == "random":
         idx = split_random([r.target_label for r in rows], seed, fractions)
-    elif policy == "class_wise":
+    else:
         orth = [r.orth_labels[0] if r.orth_labels else "" for r in rows]
         idx = split_class_wise(orth, seed, fractions)
-    else:
-        raise ValueError(f"unknown split policy {policy!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = manifest_path.parent

@@ -211,11 +211,14 @@ class MemoryEstimate:
     per_layer: Dict[int, Dict[str, int]]  # k -> {gram_elems, feature_elems}
     bytes_per_number: int
 
+    def layer_bytes(self, k: int) -> int:
+        """Layer k's two Gram matrices and two feature maps."""
+        d = self.per_layer[k]
+        return 2 * (d["gram_elems"] + d["feature_elems"]) * self.bytes_per_number
+
     @property
     def total_bytes(self) -> int:
-        extra = sum(2 * (d["gram_elems"] + d["feature_elems"])
-                    for d in self.per_layer.values())
-        return self.extractor_bytes + extra * self.bytes_per_number
+        return self.extractor_bytes + sum(map(self.layer_bytes, self.per_layer))
 
     def to_dict(self) -> dict:
         return {"extractor_bytes": self.extractor_bytes,

@@ -3,6 +3,13 @@ weight-initialization / frozen-WI / anti-transfer / inverse / dual runs under
 one shared protocol (Adam, batch 13, early stopping on validation loss with
 patience 5, best-epoch weights restored).
 
+`STRATEGIES` is the one table of what a strategy does: how many pretrained
+checkpoints it takes, whether its convs start from the first one, whether
+convs 1..max(at.layers) are then frozen, and the sign of its anti-transfer
+term against the last one (or no term). Config checks, the single-stage
+trainer and the CLI all read it; only `train()` knows that dual_at runs in
+two stages.
+
 The frozen extractor's aggregated representations (Gram matrices by default)
 are precomputed once per split before the epoch loop: they are constants of
 the run, so this is arithmetically identical to running the extractor forward
@@ -17,20 +24,38 @@ import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from .audio import NormStats, compute_norm_stats, normalize
-from .data import Dataset
+from .data import SPLIT_POLICIES, Dataset
 from .layers import _map_blocks
 from .losses import ATConfig, aggregate, cross_entropy_and_grad
 from .losses import at_loss_and_grad as _at_term
 from .network import ArchConfig, Network, build, conv_feature_shapes, preset
 from .optim import Adam
 
-STRATEGIES = ("scratch", "wi", "wi_freeze", "at", "at_inverse", "dual_at")
+
+class Strategy(NamedTuple):
+    """One row of `STRATEGIES`."""
+
+    checkpoints: Optional[int]     # pretrained checkpoints taken; None: any
+    init: bool = False             # convs start from the first checkpoint
+    freeze: bool = False           # convs 1..max(at.layers) stay frozen
+    sign: Optional[float] = None   # anti-transfer term vs the last; None: none
+
+
+STRATEGIES = {
+    "scratch": Strategy(checkpoints=None),
+    "wi": Strategy(1, init=True),
+    "wi_freeze": Strategy(1, init=True, freeze=True),
+    "at": Strategy(1, sign=1.0),
+    "at_inverse": Strategy(1, sign=-1.0),
+    "dual_at": Strategy(2, sign=1.0),   # stage 2 of `train`'s two stages
+}
+
 LABEL_FIELDS = ("target", "orth1", "orth2")
 # float16 goes non-finite in the first batch; integer types cannot train
 DTYPES = ("float32", "float64")
@@ -71,7 +96,7 @@ class TrainConfig:
         self.pretrained_checkpoints = tuple(self.pretrained_checkpoints)
         self.split_fractions = tuple(self.split_fractions)
         if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}")
+            raise ValueError(f"strategy must be one of {tuple(STRATEGIES)}")
         if self.label_field not in LABEL_FIELDS:
             raise ValueError(f"unknown label field {self.label_field!r}; "
                              f"choose from {LABEL_FIELDS}")
@@ -94,14 +119,14 @@ class TrainConfig:
         if not isinstance(self.normalize_inputs, bool):
             raise ValueError(f"normalize_inputs must be true or false, got "
                              f"{self.normalize_inputs!r}")
-        need = {"at": 1, "at_inverse": 1, "dual_at": 2}.get(self.strategy)
+        if self.split_policy not in SPLIT_POLICIES:
+            raise ValueError(f"split_policy must be one of {SPLIT_POLICIES}, "
+                             f"got {self.split_policy!r}")
+        need = STRATEGIES[self.strategy].checkpoints
         if need is not None and len(self.pretrained_checkpoints) != need:
             raise ValueError(f"strategy {self.strategy} requires exactly {need} "
                              f"pretrained checkpoint(s), got "
                              f"{len(self.pretrained_checkpoints)}")
-        if self.strategy in ("wi", "wi_freeze") and len(self.pretrained_checkpoints) != 1:
-            raise ValueError(f"strategy {self.strategy} requires exactly 1 "
-                             "pretrained checkpoint")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -281,7 +306,8 @@ def check_at_layers(config: TrainConfig, data: Dict[str, Dataset],
     for split in data.values():
         split.labels_for(config.label_field)
     if layers is None:
-        layers = () if config.strategy in ("scratch", "wi") else config.at.layers
+        row = STRATEGIES[config.strategy]
+        layers = config.at.layers if row.freeze or row.sign is not None else ()
     k = len(conv_feature_shapes(_arch(config, data["train"])))
     bad = sorted({int(l) for l in layers if not 1 <= l <= k})
     if bad:
@@ -290,10 +316,10 @@ def check_at_layers(config: TrainConfig, data: Dict[str, Dataset],
 
 
 def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
-                  at_checkpoint: Optional[Path] = None,
-                  init_source: Optional[Network] = None,
-                  freeze_up_to: Optional[int] = None,
-                  save_init_as: Optional[str] = None) -> TrainResult:
+                  init: Optional[Network] = None) -> TrainResult:
+    """One run of `config`'s row of `STRATEGIES`. The convs start from
+    `init` when given (saved as final_init.atck), else from the first
+    checkpoint when the row says so."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = {s: data[s] for s in ("train", "val", "test")}
@@ -306,17 +332,20 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
     net = build(_arch(config, data["train"]), seed=config.seed,
                 dtype=np.dtype(config.dtype))
 
-    if init_source is not None:
-        ckpt.init_from(net, init_source, freeze_up_to=freeze_up_to)
+    row = STRATEGIES[config.strategy]
+    source = (ckpt.load(config.pretrained_checkpoints[0])
+              if init is None and row.init else init)
+    if source is not None:
+        ckpt.init_from(net, source,
+                       freeze_up_to=max(config.at.layers) if row.freeze else None)
 
     at_cfg = None
-    sign = -1.0 if config.strategy == "at_inverse" else 1.0
     extractor = None
     agg_caches = {}
     extractor_hash_before = extractor_hash_after = None
-    if at_checkpoint is not None:
+    if row.sign is not None:
         at_cfg = config.at
-        extractor = ckpt.load(at_checkpoint)
+        extractor = ckpt.load(config.pretrained_checkpoints[-1])
         _check_extractor_compatible(net, extractor, at_cfg)
         extractor_hash_before = extractor.weight_hash()
         for split in ("train", "val"):
@@ -327,8 +356,8 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
     rng_order = np.random.default_rng([config.seed, 1])
     rng_dropout = np.random.default_rng([config.seed, 2])
 
-    if save_init_as:
-        ckpt.save(net, out_dir / save_init_as,
+    if init is not None:
+        ckpt.save(net, out_dir / "final_init.atck",
                   provenance=_provenance(config, epoch=0, stats=stats))
 
     taps = at_cfg.layers if at_cfg else ()
@@ -356,7 +385,7 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
                 net.finite_checks = start == 0
                 logits, ce, at_vals, dlogits, inject = batch_objective(
                     net, x_train[idx], yb, at_cfg, agg_caches.get("train"), idx,
-                    train=True, rng=rng_dropout, sign=sign)
+                    train=True, rng=rng_dropout, sign=row.sign)
                 for k, val in at_vals.items():
                     at_sums[k] += val * len(idx)
                 batch_at = sum(at_vals.values(), 0.0)
@@ -372,7 +401,7 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
 
             val_ce, val_acc, val_at = _eval_losses(
                 net, xs["val"], labels["val"], at_cfg, agg_caches.get("val"),
-                sign)
+                row.sign)
             train_at_layers = {k: v / n_train for k, v in at_sums.items()}
             em = EpochMetrics(
                 epoch=epoch,
@@ -441,49 +470,32 @@ def _provenance(config: TrainConfig, epoch: int, stats: Optional[NormStats]) -> 
 # ---------------------------------------------------------------------------
 
 def train(config: TrainConfig, data: Dict[str, Dataset], out_dir) -> TrainResult:
-    """Run one experiment with the configured strategy.
+    """Run one experiment with the configured strategy, as its row of
+    `STRATEGIES` says.
 
     scratch    : cross-entropy only.
     wi         : conv weights initialized from the checkpoint, then scratch.
     wi_freeze  : wi with conv layers 1..max(at.layers) frozen.
     at         : anti-transfer against the checkpoint's conv stack.
     at_inverse : same but encouraging similarity (sign flipped).
-    dual_at    : anti-transfer vs checkpoint A, then the result's conv weights
-                 initialize a second run with anti-transfer vs checkpoint B.
+    dual_at    : stage 1, an `at` run against checkpoint A into
+                 out_dir/intermediate; stage 2, the run itself, starts from
+                 stage 1's conv weights with anti-transfer against B.
     """
     out_dir = Path(out_dir)
     check_at_layers(config, data)
-    s = config.strategy
-    if s == "scratch":
+    if config.strategy != "dual_at":
         return _train_single(config, data, out_dir)
-    if s == "wi":
-        return _train_single(config, data, out_dir,
-                             init_source=ckpt.load(config.pretrained_checkpoints[0]))
-    if s == "wi_freeze":
-        return _train_single(config, data, out_dir,
-                             init_source=ckpt.load(config.pretrained_checkpoints[0]),
-                             freeze_up_to=max(config.at.layers))
-    if s in ("at", "at_inverse"):
-        return _train_single(config, data, out_dir,
-                             at_checkpoint=config.pretrained_checkpoints[0])
-    if s == "dual_at":
-        stage_cfg = replace(config, strategy="at",
-                            pretrained_checkpoints=(config.pretrained_checkpoints[0],))
-        intermediate = _train_single(stage_cfg, data, out_dir / "intermediate",
-                                     at_checkpoint=config.pretrained_checkpoints[0])
-        final_cfg = replace(config, strategy="at",
-                            pretrained_checkpoints=(config.pretrained_checkpoints[1],))
-        result = _train_single(final_cfg, data, out_dir,
-                               at_checkpoint=config.pretrained_checkpoints[1],
-                               init_source=intermediate.network,
-                               save_init_as="final_init.atck")
-        result.summary["intermediate"] = str(intermediate.out_dir / "model.atck")
-        result.summary["intermediate_extractor_hashes"] = {
-            "before": intermediate.summary["extractor_hash_before"],
-            "after": intermediate.summary["extractor_hash_after"]}
-        ckpt.write_json(out_dir / "summary.json", result.summary)
-        return result
-    raise ValueError(f"unknown strategy {s!r}")
+    stage_cfg = replace(config, strategy="at",
+                        pretrained_checkpoints=config.pretrained_checkpoints[:1])
+    intermediate = _train_single(stage_cfg, data, out_dir / "intermediate")
+    result = _train_single(config, data, out_dir, init=intermediate.network)
+    result.summary["intermediate"] = str(intermediate.out_dir / "model.atck")
+    result.summary["intermediate_extractor_hashes"] = {
+        "before": intermediate.summary["extractor_hash_before"],
+        "after": intermediate.summary["extractor_hash_after"]}
+    ckpt.write_json(out_dir / "summary.json", result.summary)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +516,12 @@ class SweepRow:
 def _sweep_point(cfg: TrainConfig, data: Dict[str, Dataset], run_dir: Path
                  ) -> Tuple[float, float, float, float]:
     """Train one sweep point; module-level so a process pool can pickle it.
-    Returns (train_acc at the best epoch, val_acc, test_acc, best val loss)."""
+    Returns (train_acc, val_acc, test_acc, val_ce), all at the best epoch:
+    the anti-transfer term grows with beta and flips sign under at_inverse,
+    so only the cross-entropy compares points."""
     result = train(cfg, data, run_dir)
-    return (result.metrics[result.best_epoch].train_acc, result.val_accuracy,
-            result.test_accuracy,
-            float(min(m.val_ce + m.val_at for m in result.metrics)))
+    best = result.metrics[result.best_epoch]
+    return best.train_acc, result.val_accuracy, result.test_accuracy, best.val_ce
 
 
 def sweep_points(base_config: TrainConfig, data: Dict[str, Dataset], label: str,

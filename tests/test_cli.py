@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from antitransfer import checkpoint as ck
+from antitransfer import training
 from antitransfer.cli import _resolve_config, build_parser, main
 from antitransfer.config import DataConfig, ExperimentConfig
 from antitransfer.data import (MANIFEST_NAMES, read_manifest, write_manifest,
@@ -107,6 +108,17 @@ class TestTrainCommand:
         assert "dtype" in err and "'int8'" in err
         assert not (tmp_path / "run").exists()
 
+    def test_unknown_split_policy_exits_2(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"]["split_policy"] = "bogus"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "split_policy" in err and "'bogus'" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_checkpoint_is_runtime_error(self, tmp_path, tiny_data_dir):
         cfg = write_config(tmp_path, data_dir=tiny_data_dir)
         code = main(["train", "--config", str(cfg), "--strategy", "at",
@@ -190,6 +202,30 @@ class TestTrainCommand:
         assert code == 0
         assert (tmp_path / "run" / "intermediate" / "model.atck").exists()
         assert (tmp_path / "run" / "final_init.atck").exists()
+
+
+class TestStrategyTable:
+    @pytest.mark.parametrize("name", list(training.STRATEGIES))
+    def test_every_strategy_trains_and_records_itself(self, name, tmp_path,
+                                                      orth_checkpoint,
+                                                      tiny_data_dir):
+        """--strategy spells each row of the table with hyphens; one epoch
+        of it writes a summary and a checkpoint that name it."""
+        cfg_path = write_config(tmp_path, data_dir=tiny_data_dir)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["train"]["max_epochs"] = 1
+        cfg_path.write_text(json.dumps(cfg))
+        n = training.STRATEGIES[name].checkpoints or 0
+        argv = ["train", "--config", str(cfg_path),
+                "--strategy", name.replace("_", "-"),
+                *["--checkpoint", str(orth_checkpoint)] * n]
+        resolved = _resolve_config(build_parser().parse_args(argv), True)
+        assert resolved.train.strategy == name
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["config"]["strategy"] == name
+        assert ck.load(tmp_path / "run" / "model.atck").provenance["strategy"] \
+            == name
 
 
 class TestLabelField:

@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainConfig(strategy="wi")
 
+    @pytest.mark.parametrize("name", list(training.STRATEGIES))
+    def test_checkpoint_count_is_the_tables(self, name):
+        need = training.STRATEGIES[name].checkpoints
+        counts = range(4) if need is None else (need,)
+        for n in counts:
+            TrainConfig(strategy=name, pretrained_checkpoints=("a",) * n)
+        for n in () if need is None else (need - 1, need + 1):
+            with pytest.raises(ValueError, match=f"requires exactly {need}"):
+                TrainConfig(strategy=name, pretrained_checkpoints=("a",) * n)
+
     def test_fraction_sum_checked(self):
         with pytest.raises(ValueError):
             TrainConfig(split_fractions=(0.5, 0.2, 0.2))
@@ -78,7 +89,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("dtype", "bogus"), ("dtype", "int8"), ("dtype", "float16"),
-        ("normalize_inputs", "false"), ("normalize_inputs", 0)])
+        ("normalize_inputs", "false"), ("normalize_inputs", 0),
+        ("split_policy", "bogus"), ("split_policy", "class-wise")])
     def test_unusable_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
@@ -274,6 +286,32 @@ class TestDualAT:
         assert r.summary["extractor_hash_before"] == r.summary["extractor_hash_after"]
         hashes = r.summary["intermediate_extractor_hashes"]
         assert hashes["before"] == hashes["after"]
+
+    def test_dual_at_records_itself(self, tiny_data_dir, orth_checkpoint,
+                                    tmp_path):
+        """The run's record names dual_at and both checkpoints; stage 1 is
+        an `at` run against the first, stage 2 trains against the second."""
+        other = ck.load(orth_checkpoint)
+        for conv in other.conv_layers():
+            conv.W *= -1.0
+        ck.save(other, tmp_path / "b.atck", provenance=other.provenance)
+        pair = [str(orth_checkpoint), str(tmp_path / "b.atck")]
+        cfg = cfg_for("dual_at", orth_checkpoint, epochs=1)
+        r = training.train(replace(cfg, pretrained_checkpoints=tuple(pair)),
+                           load_split_dir(tiny_data_dir), tmp_path / "run")
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["config"]["strategy"] == "dual_at"
+        assert summary["config"]["pretrained_checkpoints"] == pair
+        for name in ("model.atck", "final_init.atck"):
+            assert ck.load(tmp_path / "run" / name).provenance["strategy"] == \
+                "dual_at"
+        inter = tmp_path / "run" / "intermediate"
+        assert ck.load(inter / "model.atck").provenance["strategy"] == "at"
+        inter_summary = json.loads((inter / "summary.json").read_text())
+        assert inter_summary["config"]["pretrained_checkpoints"] == pair[:1]
+        assert inter_summary["extractor_hash_before"] == \
+            ck.load(pair[0]).weight_hash()
+        assert r.summary["extractor_hash_before"] == other.weight_hash()
 
 
 class TestPretrainAndEvaluate:
@@ -775,6 +813,36 @@ class TestSweeps:
             training.train(cfg_for("wi_freeze", orth_checkpoint, layers=(7,)),
                            data, tmp_path / "run")
         assert not (tmp_path / "run").exists()
+
+    def test_val_loss_selects_the_lowest_best_epoch_cross_entropy(
+            self, tiny_data_dir, orth_checkpoint, tmp_path):
+        """Under at_inverse the AT term is negative and grows with beta, so
+        the lowest validation objective is beta 20's; the validation
+        cross-entropy at the best epoch picks the other point."""
+        data = load_split_dir(tiny_data_dir)
+        points = training.sweep_points(cfg_for("at_inverse", orth_checkpoint,
+                                               epochs=2),
+                                       data, "beta", [0.5, 20.0])
+        rows = training.sweep(points, "beta", data, tmp_path / "sweep",
+                              select_by="val_loss")
+        best_ce, objective = [], []
+        for r in rows:
+            run = tmp_path / "sweep" / f"beta_{r.value}"
+            epoch = json.loads((run / "summary.json").read_text())["best_epoch"]
+            with open(run / "metrics.csv") as f:
+                metrics = list(csv.DictReader(f))
+            best_ce.append(float(metrics[epoch]["val_ce"]))
+            objective.append(min(float(m["val_ce"]) + float(m["val_at"])
+                                 for m in metrics))
+            assert r.val_loss == pytest.approx(best_ce[-1], abs=1e-6)
+        flagged = [r.best for r in rows]
+        assert flagged == [ce == min(best_ce) for ce in best_ce]
+        assert flagged != [o == min(objective) for o in objective]
+        with open(tmp_path / "sweep" / "sweep.csv") as f:
+            table = list(csv.DictReader(f))
+        assert [bool(int(t["best"])) for t in table] == flagged
+        assert [float(t["val_loss"]) for t in table] == \
+            pytest.approx(best_ce, abs=1e-6)
 
     def test_sweep_reproducible(self, tiny_data_dir, orth_checkpoint, tmp_path):
         data = load_split_dir(tiny_data_dir)
