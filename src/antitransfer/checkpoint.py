@@ -28,7 +28,10 @@ from .network import ArchConfig, Network, build
 
 MAGIC = b"ATCK"
 FORMAT_VERSION = 1
-_DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
+# The dtypes a network trains and is saved in, in tag order. float16 goes
+# non-finite in the first batch; integer types cannot train.
+DTYPES = ("float32", "float64")
+_DTYPE_TAGS = {np.dtype(name): tag for tag, name in enumerate(DTYPES, 1)}
 _TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
 
 
@@ -168,7 +171,7 @@ def load(path) -> Network:
     if not isinstance(meta, dict) or meta.get("kind") != "checkpoint":
         raise CorruptFileError(f"{path}: container is not a checkpoint")
     dtype = meta.get("dtype", "float64")
-    if dtype not in ("float32", "float64"):
+    if dtype not in DTYPES:
         raise CorruptFileError(f"{path}: unsupported dtype {dtype!r}")
     try:
         arch = ArchConfig(**meta["arch"])

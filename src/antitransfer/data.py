@@ -18,6 +18,8 @@ import numpy as np
 
 from .checkpoint import atomic_open, read_container, write_container
 
+# The label a run trains on: the target, or orthogonal label column 1 or 2
+LABEL_FIELDS = ("target", "orth1", "orth2")
 MANIFEST_NAMES = {"train": "train_manifest.csv",
                   "val": "val_manifest.csv",
                   "test": "test_manifest.csv"}
@@ -90,15 +92,15 @@ class Dataset:
         return len(self.target_vocab)
 
     def labels_for(self, label_field: str) -> np.ndarray:
-        """target | orth1 | orth2 as the training label."""
+        """One of `LABEL_FIELDS` as the training label."""
+        if label_field not in LABEL_FIELDS:
+            raise ValueError(f"unknown label field {label_field!r}")
         if label_field == "target":
             return self.target_ids
-        if label_field in ("orth1", "orth2"):
-            col = int(label_field[-1]) - 1
-            if col >= self.orth_ids.shape[1] or np.any(self.orth_ids[:, col] < 0):
-                raise ValueError(f"dataset has no complete {label_field} labels")
-            return self.orth_ids[:, col]
-        raise ValueError(f"unknown label field {label_field!r}")
+        col = LABEL_FIELDS.index(label_field) - 1
+        if col >= self.orth_ids.shape[1] or np.any(self.orth_ids[:, col] < 0):
+            raise ValueError(f"dataset has no complete {label_field} labels")
+        return self.orth_ids[:, col]
 
     def classes_for(self, label_field: str) -> int:
         """Class count of `labels_for(label_field)`, whose ValueError it

@@ -18,7 +18,7 @@ from . import layers as L
 from .losses import (AGGREGATIONS, ATConfig, aggregate, at_loss_and_grad,
                      cross_entropy_and_grad)
 from .network import ArchConfig, Network, build
-from .training import batch_objective
+from .training import _precompute_extractor_aggs, batch_objective
 
 
 @dataclass
@@ -132,7 +132,8 @@ def total_loss_gradcheck(at_layer: int, seed: int = 0, tolerance: float = 1e-4,
     """Check d(total objective)/d(every trainable parameter) on a two-conv
     network with the anti-transfer term of sign `sign` (-1 for at_inverse)
     on one layer. Both the loss and the analytic gradient come from
-    `training.batch_objective`, the objective the trainer runs."""
+    `training.batch_objective`, the objective the trainer runs, against the
+    extractor aggregates of the trainer's precompute."""
     net = _two_conv_net(seed=seed)
     extractor = _two_conv_net(seed=seed + 101)
     rng = np.random.default_rng(seed + 7)
@@ -140,8 +141,7 @@ def total_loss_gradcheck(at_layer: int, seed: int = 0, tolerance: float = 1e-4,
     labels = np.array([0, 2])
     cfg = ATConfig(layers=(at_layer,), beta=beta)
 
-    ptaps = extractor.tap_features(x, cfg.layers)
-    paggs = {k: aggregate(ptaps[k], cfg.aggregation) for k in cfg.layers}
+    paggs = _precompute_extractor_aggs(extractor, x, cfg)
 
     def loss_fn():
         _, ce, at_vals, _, _ = batch_objective(net, x, labels, cfg, paggs,

@@ -37,8 +37,6 @@ class SynthSpec:
     noise_sigma: float = 0.1
     target_amplitude: float = 0.8
     orth_amplitude: float = 1.2
-    band_width: int = 2
-    spike_width: int = 2
     band_fade: float = 0.0
     seed: int = 0
 
@@ -70,6 +68,8 @@ class SynthSpec:
 
 _BANDS_PER_CLASS = 2
 _SPIKES_PER_CLASS = 3
+_BAND_WIDTH = 2     # bins per band, at most the band spacing
+_SPIKE_WIDTH = 2    # frames per spike, at most the spike spacing
 
 
 def _bin_split(spec: SynthSpec) -> int:
@@ -83,7 +83,7 @@ def _band_positions(spec: SynthSpec, k: int):
     half = _bin_split(spec)
     slots = spec.n_target_classes * _BANDS_PER_CLASS
     space = max(1, (half - 2) // slots)
-    width = min(spec.band_width, space)
+    width = min(_BAND_WIDTH, space)
     span = max(half - 1 - width, 1)
     for j in range(_BANDS_PER_CLASS):
         b0 = 1 + ((k + j * spec.n_target_classes) * space) % span
@@ -94,7 +94,7 @@ def _spike_positions(spec: SynthSpec, m: int):
     frames, _ = spec.image_size
     slots = spec.n_orth_classes * _SPIKES_PER_CLASS
     space = max(1, (frames - 2) // slots)
-    width = min(spec.spike_width, space)
+    width = min(_SPIKE_WIDTH, space)
     span = max(frames - 1 - width, 1)
     for j in range(_SPIKES_PER_CLASS):
         f0 = 1 + ((m + j * spec.n_orth_classes) * space) % span

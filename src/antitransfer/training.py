@@ -10,6 +10,11 @@ term against the last one (or no term). Config checks, the single-stage
 trainer and the CLI all read it; only `train()` knows that dual_at runs in
 two stages.
 
+A single-stage run (`_train_single`) is set-up, one epoch loop (`_fit`) and
+finish. `_fit` alone owns the optimizer, the shuffling and dropout RNGs,
+validation, `metrics.csv` and early stopping; the training epoch and
+validation total their per-batch losses through one fold (`_fold`).
+
 The frozen extractor's aggregated representations (Gram matrices by default)
 are precomputed once per split before the epoch loop: they are constants of
 the run, so this is arithmetically identical to running the extractor forward
@@ -30,7 +35,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .audio import NormStats, compute_norm_stats, normalize
-from .data import SPLIT_POLICIES, Dataset
+from .checkpoint import DTYPES
+from .data import DEFAULT_FRACTIONS, LABEL_FIELDS, SPLIT_POLICIES, Dataset
 from .layers import _map_blocks
 from .losses import ATConfig, aggregate, cross_entropy_and_grad
 from .losses import at_loss_and_grad as _at_term
@@ -56,10 +62,6 @@ STRATEGIES = {
     "dual_at": Strategy(2, sign=1.0),   # stage 2 of `train`'s two stages
 }
 
-LABEL_FIELDS = ("target", "orth1", "orth2")
-# float16 goes non-finite in the first batch; integer types cannot train
-DTYPES = ("float32", "float64")
-
 
 def _is_number(value) -> bool:
     """An int or float that is not a bool."""
@@ -77,7 +79,7 @@ class TrainConfig:
     strategy: str = "scratch"
     at: ATConfig = field(default_factory=ATConfig)
     pretrained_checkpoints: Tuple[str, ...] = ()
-    label_field: str = "target"      # target | orth1 | orth2
+    label_field: str = "target"      # one of data.LABEL_FIELDS
     task_name: str = ""
     arch_preset: str = "vgg-tiny"
     lr: float = 5e-4
@@ -88,7 +90,7 @@ class TrainConfig:
     dtype: str = "float32"
     normalize_inputs: bool = True
     split_policy: str = "random"
-    split_fractions: Tuple[float, float, float] = (0.7, 0.2, 0.1)
+    split_fractions: Tuple[float, float, float] = DEFAULT_FRACTIONS
 
     def __post_init__(self):
         if isinstance(self.at, dict):
@@ -137,13 +139,19 @@ class EpochMetrics:
     epoch: int
     train_ce: float
     val_ce: float
-    train_at: float
-    val_at: float
     train_acc: float
     val_acc: float
     seconds: float
     train_at_per_layer: Dict[int, float] = field(default_factory=dict)
     val_at_per_layer: Dict[int, float] = field(default_factory=dict)
+
+    @property
+    def train_at(self) -> float:
+        return sum(self.train_at_per_layer.values())
+
+    @property
+    def val_at(self) -> float:
+        return sum(self.val_at_per_layer.values())
 
     CSV_COLUMNS = ("epoch", "train_ce", "val_ce", "train_at", "val_at",
                    "train_acc", "val_acc", "seconds")
@@ -234,6 +242,21 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
     return logits, ce, at_vals, dlogits, tap_grads
 
 
+def _fold(batches, layers: Sequence[int]):
+    """Sample-weighted means of per-batch (rows, ce, correct, {layer: at}),
+    added in batch order: (ce, accuracy, {layer: at})."""
+    n, ce_sum, correct = 0, 0.0, 0
+    at_sums = {k: 0.0 for k in layers}
+    for rows, ce, right, at_vals in batches:
+        n += rows
+        ce_sum += ce * rows
+        correct += right
+        for k, val in at_vals.items():
+            at_sums[k] += val * rows
+    n = max(n, 1)
+    return ce_sum / n, correct / n, {k: v / n for k, v in at_sums.items()}
+
+
 def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
                  agg_cache: Optional[Dict[int, np.ndarray]], sign: float = 1.0):
     """Validation cross-entropy, accuracy and per-layer anti-transfer terms."""
@@ -245,17 +268,8 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
                                                     sign=sign)
         return len(yb), ce, int((logits.argmax(axis=1) == yb).sum()), at_vals
 
-    total_ce = 0.0
-    correct = 0
-    at_sums = {k: 0.0 for k in (at_cfg.layers if at_cfg else ())}
-    for n_b, ce, correct_b, at_vals in _map_blocks(block_losses, len(x),
-                                                   net.sample_block):
-        total_ce += ce * n_b
-        correct += correct_b
-        for k, val in at_vals.items():
-            at_sums[k] += val * n_b
-    n = max(len(x), 1)
-    return (total_ce / n, correct / n, {k: v / n for k, v in at_sums.items()})
+    return _fold(_map_blocks(block_losses, len(x), net.sample_block),
+                 at_cfg.layers if at_cfg else ())
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +331,9 @@ def check_at_layers(config: TrainConfig, data: Dict[str, Dataset],
 
 def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
                   init: Optional[Network] = None) -> TrainResult:
-    """One run of `config`'s row of `STRATEGIES`. The convs start from
-    `init` when given (saved as final_init.atck), else from the first
-    checkpoint when the row says so."""
+    """One run of `config`'s row of `STRATEGIES`: set-up, `_fit`, finish.
+    The convs start from `init` when given (saved as final_init.atck), else
+    from the first checkpoint when the row says so."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     splits = {s: data[s] for s in ("train", "val", "test")}
@@ -339,121 +353,109 @@ def _train_single(config: TrainConfig, data: Dict[str, Dataset], out_dir: Path,
         ckpt.init_from(net, source,
                        freeze_up_to=max(config.at.layers) if row.freeze else None)
 
-    at_cfg = None
-    extractor = None
-    agg_caches = {}
-    extractor_hash_before = extractor_hash_after = None
+    at_cfg = extractor = hash_before = None
+    aggs = {}
     if row.sign is not None:
         at_cfg = config.at
         extractor = ckpt.load(config.pretrained_checkpoints[-1])
         _check_extractor_compatible(net, extractor, at_cfg)
-        extractor_hash_before = extractor.weight_hash()
-        for split in ("train", "val"):
-            agg_caches[split] = _precompute_extractor_aggs(
-                extractor, xs[split], at_cfg)
-
-    optimizer = Adam(lr=config.lr)
-    rng_order = np.random.default_rng([config.seed, 1])
-    rng_dropout = np.random.default_rng([config.seed, 2])
+        hash_before = extractor.weight_hash()
+        aggs = {s: _precompute_extractor_aggs(extractor, xs[s], at_cfg)
+                for s in ("train", "val")}
 
     if init is not None:
         ckpt.save(net, out_dir / "final_init.atck",
                   provenance=_provenance(config, epoch=0, stats=stats))
 
-    taps = at_cfg.layers if at_cfg else ()
-    metrics: List[EpochMetrics] = []
-    best = {"loss": np.inf, "epoch": -1, "weights": None, "val_acc": 0.0}
-    metrics_path = out_dir / "metrics.csv"
-    mfile = open(metrics_path, "w", newline="")
-    mcsv = csv.writer(mfile)
-    mcsv.writerow(EpochMetrics.csv_header(taps))
+    metrics, best, weights = _fit(config, net, xs, labels, at_cfg, aggs,
+                                  row.sign, out_dir / "metrics.csv")
 
-    x_train = xs["train"]
-    y_train = labels["train"]
-    n_train = len(x_train)
-    params, grads = net.trainable_params()
-    try:
-        for epoch in range(config.max_epochs):
-            tic = time.perf_counter()
-            order = rng_order.permutation(n_train)
-            ce_sum = 0.0
-            at_sums = {k: 0.0 for k in taps}
-            correct = 0
-            for start in range(0, n_train, config.batch_size):
-                idx = order[start:start + config.batch_size]
-                yb = y_train[idx]
-                net.finite_checks = start == 0
-                logits, ce, at_vals, dlogits, inject = batch_objective(
-                    net, x_train[idx], yb, at_cfg, agg_caches.get("train"), idx,
-                    train=True, rng=rng_dropout, sign=row.sign)
-                for k, val in at_vals.items():
-                    at_sums[k] += val * len(idx)
-                batch_at = sum(at_vals.values(), 0.0)
-                if not np.isfinite(ce + batch_at):
-                    raise TrainingDivergedError(
-                        f"non-finite loss at epoch {epoch}, samples "
-                        f"{start}..{start + len(idx)} (ce={ce}, at={batch_at})")
-                ce_sum += ce * len(idx)
-                correct += int((logits.argmax(axis=1) == yb).sum())
-                net.backward(dlogits, tap_grad_in=inject or None)
-                optimizer.step(params, grads)
-            net.finite_checks = True
-
-            val_ce, val_acc, val_at = _eval_losses(
-                net, xs["val"], labels["val"], at_cfg, agg_caches.get("val"),
-                row.sign)
-            train_at_layers = {k: v / n_train for k, v in at_sums.items()}
-            em = EpochMetrics(
-                epoch=epoch,
-                train_ce=ce_sum / n_train,
-                val_ce=val_ce,
-                train_at=sum(train_at_layers.values()),
-                val_at=sum(val_at.values()),
-                train_acc=correct / n_train,
-                val_acc=val_acc,
-                seconds=time.perf_counter() - tic,
-                train_at_per_layer=train_at_layers,
-                val_at_per_layer=val_at)
-            metrics.append(em)
-            mcsv.writerow(em.csv_row())
-            mfile.flush()
-
-            val_total = val_ce + sum(val_at.values())
-            if val_total < best["loss"]:
-                best.update(loss=val_total, epoch=epoch, val_acc=val_acc,
-                            weights={n: a.copy() for n, a in params.items()})
-            elif epoch - best["epoch"] >= config.patience:
-                break
-    finally:
-        mfile.close()
-
-    if best["weights"] is not None:
-        net.load_params(best["weights"])
-
+    net.load_params(weights)
     test_acc, confusion = evaluate(net, xs["test"], labels["test"])
-    if extractor is not None:
-        extractor_hash_after = extractor.weight_hash()
-
     ckpt_path = out_dir / "model.atck"
     ckpt.save(net, ckpt_path,
-              provenance=_provenance(config, epoch=best["epoch"], stats=stats))
+              provenance=_provenance(config, epoch=best, stats=stats))
     summary = {
         "config": config.to_dict(),
-        "best_epoch": best["epoch"],
+        "best_epoch": best,
         "epochs_run": len(metrics),
-        "val_accuracy": best["val_acc"],
+        "val_accuracy": metrics[best].val_acc,
         "test_accuracy": test_acc,
         "confusion_matrix": confusion.tolist(),
         "checkpoint": ckpt_path.name,
         "norm_stats": None if stats is None else {"mean": stats.mean, "std": stats.std},
-        "extractor_hash_before": extractor_hash_before,
-        "extractor_hash_after": extractor_hash_after,
+        "extractor_hash_before": hash_before,
+        "extractor_hash_after": None if extractor is None else extractor.weight_hash(),
     }
     ckpt.write_json(out_dir / "summary.json", summary)
     return TrainResult(out_dir=out_dir, checkpoint_path=ckpt_path,
-                       metrics=metrics, best_epoch=best["epoch"],
-                       test_accuracy=test_acc, val_accuracy=best["val_acc"],
+                       metrics=metrics, best_epoch=best,
+                       test_accuracy=test_acc, val_accuracy=summary["val_accuracy"],
                        confusion=confusion, summary=summary, network=net)
+
+
+def _fit(config: TrainConfig, net: Network, xs, labels,
+         at_cfg: Optional[ATConfig], aggs: Dict[str, Dict[int, np.ndarray]],
+         sign: Optional[float], metrics_path: Path
+         ) -> Tuple[List[EpochMetrics], int, Dict[str, np.ndarray]]:
+    """The epoch loop: Adam steps over shuffled batches of the train split,
+    validation, a metrics.csv row per epoch, and early stopping on the
+    validation total (cross-entropy plus anti-transfer terms) after
+    `config.patience` epochs without a new best. Returns every epoch's
+    metrics, the best epoch and copies of its trainable weights."""
+    optimizer = Adam(lr=config.lr)
+    rng_order = np.random.default_rng([config.seed, 1])
+    rng_dropout = np.random.default_rng([config.seed, 2])
+    taps = at_cfg.layers if at_cfg else ()
+    x, y = xs["train"], labels["train"]
+    params, grads = net.trainable_params()
+
+    def steps(epoch):
+        """One Adam step per batch; yields each batch's (rows, ce,
+        correct, {layer: at}) for `_fold`."""
+        order = rng_order.permutation(len(x))
+        for start in range(0, len(x), config.batch_size):
+            idx = order[start:start + config.batch_size]
+            yb = y[idx]
+            net.finite_checks = start == 0
+            logits, ce, at_vals, dlogits, inject = batch_objective(
+                net, x[idx], yb, at_cfg, aggs.get("train"), idx,
+                train=True, rng=rng_dropout, sign=sign)
+            batch_at = sum(at_vals.values(), 0.0)
+            if not np.isfinite(ce + batch_at):
+                raise TrainingDivergedError(
+                    f"non-finite loss at epoch {epoch}, samples "
+                    f"{start}..{start + len(idx)} (ce={ce}, at={batch_at})")
+            correct = int((logits.argmax(axis=1) == yb).sum())
+            net.backward(dlogits, tap_grad_in=inject or None)
+            optimizer.step(params, grads)
+            yield len(idx), ce, correct, at_vals
+        net.finite_checks = True
+
+    metrics: List[EpochMetrics] = []
+    best, best_loss, best_weights = -1, np.inf, None
+    with open(metrics_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(EpochMetrics.csv_header(taps))
+        for epoch in range(config.max_epochs):
+            tic = time.perf_counter()
+            train_ce, train_acc, train_at = _fold(steps(epoch), taps)
+            val_ce, val_acc, val_at = _eval_losses(
+                net, xs["val"], labels["val"], at_cfg, aggs.get("val"), sign)
+            em = EpochMetrics(epoch=epoch, train_ce=train_ce, val_ce=val_ce,
+                              train_acc=train_acc, val_acc=val_acc,
+                              seconds=time.perf_counter() - tic,
+                              train_at_per_layer=train_at,
+                              val_at_per_layer=val_at)
+            metrics.append(em)
+            writer.writerow(em.csv_row())
+            f.flush()
+            if em.val_ce + em.val_at < best_loss:
+                best, best_loss = epoch, em.val_ce + em.val_at
+                best_weights = {n: a.copy() for n, a in params.items()}
+            elif epoch - best >= config.patience:
+                break
+    return metrics, best, best_weights
 
 
 def _provenance(config: TrainConfig, epoch: int, stats: Optional[NormStats]) -> dict:

@@ -79,6 +79,15 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="n_classes"):
             ExperimentConfig.load(path)
 
+    @pytest.mark.parametrize("key", ["band_width", "spike_width"])
+    def test_removed_synth_widths_rejected(self, tmp_path, key):
+        d = make_config().to_dict()
+        d["data"]["synth"][key] = 2
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.load(path)
+
     @pytest.mark.parametrize("layers", [[], [0], [2, -1]])
     def test_at_layers_numbered_from_one(self, tmp_path, layers):
         d = make_config().to_dict()

@@ -146,6 +146,21 @@ class TestScratch:
         vals = [m.val_ce + m.val_at for m in r.metrics]
         assert r.best_epoch == int(np.argmin(vals))
 
+    def test_checkpoint_holds_the_best_epochs_weights(self, tiny_data_dir,
+                                                      tmp_path):
+        """A run that stops early ends with the weights of a run that stops
+        at its best epoch, in memory and in model.atck."""
+        data = load_split_dir(tiny_data_dir)
+        cfg = cfg_for("scratch", epochs=12, patience=2)
+        stopped = training.train(cfg, data, tmp_path / "stopped")
+        assert stopped.best_epoch < len(stopped.metrics) - 1 < cfg.max_epochs - 1
+        at_best = training.train(replace(cfg, max_epochs=stopped.best_epoch + 1),
+                                 data, tmp_path / "at_best")
+        assert at_best.best_epoch == stopped.best_epoch
+        want = at_best.network.weight_hash()
+        assert stopped.network.weight_hash() == want
+        assert ck.load(stopped.checkpoint_path).weight_hash() == want
+
 
 class TestAntiTransfer:
     def test_trainer_uses_the_checked_loss(self):
@@ -231,6 +246,10 @@ class TestAntiTransfer:
             for k in (1, 3):
                 assert got[f"train_at_{k}"] == f"{m.train_at_per_layer[k]:.6f}"
                 assert got[f"val_at_{k}"] == f"{m.val_at_per_layer[k]:.6f}"
+            for split in ("train", "val"):
+                per_layer = getattr(m, f"{split}_at_per_layer")
+                assert got[f"{split}_at"] == \
+                    f"{per_layer[3] + per_layer[1]:.6f}"
             assert float(got["train_at_1"]) > 0.0 and float(got["val_at_3"]) > 0.0
 
     def test_at_inverse_records_negative_terms(self, tiny_data_dir,
