@@ -54,17 +54,18 @@ class FingerprintMismatchError(CheckpointError):
 @contextmanager
 def atomic_open(path, mode: str = "wb"):
     """Write to a temporary file beside `path` that replaces it when the
-    block ends, or is removed if the block raises: `path` is never left
-    half-written. Text is written as given, without newline translation
-    (what `csv` expects)."""
+    block ends, or is removed if the block or the replace raises: `path` is
+    never left half-written. Text is written as given, without newline
+    translation (what `csv` expects)."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, mode, newline=None if "b" in mode else "") as f:
             yield f
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path, payload) -> None:

@@ -15,13 +15,16 @@ and hands them in backward only gradients it made itself: never the
 caller's output gradient, nor one it has captured for the caller.
 `ReLU()` itself leaves its arguments untouched.
 
-Conv and max-pool layers run a pass over blocks of whole samples on every
-CPU (`_map_blocks`); the other layers run over the whole batch on the
-calling thread.
+Every layer runs over the batch it is given, on the calling thread. A
+`Network` spreads a pass over blocks of whole samples on every CPU
+(`_map_blocks`): each block runs its own copies of the conv, ReLU and
+max-pool layers (`Layer.block_copy`), which share the weights but keep their
+own recordings.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -47,12 +50,12 @@ def check_finite(x: np.ndarray, where: str) -> None:
 # Passes over blocks of samples
 # ---------------------------------------------------------------------------
 
-# A pass over a batch (a conv or pool layer's forward or backward, and
-# evaluation's passes over the network) runs over blocks of whole samples,
-# spread over every CPU the process may run on. The caller picks the blocks,
-# so they do not depend on how many CPUs there are; each block writes only
-# its own samples' slices and keeps its own temporaries, and results come
-# back in block order, so neither do the outputs.
+# A pass over a batch (a network's forward or backward through its conv
+# stack, and evaluation's passes over the network) runs over blocks of whole
+# samples, spread over every CPU the process may run on. The caller picks
+# the blocks, so they do not depend on how many CPUs there are; each block
+# writes only its own samples' slices and keeps its own temporaries, and
+# results come back in block order, so neither do the outputs.
 
 def _workers() -> int:
     """Threads a pass over blocks runs on: one per CPU in the affinity mask."""
@@ -231,6 +234,12 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def block_copy(self) -> "Layer":
+        """A copy for one block of samples of a `Network` pass: it shares
+        this layer's weights and gradient buffers but keeps its own
+        recording, so that blocks can run at the same time."""
+        return copy.copy(self)
+
 
 # Within a block of a pass, conv forward and backward run over inner blocks
 # of whole samples whose column buffer and output take about this many bytes
@@ -251,31 +260,26 @@ _CONV_BLOCK_BYTES = 1 << 20
 class Conv2D(Layer):
     """2-D convolution, NCHW layout, square kernel, zero padding.
 
-    A pass runs over blocks of `block` whole samples (by default one block
-    of the batch; a `Network` gives `sample_block`), which `_map_blocks`
-    spreads over every CPU; backward reuses its forward's blocks. Each block
-    writes only its samples' slices of the output, the kept padded input and
-    the input gradient, and allocates its own buffers.
-
-    Within a block, forward is im2col (Chellapilla et al. 2006) over inner
-    blocks of samples (`_CONV_BLOCK_BYTES`): k*k strided copies fill a
-    (samples, in channels x taps, positions) column buffer, one matmul with
-    the (out, in x taps) weights turns it into the inner block's output, and
-    the bias is added last. numpy runs that matmul as one GEMM per sample,
-    all of the same shape, so a sample's output does not depend on the batch
-    or the block it is in.
+    Forward is im2col (Chellapilla et al. 2006) over inner blocks of samples
+    (`_CONV_BLOCK_BYTES`): k*k strided copies fill a (samples, in channels x
+    taps, positions) column buffer, one matmul with the (out, in x taps)
+    weights turns it into the inner block's output, and the bias is added
+    last. numpy runs that matmul as one GEMM per sample, all of the same
+    shape, so a sample's output does not depend on the batch it is in.
 
     Backward (col2im) runs over the same inner blocks. A trainable conv
     refills the forward's column buffer from the padded input it kept, and
     one GEMM per sample of the output gradient with the columns gives that
-    sample's weight gradient term. The blocks return their terms and the
-    calling thread adds them in sample order, so the weight gradient does
-    not depend on the blocks or the threads; the bias gradient is one sum
-    over the whole batch there. One GEMM per sample of the transposed
-    weights with the output gradient then gives the column gradient, in the
-    same buffer, and k*k strided adds in tap order fold it back into the
-    padded input gradient, so a sample's input gradient does not depend on
-    its batch. A frozen conv skips the columns and the weight gradient.
+    sample's weight gradient term; each sample's bias gradient term is the
+    sum of its output gradient's planes. `add_grads` adds the terms in
+    sample order, so a `Network` that runs its blocks of samples on several
+    threads gets the bytes of one backward over the whole batch: its block
+    copies keep their terms (`block_copy`), and a conv's own backward adds
+    its terms at once. One GEMM per sample of the transposed weights with
+    the output gradient then gives the column gradient, in the same buffer,
+    and k*k strided adds in tap order fold it back into the padded input
+    gradient, so a sample's input gradient does not depend on its batch. A
+    frozen conv skips the columns and the gradient terms.
 
     For those adds to run over whole planes, the output gradient is laid out
     on rows of the padded input's width wp: window (r, q) sits at position
@@ -286,6 +290,11 @@ class Conv2D(Layer):
     columns per row of the column-gradient GEMM at stride 1, and about s
     times its work at stride s.
     """
+
+    # set on a block copy, whose backward leaves its gradient terms in
+    # `terms` for `add_grads` instead of adding them into gW and gb
+    keeps_terms = False
+    terms = None
 
     def __init__(self, spec: LayerSpec, in_channels: int, rng: np.random.Generator,
                  dtype=np.float64, name: str = "conv"):
@@ -307,6 +316,11 @@ class Conv2D(Layer):
         self.gb = np.zeros_like(self.b)
         self._xp = None
 
+    def block_copy(self) -> "Conv2D":
+        twin = copy.copy(self)
+        twin.keeps_terms = True
+        return twin
+
     def _block(self, oh, ow, itemsize):
         """Samples per block: their columns and output fill _CONV_BLOCK_BYTES."""
         rows = self.in_channels * self.kernel * self.kernel
@@ -321,7 +335,7 @@ class Conv2D(Layer):
             for j in range(self.kernel):
                 cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
 
-    def forward(self, x, train, rng, record=True, block=None):
+    def forward(self, x, train, rng, record=True):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.name}: expected {self.in_channels} input channels, got {c}")
@@ -333,39 +347,31 @@ class Conv2D(Layer):
         out = np.empty((n, oc, oh * ow), dtype=x.dtype)
         # Each inner block is copied into a zero-padded buffer just before its
         # columns are filled. A recording forward keeps the whole padded
-        # batch for backward; one that does not reuses one inner block's
-        # buffer, whose zero border is written once per block of the pass.
+        # input for backward; one that does not reuses one inner block's
+        # buffer, whose zero border is written once per call.
         # That buffer pays for itself: with an np.pad per block instead,
         # perfbench's audio-infer (64 spectrograms at 126x129, 2-vCPU VM, 1
         # BLAS thread, medians of 5 alternating 30 s pairs) fell from 187.1
         # to 174.6 samples/s and its evaluate rose from 0.246 to 0.271 s
         # (worse in 4 of 5 pairs each).
-        kept = (np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype) if p
-                else x) if record else None
-
-        def run(samples):
-            xs, outs = x[samples], out[samples]
-            m = len(xs)
-            padded = None
-            if p:
-                padded = kept[samples] if record else np.zeros(
-                    (min(inner, m), c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-            cols = np.empty((min(inner, m), c, k, k, oh, ow), dtype=x.dtype)
-            for a in range(0, m, inner):
-                b = min(inner, m - a)
-                xb, ob = xs[a:a + b], outs[a:a + b]
-                if padded is not None:
-                    at = a if record else 0
-                    padded[at:at + b, :, p:p + h, p:p + w] = xb
-                    xb = padded[at:at + b]
-                cb = cols[:b]
-                self._fill_columns(cb, xb)
-                # (oc, c * k * k) x (c * k * k, oh * ow) for each sample
-                np.matmul(weights, cb.reshape(b, rows, -1), out=ob)
-                ob += self.b[:, None]
-
-        self._xp, self._samples = kept, block or max(n, 1)
-        _map_blocks(run, n, self._samples)
+        padded = None
+        if p:
+            padded = np.zeros((n if record else min(inner, n), c,
+                               h + 2 * p, w + 2 * p), dtype=x.dtype)
+        cols = np.empty((min(inner, n), c, k, k, oh, ow), dtype=x.dtype)
+        for a in range(0, n, inner):
+            b = min(inner, n - a)
+            xb, ob = x[a:a + b], out[a:a + b]
+            if padded is not None:
+                at = a if record else 0
+                padded[at:at + b, :, p:p + h, p:p + w] = xb
+                xb = padded[at:at + b]
+            cb = cols[:b]
+            self._fill_columns(cb, xb)
+            # (oc, c * k * k) x (c * k * k, oh * ow) for each sample
+            np.matmul(weights, cb.reshape(b, rows, -1), out=ob)
+            ob += self.b[:, None]
+        self._xp = (x if padded is None else padded) if record else None
         return out.reshape(n, oc, oh, ow)
 
     def backward(self, dout):
@@ -380,59 +386,62 @@ class Conv2D(Layer):
         wide = (oh - 1) * wp + ow   # positions up to the last window's
         weights_t = self.W.reshape(oc, rows).T
         d = dout.reshape(n, oc, oh * ow)
-        dxp = np.empty_like(xp)
+        dxp = np.zeros_like(xp)
         planes = dxp.reshape(n, c, hp * wp)
         trainable = self.trainable
-
-        def run(samples):
-            """Fills the samples' input gradient; returns their weight
-            gradient terms, one (c * k * k, oc) matrix per sample."""
-            xs, ds, pbs = xp[samples], d[samples], planes[samples]
-            douts = dout[samples]
-            m = len(xs)
-            nb = min(inner, m)
-            pbs.fill(0)
-            # the inner block's output gradient on rows of width wp, zero
-            # past ow
-            d_wide = np.zeros((nb, oc, oh, wp), dtype=xp.dtype)
-            # one buffer holds the inner block's columns, then its column
-            # gradient
-            buf = np.empty(nb * rows * wide, dtype=xp.dtype)
-            cols = buf[:nb * rows * oh * ow].reshape(nb, c, k, k, oh, ow)
-            dcols = buf.reshape(nb, c, k, k, wide)
-            terms = []
-            for a in range(0, m, inner):
-                b = min(inner, m - a)
-                if trainable:
-                    self._fill_columns(cols[:b], xs[a:a + b])
-                    # (c * k * k, oh * ow) x (oh * ow, oc) for each sample:
-                    # the transposed weight gradient, which OpenBLAS computes
-                    # faster than d x cols.T (one 16x63x64 sample into 32
-                    # channels: 0.50 against 0.92 ms)
-                    terms.append(np.matmul(cols[:b].reshape(b, rows, -1),
-                                           ds[a:a + b].transpose(0, 2, 1)))
-                d_wide[:b, :, :, :ow] = douts[a:a + b]
-                # (c * k * k, oc) x (oc, wide) for each sample
-                np.matmul(weights_t, d_wide[:b].reshape(b, oc, -1)[:, :, :wide],
-                          out=dcols[:b].reshape(b, rows, wide))
-                pb = pbs[a:a + b]
-                for i in range(k):
-                    for j in range(k):
-                        at = i * wp + j
-                        pb[:, :, at:at + s * (wide - 1) + 1:s] += dcols[:b, :, i, j]
-            return terms
-
+        nb = min(inner, n)
+        # the inner block's output gradient on rows of width wp, zero past ow
+        d_wide = np.zeros((nb, oc, oh, wp), dtype=xp.dtype)
+        # one buffer holds the inner block's columns, then its column gradient
+        buf = np.empty(nb * rows * wide, dtype=xp.dtype)
+        cols = buf[:nb * rows * oh * ow].reshape(nb, c, k, k, oh, ow)
+        dcols = buf.reshape(nb, c, k, k, wide)
+        weight_terms = []
+        for a in range(0, n, inner):
+            b = min(inner, n - a)
+            if trainable:
+                self._fill_columns(cols[:b], xp[a:a + b])
+                # (c * k * k, oh * ow) x (oh * ow, oc) for each sample: the
+                # transposed weight gradient, which OpenBLAS computes faster
+                # than d x cols.T (one 16x63x64 sample into 32 channels: 0.50
+                # against 0.92 ms)
+                weight_terms.append(np.matmul(cols[:b].reshape(b, rows, -1),
+                                              d[a:a + b].transpose(0, 2, 1)))
+            d_wide[:b, :, :, :ow] = dout[a:a + b]
+            # (c * k * k, oc) x (oc, wide) for each sample
+            np.matmul(weights_t, d_wide[:b].reshape(b, oc, -1)[:, :, :wide],
+                      out=dcols[:b].reshape(b, rows, wide))
+            pb = planes[a:a + b]
+            for i in range(k):
+                for j in range(k):
+                    at = i * wp + j
+                    pb[:, :, at:at + s * (wide - 1) + 1:s] += dcols[:b, :, i, j]
         if trainable:
-            dout.sum(axis=(0, 2, 3), out=self.gb)
-        blocks = _map_blocks(run, n, self._samples)
-        if trainable:
-            gw_t = np.zeros((rows, oc), dtype=xp.dtype)
-            for terms in blocks:
-                for stack in terms:
-                    for g in stack:
-                        gw_t += g
-            self.gW[...] = gw_t.T.reshape(self.gW.shape)
+            # With one output channel numpy sums a batch's (n, 1, h, w) output
+            # gradient as one pairwise run, which no sum of per-sample sums
+            # reproduces, so the term is the gradient itself. With more, the
+            # per-sample plane sums added in sample order are the bytes of
+            # dout.sum(axis=(0, 2, 3)) (numpy 2.4, float32 and float64).
+            terms = (weight_terms, dout if oc == 1 else dout.sum(axis=(2, 3)))
+            if self.keeps_terms:
+                self.terms = terms
+            else:
+                self.add_grads([terms])
         return dxp[:, :, p:hp - p, p:wp - p] if p else dxp
+
+    def add_grads(self, blocks) -> None:
+        """Write gW and gb from the gradient terms of consecutive blocks of
+        a batch's samples, each a backward's (weight terms, bias terms),
+        added in sample order."""
+        rows, oc = self.in_channels * self.kernel * self.kernel, self.out_channels
+        bias = np.concatenate([b for _, b in blocks])
+        gw_t = np.zeros((rows, oc), dtype=bias.dtype)
+        for weight_terms, _ in blocks:
+            for stack in weight_terms:
+                for g in stack:
+                    gw_t += g
+        self.gW[...] = gw_t.T.reshape(self.gW.shape)
+        bias.sum(axis=(0, 2, 3) if oc == 1 else 0, out=self.gb)
 
 
 def _fold_argmax(taps, acc, hit, arg, index):
@@ -476,13 +485,10 @@ class MaxPool2D(Layer):
     first row holding a NaN or, when that is the top row, to the first
     maximal tap left of its first NaN (the top-left tap if that is the NaN).
 
-    Forward and backward run over blocks of `block` whole samples (by
-    default one block of the batch; a `Network` gives `sample_block`), which
-    `_map_blocks` spreads over every CPU; backward reuses its forward's
-    blocks. Each block writes only its samples' slices of the output, the
-    argmax and the input gradient, and allocates its own fold buffers and
-    `np.add.at` indices, so no byte depends on the blocks or the threads and
-    no temporary grows with the batch.
+    Every sample's output, argmax and input gradient are computed from that
+    sample alone, so no byte depends on the batch it is in; the fold buffers
+    and `np.add.at` indices take the size of the batch a call is given,
+    which in a `Network` pass is one block of samples.
     """
 
     def __init__(self, spec: LayerSpec, name: str = "maxpool"):
@@ -492,7 +498,7 @@ class MaxPool2D(Layer):
         self.stride = spec.stride
         self._arg = None
 
-    def forward(self, x, train, rng, record=True, block=None):
+    def forward(self, x, train, rng, record=True):
         n, c, h, w = x.shape
         k, s = self.kernel, self.stride
         oh, ow = output_hw(self.spec, h, w)
@@ -501,48 +507,39 @@ class MaxPool2D(Layer):
         rows = [slice(i, i + s * (oh - 1) + 1, s) for i in range(k)]
         cols = [slice(j, j + s * (ow - 1) + 1, s) for j in range(k)]
         out = np.empty((n, c, oh, ow), dtype=x.dtype)
-        arg = np.empty(out.shape, dtype=np.int8) if record else None
-
-        def run(samples):
-            xs, outs = x[samples], out[samples]
-            # Separable max: over the column taps into buf, then over the row
-            # taps of buf. np.maximum(tap, acc) keeps acc on a tie, so every
-            # window gets the value of its first maximal tap in row-major
-            # order, signed zeros included.
-            buf = xs[:, :, :, cols[0]].copy()
-            if arg is None:
-                for col in cols[1:]:
-                    tap = xs[:, :, :, col]
-                    acc = buf[:, :, :, :tap.shape[3]]
-                    np.maximum(tap, acc, out=acc)
-                np.copyto(outs, buf[:, :, rows[0]])
-                for row in rows[1:]:
-                    tap = buf[:, :, row]
-                    acc = outs[:, :, :tap.shape[2]]
-                    np.maximum(tap, acc, out=acc)
-                return
-            # The same maxima with their argmax, which only backward reads:
-            # colarg takes the first maximal column tap j of each row of buf,
-            # then arg the first maximal row tap i of each window, whose tap
-            # is i*k + j.
-            colarg = np.zeros(buf.shape, dtype=np.int8)
-            hit = np.empty(buf.shape, dtype=bool)
-            buf = _fold_argmax([xs[:, :, :, col] for col in cols], buf, hit,
-                               colarg, lambda j: j)
-            np.copyto(outs, buf[:, :, rows[0]])
-            args = arg[samples]
-            np.copyto(args, colarg[:, :, rows[0]])
-            res = _fold_argmax([buf[:, :, row] for row in rows], outs,
-                               np.empty(outs.shape, dtype=bool), args,
-                               lambda i: colarg[:, :, rows[i]] + np.int8(i * k))
-            if res is not outs:
-                np.copyto(outs, res)
-
         self._arg = None
-        block = block or max(n, 1)
-        _map_blocks(run, n, block)
-        if record:
-            self._arg, self._in_shape, self._samples = arg, x.shape, block
+        # Separable max: over the column taps into buf, then over the row
+        # taps of buf. np.maximum(tap, acc) keeps acc on a tie, so every
+        # window gets the value of its first maximal tap in row-major order,
+        # signed zeros included.
+        buf = x[:, :, :, cols[0]].copy()
+        if not record:
+            for col in cols[1:]:
+                tap = x[:, :, :, col]
+                acc = buf[:, :, :, :tap.shape[3]]
+                np.maximum(tap, acc, out=acc)
+            np.copyto(out, buf[:, :, rows[0]])
+            for row in rows[1:]:
+                tap = buf[:, :, row]
+                acc = out[:, :, :tap.shape[2]]
+                np.maximum(tap, acc, out=acc)
+            return out
+        # The same maxima with their argmax, which only backward reads:
+        # colarg takes the first maximal column tap j of each row of buf,
+        # then arg the first maximal row tap i of each window, whose tap is
+        # i*k + j.
+        colarg = np.zeros(buf.shape, dtype=np.int8)
+        hit = np.empty(buf.shape, dtype=bool)
+        buf = _fold_argmax([x[:, :, :, col] for col in cols], buf, hit,
+                           colarg, lambda j: j)
+        np.copyto(out, buf[:, :, rows[0]])
+        arg = colarg[:, :, rows[0]].copy()
+        res = _fold_argmax([buf[:, :, row] for row in rows], out,
+                           np.empty(out.shape, dtype=bool), arg,
+                           lambda i: colarg[:, :, rows[i]] + np.int8(i * k))
+        if res is not out:
+            np.copyto(out, res)
+        self._arg, self._in_shape = arg, x.shape
         return out
 
     def backward(self, dout):
@@ -555,21 +552,14 @@ class MaxPool2D(Layer):
         # window, plus the window's origin, plus its (sample, channel) plane
         offset = (w * np.arange(k)[:, None] + np.arange(k)).ravel()
         origin = s * (w * np.arange(oh)[:, None] + np.arange(ow))
-        dx = np.empty((n, c, h, w), dtype=dout.dtype)
-
-        def run(samples):
-            idx = offset.take(self._arg[samples])
-            idx += origin
-            idx += h * w * np.arange(len(idx) * c).reshape(-1, c, 1, 1)
-            flat = dx[samples].reshape(-1)
-            flat.fill(0)
-            # np.add.at adds in index order. Overlapping windows may route
-            # to the same cell; in reverse row-major window order a cell gets
-            # them in increasing tap order, as a loop over the taps would
-            # add them.
-            np.add.at(flat, idx.ravel()[::-1], dout[samples].ravel()[::-1])
-
-        _map_blocks(run, n, self._samples)
+        idx = offset.take(self._arg)
+        idx += origin
+        idx += h * w * np.arange(n * c).reshape(n, c, 1, 1)
+        dx = np.zeros((n, c, h, w), dtype=dout.dtype)
+        # np.add.at adds in index order. Overlapping windows may route to the
+        # same cell; in reverse row-major window order a cell gets them in
+        # increasing tap order, as a loop over the taps would add them.
+        np.add.at(dx.reshape(-1), idx.ravel()[::-1], dout.ravel()[::-1])
         return dx
 
 

@@ -16,9 +16,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .layers import (Layer, LayerSpec, ShapeError, check_finite, conv2d,
-                     dense, dropout, flatten, make_layer, maxpool2d,
-                     output_hw, relu)
+from .layers import (Layer, LayerSpec, NonFiniteError, ShapeError,
+                     _map_blocks, check_finite, conv2d, dense, dropout,
+                     flatten, make_layer, maxpool2d, output_hw, relu)
 
 
 @dataclass
@@ -147,11 +147,12 @@ _FINITE_BACKWARD = ("relu", "flatten")
 # Every pass runs over blocks of whole samples whose largest activation takes
 # about this many bytes (or one sample; `Network.sample_block`): evaluation,
 # validation and the extractor precompute run the network over such blocks,
-# and a training forward's conv and pool layers run theirs over them, so that
-# a block's maps stay in cache instead of going through DRAM. 2 MB is the
-# private L2 of one core of the VM measured below. A pass spread over several
-# CPUs gives each thread whole blocks of this size, so the blocks, and with
-# them the outputs, do not depend on the number of CPUs.
+# and a training step runs each such block through the whole stack, forward
+# and then backward, so that a block's maps stay in cache instead of going
+# through DRAM. 2 MB is the private L2 of one core of the VM measured below.
+# A pass spread over several CPUs gives each thread whole blocks of this
+# size, so the blocks, and with them the outputs, do not depend on the
+# number of CPUs.
 # Measured when the conv stack alone ran in such blocks: `training.evaluate`
 # of vgg-tiny, float32, 1 BLAS thread, 2-vCPU VM
 # (medians of two interleaved runs of 15 and 30 calls), whole batch against
@@ -161,7 +162,15 @@ _FINITE_BACKWARD = ("relu", "flatten")
 #   7.2 / 12.4 MB;
 # - 13x126x129: 53.1 against 45.4 / 42.9 / 45.0 / 46.8 / 52.5 ms;
 # - 64x32x37: 18.5-20.0 ms at every size.
+# A 13x126x129 training step with the anti-transfer tap at conv 1 (same VM,
+# one process, alternating 60 steps each) took 124.9 ms depth first, against
+# 156.3 ms when each conv and pool pass ran its own call over these blocks.
 _STACK_BLOCK_BYTES = 2 << 20
+
+# The kinds of layer the stack holds: every layer from the input up to the
+# first of another kind (flatten, in the presets) is one of these, and runs
+# over blocks of samples; the layers from there on run over the whole batch.
+_STACK_KINDS = ("conv2d", "relu", "maxpool2d")
 
 
 class Network:
@@ -171,22 +180,30 @@ class Network:
     ("conv1.weight", ...) to the layer's own weight and gradient arrays;
     whatever reads or writes weights goes through them, in place.
 
-    A forward runs each layer over the batch it is given, and hands each
-    conv and pool layer `sample_block`, the samples per block of the pass:
-    the layer spreads its blocks over every CPU (`layers._map_blocks`), and
-    its backward runs over the same blocks. Everything else (ReLU, dropout,
-    the dense head, the finite checks, and the caller's loss and optimizer)
-    runs on the calling thread over the whole batch, and the conv weight
-    gradients are summed there in sample order, so no byte depends on the
-    blocks or the CPUs. A batch of at most one block (vgg-tiny's batch of
-    13 at 32x37 is one) runs on the calling thread alone.
+    The stack, every conv, ReLU and max-pool layer from the input up to
+    the first layer of another kind (flatten, in the presets), runs over
+    blocks of `sample_block` whole samples, spread over every CPU
+    (`layers._map_blocks`): a forward runs each block through the whole
+    stack in one `_map_blocks` call, and `backward` runs each block back
+    down it in one more, so a block's maps stay in cache from layer to
+    layer. Each block writes its samples' rows of the whole-batch arrays a
+    caller reads: the tapped maps, the stack's output and the captured tap
+    gradients. Everything after the stack (the dense head and dropout), the
+    caller's loss and optimizer, and the sum of the conv gradient terms,
+    which the blocks return per sample and the calling thread adds in
+    sample order (`Conv2D.add_grads`), run on the calling thread over the
+    whole batch, so no byte depends on the blocks or the CPUs. A batch of
+    at most one block (vgg-tiny's batch of 13 at 32x37 is one) runs on the
+    calling thread alone, on the layers themselves. Over several blocks, a
+    recording forward gives each block its own copies of the stack's layers
+    (`Layer.block_copy`), which keep that block's recording until the next
+    forward; the layers themselves then hold no recording of it.
 
     Passes that do not record (evaluation, validation, the extractor
-    precompute) give the network blocks of `sample_block` samples, so that a
-    block's maps stay in cache. A sample's conv, ReLU and pool maps do not
-    depend on the batch it is in, so they keep their bytes; the dense head's
-    logits can change in their last bits with the number of rows, as the
-    BLAS takes another GEMM path for a few rows.
+    precompute) give the network one block at a time. A sample's conv,
+    ReLU and pool maps do not depend on the batch it is in, so they keep
+    their bytes; the dense head's logits can change in their last bits with
+    the number of rows, as the BLAS takes another GEMM path for a few rows.
 
     Forwards that do not record may run concurrently on one network, as
     evaluation runs its blocks on several threads: they only read the
@@ -201,7 +218,7 @@ class Network:
         self.finite_checks = True
         rng = np.random.default_rng([int(seed), 0x1A17])
         self.layers: List[Layer] = []
-        shapes = _propagate_shapes(arch)
+        shapes = self._shapes = _propagate_shapes(arch)
         # the largest per-sample activation, which sizes `sample_block`
         self._sample_bytes = self.dtype.itemsize * max(
             c * h * w for c, h, w in shapes if h is not None)
@@ -221,9 +238,12 @@ class Network:
             owns = pos > 0 and arch.layers[pos - 1].kind in _FRESH_OUTPUT
             self.layers.append(make_layer(spec, c_in, feats, rng, self.dtype,
                                           name, owns_input=owns))
-        # the positions of the layers that run over blocks of samples
-        self._blocked = {pos for pos, spec in enumerate(arch.layers)
-                         if spec.kind in ("conv2d", "maxpool2d")}
+        # the stack: layers 0.._stack-1, which run over blocks of samples
+        self._stack = next((pos for pos, spec in enumerate(arch.layers)
+                            if spec.kind not in _STACK_KINDS), len(arch.layers))
+        # (samples per block, each block's layer copies) of the last
+        # recording forward, when it ran over several blocks
+        self._blocks = None
         # the positions whose output (forward) or input gradient (backward)
         # a finite check scans
         self._checked_forward = {pos for pos, spec in enumerate(arch.layers)
@@ -314,10 +334,11 @@ class Network:
         return self._run(x, False, None, taps, False, last_tap_only=True)[1]
 
     def _run(self, x, train, rng, taps, record: bool, last_tap_only: bool):
-        """The forward behind `forward` and `tap_features`: each layer, and
-        its finite check, runs over the whole batch in turn, so a
-        non-finite map names the lowest layer any sample fails at. Only the
-        layers that can turn finite inputs non-finite are checked."""
+        """The forward behind `forward` and `tap_features`: the stack over
+        blocks of samples (`_stack_forward`), then each later layer, and its
+        finite check, over the whole batch. A non-finite map names the
+        lowest layer any sample fails at. Only the layers that can turn
+        finite inputs non-finite are checked."""
         taps = sorted(set(taps))
         for k in taps:
             if k not in self.tap_positions:
@@ -329,16 +350,68 @@ class Network:
         check_finite(x, "network input")
         tap_at = {self.tap_positions[k]: k for k in taps}
         stop = max(tap_at, default=-1) + 1 if last_tap_only else len(self.layers)
-        blocked = {"block": self.sample_block}
-        out, tapped = x, {}
-        for pos, layer in enumerate(self.layers[:stop]):
-            out = layer.forward(out, train, rng, record,
-                                **(blocked if pos in self._blocked else {}))
+        top = min(self._stack, stop)
+        self._blocks = None
+        kept = self._stack_forward(x, train, rng, record, top,
+                                   {pos for pos in tap_at if pos < top} | {top - 1})
+        out = kept.get(top - 1, x)
+        tapped = {tap_at[pos]: kept[pos] for pos in tap_at if pos < top}
+        for pos in range(top, stop):
+            layer = self.layers[pos]
+            out = layer.forward(out, train, rng, record)
             if self.finite_checks and pos in self._checked_forward:
                 check_finite(out, f"activations after {layer.name or type(layer).__name__}")
             if pos in tap_at:
                 tapped[tap_at[pos]] = out
         return out, tapped
+
+    def _stack_forward(self, x, train, rng, record, top, keep) -> Dict[int, np.ndarray]:
+        """Layers 0..top-1, each block of `sample_block` samples through all
+        of them in turn, in one `_map_blocks` call; returns the whole-batch
+        output of each position in `keep`, which the blocks write.
+
+        One block runs on the layers themselves, and its maps are the
+        batch's. Over several, a recording forward gives each block its own
+        copies of the layers (`Layer.block_copy`), which keep its recording
+        for `backward`; a forward that does not record runs every block on
+        the layers themselves, which only clear their caches."""
+        if top == 0:
+            return {}
+        n, block = len(x), self.sample_block
+        whole = n <= block
+        kept = {} if whole else {
+            pos: np.empty((n, *self._shapes[pos + 1]), dtype=self.dtype)
+            for pos in keep}
+
+        def run(rows):
+            """The block's layers, and the position and error of the first
+            finite check it fails."""
+            layers = self.layers[:top]
+            if record and not whole:
+                layers = [layer.block_copy() for layer in layers]
+            out = x[rows]
+            for pos, layer in enumerate(layers):
+                out = layer.forward(out, train, rng, record)
+                if self.finite_checks and pos in self._checked_forward:
+                    try:
+                        check_finite(out, "activations after "
+                                     f"{layer.name or type(layer).__name__}")
+                    except NonFiniteError as err:
+                        return layers, (pos, err)
+                if pos in keep:
+                    if whole:
+                        kept[pos] = out
+                    else:
+                        kept[pos][rows] = out
+            return layers, None
+
+        blocks = _map_blocks(run, n, block)
+        failed = [f for _, f in blocks if f is not None]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        if record and not whole:
+            self._blocks = (block, [layers for layers, _ in blocks])
+        return kept
 
     def backward(self, dout: np.ndarray,
                  tap_grad_in: Optional[Dict[int, np.ndarray]] = None,
@@ -354,6 +427,12 @@ class Network:
         land in `grads`, in place: all of them unless tap_grad_out is given.
         Neither `dout` nor a captured gradient is written to: a layer that
         would overwrite one gets a copy.
+
+        The layers after the stack run over the whole batch; the stack runs
+        over the blocks of the forward, each block down through all of its
+        layers, in one `_map_blocks` call. Each block writes its samples'
+        rows of the captured gradients, and the calling thread adds the conv
+        gradient terms of the blocks in sample order (`Conv2D.add_grads`).
         """
         inject = {self.tap_positions[k]: g for k, g in (tap_grad_in or {}).items()}
         want = {self.tap_positions[k]: k for k in tap_grad_out}
@@ -364,22 +443,70 @@ class Network:
                   [pos for pos, layer in enumerate(self.layers)
                    if layer.params() and layer.trainable])
         stop = min(needed) if needed else len(self.layers)
-        g = dout
         held = [dout]   # arrays the caller keeps
-        for pos in range(len(self.layers) - 1, -1, -1):
-            if pos in inject:
-                g = g + inject[pos]
-            if pos in want:
-                captured[want[pos]] = g
-                held.append(g)
-            if pos < stop:
-                break
-            layer = self.layers[pos]
-            if layer.inplace and any(np.may_share_memory(g, a) for a in held):
-                g = g.copy()
-            g = layer.backward(g)
-            if self.finite_checks and pos in self._checked_backward:
-                check_finite(g, f"gradient through {layer.name or type(layer).__name__}")
+
+        def sweep(g, positions, layers, rows, capture):
+            """Inject, capture and run each layer's backward, from the
+            highest of `positions` down to `stop`; returns the gradient
+            below, and the position and error of the first finite check
+            that fails."""
+            for pos in positions:
+                if pos in inject:
+                    g = g + inject[pos][rows]
+                if pos in want:
+                    capture(want[pos], rows, g)
+                if pos < stop:
+                    break
+                layer = layers[pos]
+                if layer.inplace and any(np.may_share_memory(g, a) for a in held):
+                    g = g.copy()
+                g = layer.backward(g)
+                if self.finite_checks and pos in self._checked_backward:
+                    try:
+                        check_finite(g, "gradient through "
+                                     f"{layer.name or type(layer).__name__}")
+                    except NonFiniteError as err:
+                        return g, (pos, err)
+            return g, None
+
+        def keep(k, rows, g):
+            captured[k] = g
+            held.append(g)
+
+        top = self._stack
+        g, failed = sweep(dout, range(len(self.layers) - 1, top - 1, -1),
+                          self.layers, slice(None), keep)
+        if failed:
+            raise failed[1]
+        if top == 0 or stop > top:
+            return captured
+        # the blocks of the recording forward: several, on copies of the
+        # layers, or one, on the layers themselves
+        block, copies = self._blocks or (len(g), None)
+        if copies is not None:
+            for pos, k in want.items():
+                if pos < top:
+                    captured[k] = np.empty((len(g), *self._shapes[pos + 1]),
+                                           dtype=g.dtype)
+
+        def put(k, rows, g_rows):
+            captured[k][rows] = g_rows
+
+        def run(rows):
+            if copies is None:
+                layers, capture = self.layers, keep
+            else:
+                layers, capture = copies[rows.start // block], put
+            return sweep(g[rows], range(top - 1, -1, -1), layers, rows, capture)[1]
+
+        failed = [f for f in _map_blocks(run, len(g), block) if f is not None]
+        if failed:
+            raise max(failed, key=lambda f: f[0])[1]
+        if copies is not None:
+            for pos in range(stop, top):
+                layer = self.layers[pos]
+                if layer.params() and layer.trainable:
+                    layer.add_grads([layers[pos].terms for layers in copies])
         return captured
 
 

@@ -186,6 +186,22 @@ class TestRunArtifacts:
         assert (tmp_path / name).read_bytes() == before
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_replace_failing_keeps_previous_file(self, tmp_path, monkeypatch):
+        """A write whose final rename fails keeps the old bytes and leaves
+        no temporary file behind."""
+        path = tmp_path / "s.json"
+        ck.write_json(path, {"run": 0})
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(ck.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename refused"):
+            ck.write_json(path, {"run": 1})
+        assert path.read_bytes() == before
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestMalformedCheckpoints:
     """Every malformed checkpoint ends in a CheckpointError."""

@@ -1,7 +1,11 @@
 """CLI contract: subcommands, exit codes, flag overrides, persisted configs."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -461,3 +465,16 @@ class TestEstimateMemoryCommand:
         out, err = capsys.readouterr()
         assert err.startswith("config error:") and err.count("\n") == 1
         assert out == ""
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    """`PYTHONPATH=src python -m antitransfer ...`, as README documents it,
+    runs a command from the repository root without an install."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "antitransfer", "estimate-memory",
+         "--arch", "vgg-tiny", "--at-layer", "1", "--json"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["per_layer"]["1"]["gram_elems"] == 16 * 16

@@ -311,6 +311,26 @@ class TestDepthFirstEval:
         with pytest.raises(L.NonFiniteError, match="network input"):
             net.forward(x, record=False)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("first", [0.0, 1e37])
+    def test_a_recording_forward_over_blocks_names_the_lowest_layer(
+            self, first, monkeypatch):
+        """The recording twin of the test above, over blocks of one sample on
+        two threads: the first sample's block fails at conv 2 (or not at
+        all) and the last one's at conv 1, on the other thread, and the
+        forward still names conv 1."""
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 1)
+        monkeypatch.setattr(L, "_workers", lambda: 2)
+        net = self._overflowing_net()
+        assert net.sample_block == 1
+        x = np.random.default_rng(7).standard_normal((6, 1, 32, 37)).astype(np.float32)
+        x[0] += np.float32(first)
+        x[-1] = 1e38
+        for train in (False, True):
+            with pytest.raises(L.NonFiniteError,
+                               match="^non-finite values in activations after conv1$"):
+                net.forward(x, train=train, rng=np.random.default_rng(0))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_finite_checks_off_skips_the_layer_scans(self, monkeypatch):
         net = self._overflowing_net()

@@ -668,8 +668,9 @@ def _step(net, x, at_layer=1):
 
 
 class TestTrainingStepOverBlocks:
-    """A training step's conv and pool layers run over blocks of
-    `sample_block` samples on every CPU (`layers._map_blocks`)."""
+    """A training step runs each block of `sample_block` samples through the
+    whole conv stack, forward and then backward, on every CPU
+    (`layers._map_blocks`)."""
 
     def test_run_bytes_do_not_depend_on_blocks_or_workers(
             self, tiny_data_dir, orth_checkpoint, tmp_path, monkeypatch,
@@ -704,60 +705,109 @@ class TestTrainingStepOverBlocks:
 
     def test_step_tensors_do_not_depend_on_blocks_or_workers(
             self, monkeypatch, eval_workers):
-        """Every layer's output and input gradient of one step, each pool's
-        argmax and each weight and bias gradient equal those of a single
-        block, over blocks of 1, 2 and 5 of 13 samples on 1, 2 and 3
-        threads."""
+        """Every layer's whole-batch output and input gradient of one step,
+        each pool's argmax and each weight and bias gradient equal those of
+        a single block, over blocks of 1, 2 and 5 of 13 samples on 1, 2 and
+        3 threads. A stack layer's whole-batch tensors are assembled in
+        sample order from the calls of the blocks' copies of it."""
         net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
         x = np.random.default_rng(2).standard_normal((13, 1, 32, 37)).astype(np.float32)
-        seen = []
-        for layer in net.layers:
+        # (direction, whether the call ran outside the blocks, index of the
+        # call in its block or outside them) -> [(first row of the call's
+        # block, [output, argmax of a pool forward])]
+        seen, block = {}, threading.local()
+        map_blocks = network._map_blocks
+
+        def spy_map(fn, n, size):
+            def run(rows):
+                block.start, block.calls = rows.start, 0
+                try:
+                    return fn(rows)
+                finally:
+                    block.start = None
+            return map_blocks(run, n, size)
+        monkeypatch.setattr(network, "_map_blocks", spy_map)
+        head_calls = {}
+        for cls in {type(layer) for layer in net.layers}:
             for method in ("forward", "backward"):
-                def spy(*a, call=getattr(layer, method), layer=layer, **kw):
-                    out = call(*a, **kw)
+                def spy(layer, *a, call=getattr(cls, method), method=method, **kw):
+                    out = call(layer, *a, **kw)
+                    start = getattr(block, "start", None)
+                    if start is None:
+                        index = head_calls[method] = head_calls.get(method, -1) + 1
+                    else:
+                        index, block.calls = block.calls, block.calls + 1
                     # copied now: an in-place ReLU overwrites it next
-                    seen.append((layer.name, out.copy()))
-                    if isinstance(layer, L.MaxPool2D) and layer._arg is not None:
-                        seen.append((layer.name, layer._arg.copy()))
+                    got = [out.copy()]
+                    if method == "forward" and isinstance(layer, L.MaxPool2D):
+                        got.append(layer._arg.copy())
+                    seen.setdefault((method, start is None, index), []).append(
+                        (start or 0, got))
                     return out
-                monkeypatch.setattr(layer, method, spy)
+                monkeypatch.setattr(cls, method, spy)
 
         def tensors():
             seen.clear()
+            head_calls.clear()
             _step(net, x)
-            return ([(name, a.tobytes()) for name, a in seen]
-                    + [(name, g.tobytes()) for name, g in sorted(net.grads.items())])
+            whole = {}
+            for key, calls in seen.items():
+                calls.sort(key=lambda call: call[0])
+                whole[key] = [np.concatenate(parts).tobytes()
+                              for parts in zip(*(got for _, got in calls))]
+            return whole, [(name, g.tobytes()) for name, g in sorted(net.grads.items())]
 
         assert net.sample_block >= len(x)
         want = tensors()
+        assert len(want[0]) == 2 * len(net.layers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for block in (1, 2, 5):
+            for size in (1, 2, 5):
                 monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
-                                    block * net._sample_bytes)
-                assert net.sample_block == block
+                                    size * net._sample_bytes)
+                assert net.sample_block == size
                 for workers in (1, 2, 3):
                     eval_workers(workers)
-                    assert tensors() == want, (block, workers)
+                    assert tensors() == want, (size, workers)
         finally:
             sys.setswitchinterval(interval)
+
+    def test_a_step_maps_its_blocks_once_per_pass(self, monkeypatch):
+        """A 13x126x129 step (blocks of 2 samples) runs its forward's stack
+        in one `_map_blocks` call over all 7 blocks, and its backward in one
+        more; the head and the losses run on no block."""
+        net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
+        x = np.random.default_rng(0).standard_normal((13, 1, 126, 129)).astype(np.float32)
+        assert net.sample_block == 2
+        calls, map_blocks = [], network._map_blocks
+
+        def spy(fn, n, block):
+            calls.append((n, block))
+            return map_blocks(fn, n, block)
+        monkeypatch.setattr(network, "_map_blocks", spy)
+        logits, taps = net.forward(x, train=True, rng=np.random.default_rng(1),
+                                   taps=(1,))
+        assert calls == [(13, 2)]
+        net.backward(np.ones_like(logits) / len(x),
+                     tap_grad_in={1: taps[1] * 1e-3})
+        assert calls == [(13, 2)] * 2
 
     @pytest.mark.parametrize("fails", [None, 0, -1])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_no_thread_outlives_a_step(self, direction, fails, monkeypatch,
                                        eval_workers):
-        """On two threads, every conv and pool pass of a step runs blocks on
-        the caller and a pool thread, and joins the pool before it returns,
-        or raises from a block of either share (sample 0 on the caller's,
-        the last sample on the pool's)."""
+        """On two threads, each of a step's two passes runs blocks on the
+        caller and a pool thread, and joins the pool before it returns, or
+        raises from a block of either share (sample 0 on the caller's, the
+        last sample on the pool's)."""
         eval_workers(2)
         net = build(preset("vgg-tiny", (32, 37), 4), seed=2, dtype=np.float32)
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 2 * net._sample_bytes)
         x = np.random.default_rng(7).standard_normal((8, 1, 32, 37)).astype(np.float32)
         rng = np.random.default_rng(0)
         logits, taps = net.forward(x, train=True, rng=rng, taps=(1,))
-        threads, map_blocks = set(), L._map_blocks
+        threads, map_blocks = set(), network._map_blocks
 
         def spy(fn, n, block):
             def run(rows):
@@ -766,7 +816,7 @@ class TestTrainingStepOverBlocks:
                     raise RuntimeError("block failed")
                 return fn(rows)
             return map_blocks(run, n, block)
-        monkeypatch.setattr(L, "_map_blocks", spy)
+        monkeypatch.setattr(network, "_map_blocks", spy)
         if direction == "forward":
             call = lambda: net.forward(x, train=True, rng=rng, taps=(1,))
         else:
@@ -781,21 +831,22 @@ class TestTrainingStepOverBlocks:
         assert threading.current_thread() in threads and others
         assert not any(t.is_alive() for t in others)
 
-    def test_recording_pool_forward_peaks_below_half_a_batch_pass(
+    def test_a_step_at_126x129_peaks_below_the_layer_by_layer_step(
             self, eval_workers):
-        """A recording max-pool forward of 13x16x126x129 float32 on two
-        threads, over the blocks vgg-tiny at 126x129 gives it (2 samples),
-        peaks below 12 MB: its output and argmax take 4.2 MB, and each
-        thread's temporaries one block's. In one pass over the batch it
-        peaked at 20.2 MB; over these blocks it measured 9.2 MB."""
+        """A recording forward of 13x126x129 float32 through vgg-tiny with
+        the anti-transfer tap at conv 1, on two threads (blocks of 2
+        samples), peaks below 37.0 MB, and the forward and backward of the
+        step below 69.2 MB: the peaks when each conv and pool layer ran its
+        own pass over the blocks. Each block now keeps its maps to itself
+        and writes only the batch's tapped map and stack output."""
         eval_workers(2)
         net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
-        pool = net.layers[net.tap_positions[1] + 1]
-        assert isinstance(pool, L.MaxPool2D) and net.sample_block == 2
+        assert net.sample_block == 2
         x = np.random.default_rng(0).standard_normal(
-            (13, 16, 126, 129)).astype(np.float32)
-        assert _peak_bytes(lambda: pool.forward(
-            x, True, None, block=net.sample_block)) < 12e6
+            (13, 1, 126, 129)).astype(np.float32)
+        assert _peak_bytes(lambda: net.forward(
+            x, train=True, rng=np.random.default_rng(1), taps=(1,))) < 37.0e6
+        assert _peak_bytes(lambda: _step(net, x)) < 69.2e6
 
 
 def sweep_layers(base_config, data, out_dir, layers):
