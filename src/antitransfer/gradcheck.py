@@ -148,8 +148,9 @@ def total_loss_gradcheck(at_layer: int, seed: int = 0, tolerance: float = 1e-4,
                                                sign=sign)
         return ce + sum(at_vals.values())
 
-    _, _, _, dce, inject = batch_objective(net, x, labels, cfg, paggs, sign=sign)
-    net.backward(dce, tap_grad_in=inject)
+    _, _, _, dce, agg_grads = batch_objective(net, x, labels, cfg, paggs,
+                                              sign=sign)
+    net.backward(dce, reduced_grad_in=agg_grads)
     inverse = ", at_inverse sign" if sign < 0 else ""
     name = f"total objective (AT layer {at_layer}, squared_cosine{inverse})"
     return gradcheck(loss_fn, list(net.params.values()),

@@ -10,6 +10,13 @@ squared cosine, averaged over the batch and scaled by beta.
 The term's sign is an argument: +1 penalizes similarity (anti-transfer),
 -1 encourages it (the `at_inverse` strategy). Gradients flow into the
 trained network only; the pre-trained side is a constant.
+
+The term has two pieces, which `at_loss_and_grad` composes:
+`aggregate_with_pullback` takes a map's per-sample aggregates and the
+pullback from their gradient to the map's, and `at_term` takes the batch's
+value and its gradient with respect to the aggregates. A training step runs
+the first inside the network's blocks of samples, while a block's map is in
+cache, and the second once per batch (`training.batch_objective`).
 """
 
 from __future__ import annotations
@@ -86,20 +93,26 @@ def aggregate(feature: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown aggregation {kind!r}")
 
 
-def _aggregate_with_grad(feature: np.ndarray, kind: str):
+def aggregate_with_pullback(feature: np.ndarray, kind: str):
     """Returns (aggregate(feature, kind), pullback) where pullback maps
-    dL/d(aggregated) back to dL/d(feature)."""
+    dL/d(aggregated) back to dL/d(feature), in the feature's dtype. Each
+    sample's rows depend on that sample alone, so a map can be aggregated
+    and pulled back in blocks of samples with the bytes of one call. The
+    pullback of gram and max holds on to the feature map; that of mean
+    does not."""
     out = aggregate(feature, kind)
     b, c, x, y = feature.shape
+    dtype = feature.dtype
     if kind == "gram":
         flat = feature.reshape(b, c, x * y)
 
         def pullback(dg):
             m = dg + dg.transpose(0, 2, 1)
-            return (m @ flat).reshape(b, c, x, y)
+            return (m @ flat).reshape(b, c, x, y).astype(dtype, copy=False)
     elif kind == "mean":
         def pullback(da):
-            return np.repeat(da[:, None] / c, c, axis=1)
+            return np.repeat(da[:, None] / c, c, axis=1).astype(dtype,
+                                                                copy=False)
     else:  # max
         def pullback(da):
             df = np.zeros_like(feature)
@@ -139,35 +152,50 @@ def similarity(v: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 # Anti-transfer loss
 # ---------------------------------------------------------------------------
 
-def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
-                     config: ATConfig, sign: float = 1.0, with_grad: bool = True
-                     ) -> Tuple[float, Optional[np.ndarray]]:
-    """Single-layer anti-transfer term and its gradient w.r.t. the trained map.
+def at_term(agg_trained: Optional[np.ndarray], agg_pretrained: np.ndarray,
+            config: ATConfig, sign: float = 1.0, with_grad: bool = True
+            ) -> Tuple[float, Optional[np.ndarray]]:
+    """Single-layer anti-transfer term of a batch, from its per-sample
+    aggregates, and its gradient w.r.t. the trained aggregates.
 
     agg_pretrained is aggregate(pretrained_map, config.aggregation): the
     frozen side is a constant of the run, so callers aggregate it once. The
-    trained map is aggregated per sample, compared by squared cosine,
-    averaged over the batch and scaled by sign * beta: sign +1
-    penalizes similarity, -1 encourages it. No gradient exists for the
-    pretrained side.
-    beta == 0 short-circuits to (0.0, None) so a zero-weight run is
-    arithmetically identical to not having the term at all. With `with_grad`
-    false the gradient is None and not computed; the value is the same.
+    trained aggregates are compared with it by squared cosine, averaged over
+    the batch and scaled by sign * beta: sign +1 penalizes similarity, -1
+    encourages it. No gradient exists for the pretrained side.
+    beta == 0 short-circuits to (0.0, None) before either aggregate is read
+    (agg_trained may then be None), so a zero-weight run is arithmetically
+    identical to not having the term at all. With `with_grad` false the
+    gradient is None and not computed; the value is the same.
     """
     if config.beta == 0.0:
         return 0.0, None
-    b = trained.shape[0]
-    agg_t, pullback = _aggregate_with_grad(trained, config.aggregation)
-    if agg_t.shape != agg_pretrained.shape:
+    if agg_trained.shape != agg_pretrained.shape:
         raise ShapeError(
-            f"aggregated maps disagree: {agg_t.shape} vs {agg_pretrained.shape} "
-            "(architectures are incompatible at this layer)")
-    sims, dv = similarity(agg_t.reshape(b, -1), agg_pretrained.reshape(b, -1))
+            f"aggregated maps disagree: {agg_trained.shape} vs "
+            f"{agg_pretrained.shape} (architectures are incompatible at this "
+            "layer)")
+    b = agg_trained.shape[0]
+    sims, dv = similarity(agg_trained.reshape(b, -1),
+                          agg_pretrained.reshape(b, -1))
     loss = sign * config.beta * float(np.mean(sims))
     if not with_grad:
         return loss, None
-    dagg = (sign * config.beta / b) * dv.reshape(agg_t.shape)
-    return loss, pullback(dagg).astype(trained.dtype, copy=False)
+    return loss, (sign * config.beta / b) * dv.reshape(agg_trained.shape)
+
+
+def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
+                     config: ATConfig, sign: float = 1.0, with_grad: bool = True
+                     ) -> Tuple[float, Optional[np.ndarray]]:
+    """Single-layer anti-transfer term and its gradient w.r.t. the trained
+    map: `at_term` of the map's `aggregate_with_pullback`, and the pullback
+    of its gradient. Arguments and results are those of `at_term`, with the
+    trained map in place of its aggregates; the gradient has the map's
+    shape and dtype. The trainer runs the same two pieces, the aggregation
+    and pullback in the network's blocks of samples."""
+    agg_t, pullback = aggregate_with_pullback(trained, config.aggregation)
+    loss, dagg = at_term(agg_t, agg_pretrained, config, sign, with_grad)
+    return loss, None if dagg is None else pullback(dagg)
 
 
 # ---------------------------------------------------------------------------

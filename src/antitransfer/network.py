@@ -2,9 +2,13 @@
 
 Conv layers are numbered 1..K in network order. A "tap" at conv k yields the
 post-activation feature map of that conv (output of the ReLU that immediately
-follows it). Backward accepts extra gradients to inject at tap points, which
-is how the anti-transfer loss reaches into the trained network, and can also
-report the gradient flowing through a tap (used by Grad-CAM).
+follows it). A forward can return a tap's map, or a per-sample reduction of
+it that each block of samples takes while its rows are in cache (the
+anti-transfer aggregation, `losses.aggregate_with_pullback`). Backward adds
+extra gradients at tap points, given for the map or for its reduction, which
+each block then pulls back through its own rows: that is how the
+anti-transfer loss reaches into the trained network. It can also report the
+gradient flowing through a tap (used by Grad-CAM).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -188,16 +192,21 @@ class Network:
     down it in one more, so a block's maps stay in cache from layer to
     layer. Each block writes its samples' rows of the whole-batch arrays a
     caller reads: the tapped maps, the stack's output and the captured tap
-    gradients. Everything after the stack (the dense head and dropout), the
-    caller's loss and optimizer, and the sum of the conv gradient terms,
-    which the blocks return per sample and the calling thread adds in
-    sample order (`Conv2D.add_grads`), run on the calling thread over the
-    whole batch, so no byte depends on the blocks or the CPUs. A batch of
-    at most one block (vgg-tiny's batch of 13 at 32x37 is one) runs on the
-    calling thread alone, on the layers themselves. Over several blocks, a
-    recording forward gives each block its own copies of the stack's layers
-    (`Layer.block_copy`), which keep that block's recording until the next
-    forward; the layers themselves then hold no recording of it.
+    gradients. A reduced tap (`forward`'s `reduce`) has no whole-batch map:
+    each block reduces its own rows of it, the calling thread concatenates
+    the reductions, and in `backward` each block adds the pullback of its
+    rows of the reduction's gradient at the tap. Everything after the stack
+    (the dense head and dropout), the caller's loss and optimizer, and the
+    sum of the conv gradient terms, which the blocks return per sample and
+    the calling thread adds in sample order (`Conv2D.add_grads`), run on the
+    calling thread over the whole batch, so no byte depends on the blocks
+    or the CPUs. A batch of at most one block (vgg-tiny's batch of 13 at
+    32x37 is one) runs on the calling thread alone, on the layers
+    themselves. Over several blocks, a recording forward gives each block
+    its own copies of the stack's layers (`Layer.block_copy`), which keep
+    that block's recording until the next forward; the layers themselves
+    then hold no recording of it. A block's pullbacks serve one backward,
+    which drops each once it is used.
 
     Passes that do not record (evaluation, validation, the extractor
     precompute) give the network one block at a time. A sample's conv,
@@ -244,6 +253,9 @@ class Network:
         # (samples per block, each block's layer copies) of the last
         # recording forward, when it ran over several blocks
         self._blocks = None
+        # position -> the pullbacks of its reduction in the last recording
+        # forward, one per block
+        self._pullbacks: Dict[int, list] = {}
         # the positions whose output (forward) or input gradient (backward)
         # a finite check scans
         self._checked_forward = {pos for pos, spec in enumerate(arch.layers)
@@ -321,41 +333,69 @@ class Network:
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None,
                 taps: Iterable[int] = (),
-                record: bool = True) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
-        """Run the network; returns (class scores, feature map per tapped conv).
+                record: bool = True,
+                reduce: Optional[Mapping[int, Callable]] = None
+                ) -> Tuple[np.ndarray, Dict[int, np.ndarray]]:
+        """Run the network; returns (class scores, feature map per tapped
+        conv, and reduction per reduced one).
+
+        `reduce` maps conv indices, none of them in `taps` and each in the
+        stack that runs over blocks of samples, to a function of a block of
+        samples' feature map that returns the block's per-sample
+        reduction and the pullback from a gradient of that reduction to one
+        of the map (`losses.aggregate_with_pullback`). No whole-batch map is
+        built for a reduced conv: its reduction is the concatenation of its
+        blocks', and a recording forward keeps each block's pullback for
+        `backward`'s `reduced_grad_in`.
         With `record` false the layers keep nothing for a backward, which
         then raises RuntimeError; the outputs are the same."""
-        return self._run(x, train, rng, taps, record, last_tap_only=False)
+        return self._run(x, train, rng, taps, record, last_tap_only=False,
+                         reduce=reduce or {})
 
     def tap_features(self, x: np.ndarray, taps: Iterable[int]) -> Dict[int, np.ndarray]:
         """Eval-mode feature map per tapped conv, from a forward that does not
         record. Stops after the deepest tap, since no later layer changes
         them; the maps equal forward's."""
-        return self._run(x, False, None, taps, False, last_tap_only=True)[1]
+        return self._run(x, False, None, taps, False, last_tap_only=True,
+                         reduce={})[1]
 
-    def _run(self, x, train, rng, taps, record: bool, last_tap_only: bool):
+    def _run(self, x, train, rng, taps, record: bool, last_tap_only: bool,
+             reduce: Mapping[int, Callable]):
         """The forward behind `forward` and `tap_features`: the stack over
         blocks of samples (`_stack_forward`), then each later layer, and its
         finite check, over the whole batch. A non-finite map names the
         lowest layer any sample fails at. Only the layers that can turn
         finite inputs non-finite are checked."""
         taps = sorted(set(taps))
-        for k in taps:
+        for k in (*taps, *reduce):
             if k not in self.tap_positions:
                 raise ValueError(f"tap index {k} is not a conv layer (1..{self.arch.conv_count})")
+        both = sorted(set(taps) & set(reduce))
+        if both:
+            raise ValueError(f"conv {both[0]} is both tapped and reduced")
+        past = sorted(k for k in reduce if self.tap_positions[k] >= self._stack)
+        if past:
+            raise ValueError(f"conv {past[0]} lies past the stack of blocks; "
+                             "only the stack's convs can be reduced")
         expect = self.arch.input_shape
         if x.ndim != 4 or x.shape[1:] != expect:
             raise ShapeError(f"input shape {x.shape} does not match {('N',) + expect}")
+        if len(x) == 0:
+            raise ShapeError(f"input shape {x.shape} holds no sample")
         x = np.ascontiguousarray(x, dtype=self.dtype)
         check_finite(x, "network input")
         tap_at = {self.tap_positions[k]: k for k in taps}
+        reduce_at = {self.tap_positions[k]: fn for k, fn in reduce.items()}
         stop = max(tap_at, default=-1) + 1 if last_tap_only else len(self.layers)
         top = min(self._stack, stop)
         self._blocks = None
-        kept = self._stack_forward(x, train, rng, record, top,
-                                   {pos for pos in tap_at if pos < top} | {top - 1})
+        self._pullbacks = {}
+        kept, reduced = self._stack_forward(
+            x, train, rng, record, top,
+            {pos for pos in tap_at if pos < top} | {top - 1}, reduce_at)
         out = kept.get(top - 1, x)
         tapped = {tap_at[pos]: kept[pos] for pos in tap_at if pos < top}
+        tapped.update((k, reduced[self.tap_positions[k]]) for k in reduce)
         for pos in range(top, stop):
             layer = self.layers[pos]
             out = layer.forward(out, train, rng, record)
@@ -365,10 +405,14 @@ class Network:
                 tapped[tap_at[pos]] = out
         return out, tapped
 
-    def _stack_forward(self, x, train, rng, record, top, keep) -> Dict[int, np.ndarray]:
+    def _stack_forward(self, x, train, rng, record, top, keep, reduce
+                       ) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
         """Layers 0..top-1, each block of `sample_block` samples through all
         of them in turn, in one `_map_blocks` call; returns the whole-batch
-        output of each position in `keep`, which the blocks write.
+        output of each position in `keep`, which the blocks write, and the
+        reduction of each position in `reduce` by its function, which each
+        block takes of its own rows and the calling thread concatenates. A
+        recording forward keeps each block's pullbacks in `_pullbacks`.
 
         One block runs on the layers themselves, and its maps are the
         batch's. Over several, a recording forward gives each block its own
@@ -376,7 +420,7 @@ class Network:
         for `backward`; a forward that does not record runs every block on
         the layers themselves, which only clear their caches."""
         if top == 0:
-            return {}
+            return {}, {}
         n, block = len(x), self.sample_block
         whole = n <= block
         kept = {} if whole else {
@@ -384,11 +428,12 @@ class Network:
             for pos in keep}
 
         def run(rows):
-            """The block's layers, and the position and error of the first
-            finite check it fails."""
+            """The block's layers, reductions and pullbacks, and the
+            position and error of the first finite check it fails."""
             layers = self.layers[:top]
             if record and not whole:
                 layers = [layer.block_copy() for layer in layers]
+            reductions, pullbacks = {}, {}
             out = x[rows]
             for pos, layer in enumerate(layers):
                 out = layer.forward(out, train, rng, record)
@@ -397,29 +442,40 @@ class Network:
                         check_finite(out, "activations after "
                                      f"{layer.name or type(layer).__name__}")
                     except NonFiniteError as err:
-                        return layers, (pos, err)
+                        return layers, reductions, pullbacks, (pos, err)
                 if pos in keep:
                     if whole:
                         kept[pos] = out
                     else:
                         kept[pos][rows] = out
-            return layers, None
+                if pos in reduce:
+                    reductions[pos], pullbacks[pos] = reduce[pos](out)
+            return layers, reductions, pullbacks, None
 
         blocks = _map_blocks(run, n, block)
-        failed = [f for _, f in blocks if f is not None]
+        failed = [f for *_, f in blocks if f is not None]
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
-        if record and not whole:
-            self._blocks = (block, [layers for layers, _ in blocks])
-        return kept
+        if record:
+            if not whole:
+                self._blocks = (block, [layers for layers, *_ in blocks])
+            for pos in reduce:
+                self._pullbacks[pos] = [pb[pos] for _, _, pb, _ in blocks]
+        return kept, {pos: np.concatenate([r[pos] for _, r, _, _ in blocks])
+                      for pos in reduce}
 
     def backward(self, dout: np.ndarray,
                  tap_grad_in: Optional[Dict[int, np.ndarray]] = None,
-                 tap_grad_out: Iterable[int] = ()) -> Dict[int, np.ndarray]:
+                 tap_grad_out: Iterable[int] = (),
+                 reduced_grad_in: Optional[Dict[int, np.ndarray]] = None
+                 ) -> Dict[int, np.ndarray]:
         """Reverse sweep from the output gradient.
 
         tap_grad_in:  extra dL/d(feature map) added at tap points on the way
-                      down (anti-transfer injection).
+                      down.
+        reduced_grad_in: extra dL/d(reduction) per conv the last recording
+                      forward reduced; each block adds the pullback of its
+                      rows at the tap (anti-transfer injection).
         tap_grad_out: tap indices whose accumulated gradient should be
                       captured and returned (Grad-CAM); the sweep then ends
                       at the lowest of them.
@@ -435,6 +491,18 @@ class Network:
         gradient terms of the blocks in sample order (`Conv2D.add_grads`).
         """
         inject = {self.tap_positions[k]: g for k, g in (tap_grad_in or {}).items()}
+        # a forward's pullbacks serve one backward, which drops each block's
+        # once used, and with it the block's map it holds; those of a
+        # reduction with no gradient go at once
+        pullbacks, self._pullbacks = self._pullbacks, {}
+        reduced = {}
+        for k, g in (reduced_grad_in or {}).items():
+            pos = self.tap_positions[k]
+            if pos not in pullbacks:
+                raise RuntimeError(f"conv {k}: no reduction left from a "
+                                   "recording forward")
+            reduced[pos] = g
+        pullbacks = {pos: pullbacks[pos] for pos in reduced}
         want = {self.tap_positions[k]: k for k in tap_grad_out}
         captured: Dict[int, np.ndarray] = {}
         # the lowest layer whose backward must run: the one above the lowest
@@ -445,14 +513,26 @@ class Network:
         stop = min(needed) if needed else len(self.layers)
         held = [dout]   # arrays the caller keeps
 
-        def sweep(g, positions, layers, rows, capture):
+        def sweep(g, positions, layers, rows, capture, index):
             """Inject, capture and run each layer's backward, from the
-            highest of `positions` down to `stop`; returns the gradient
-            below, and the position and error of the first finite check
-            that fails."""
+            highest of `positions` down to `stop`, pulling a reduction's
+            gradient back through the `index`-th of its pullbacks; returns
+            the gradient below, and the position and error of the first
+            finite check that fails."""
             for pos in positions:
                 if pos in inject:
                     g = g + inject[pos][rows]
+                if pos in reduced:
+                    extra = pullbacks[pos][index](reduced[pos][rows])
+                    pullbacks[pos][index] = None   # frees the block's map
+                    # in place, unless the caller holds g, and let go before
+                    # the layers below run: one array of the block's map
+                    # size less at a time, per thread
+                    if any(np.may_share_memory(g, a) for a in held):
+                        g = g + extra
+                    else:
+                        g += extra
+                    del extra
                 if pos in want:
                     capture(want[pos], rows, g)
                 if pos < stop:
@@ -475,7 +555,7 @@ class Network:
 
         top = self._stack
         g, failed = sweep(dout, range(len(self.layers) - 1, top - 1, -1),
-                          self.layers, slice(None), keep)
+                          self.layers, slice(None), keep, None)
         if failed:
             raise failed[1]
         if top == 0 or stop > top:
@@ -497,7 +577,8 @@ class Network:
                 layers, capture = self.layers, keep
             else:
                 layers, capture = copies[rows.start // block], put
-            return sweep(g[rows], range(top - 1, -1, -1), layers, rows, capture)[1]
+            return sweep(g[rows], range(top - 1, -1, -1), layers, rows,
+                         capture, rows.start // block)[1]
 
         failed = [f for f in _map_blocks(run, len(g), block) if f is not None]
         if failed:

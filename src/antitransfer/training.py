@@ -18,7 +18,11 @@ validation total their per-batch losses through one fold (`_fold`).
 The frozen extractor's aggregated representations (Gram matrices by default)
 are precomputed once per split before the epoch loop: they are constants of
 the run, so this is arithmetically identical to running the extractor forward
-in parallel on every batch, just cheaper.
+in parallel on every batch, just cheaper. The trained network's side of each
+anti-transfer term is aggregated inside the network's blocks of samples, and
+pulled back there in the backward; only the batch's similarity, value and
+gradient with respect to the aggregates (`_at_term`) run on the calling
+thread, once per anti-transfer layer and batch.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, asdict, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -38,8 +43,9 @@ from .audio import NormStats, compute_norm_stats, normalize
 from .checkpoint import DTYPES
 from .data import DEFAULT_FRACTIONS, LABEL_FIELDS, SPLIT_POLICIES, Dataset
 from .layers import _map_blocks
-from .losses import ATConfig, aggregate, cross_entropy_and_grad
-from .losses import at_loss_and_grad as _at_term
+from .losses import (ATConfig, aggregate, aggregate_with_pullback,
+                     cross_entropy_and_grad)
+from .losses import at_term as _at_term
 from .network import ArchConfig, Network, build, conv_feature_shapes, preset
 from .optim import Adam
 
@@ -220,26 +226,32 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
                     rows=slice(None), train: bool = False, rng=None,
                     record: bool = True, sign: float = 1.0):
     """The training objective on one batch: cross-entropy plus, for each
-    tapped conv, the anti-transfer term of sign `sign` against rows `rows`
-    of the extractor's per-sample aggregates `aggs`.
+    anti-transfer conv, the term of sign `sign` against rows `rows` of the
+    extractor's per-sample aggregates `aggs`.
 
-    Returns (logits, ce, {layer: at value}, dlogits, {layer: gradient to
-    inject at that tap}); a zero-weight term has a value but no gradient.
-    The trainer, validation and the gradient oracle all call this; with
-    `record` false the forward keeps nothing for `net.backward` and no tap
-    gradient is computed.
+    The network's blocks aggregate their rows of each such conv's map
+    (`losses.aggregate_with_pullback`), and `_at_term` takes the term and
+    its gradient from the batch's aggregates. Returns (logits, ce, {layer:
+    at value}, dlogits, {layer: gradient w.r.t. that layer's aggregates}),
+    whose last item `net.backward` takes as `reduced_grad_in`; a zero-weight
+    term has a value but no gradient. The trainer, validation and the
+    gradient oracle all call this; with `record` false the forward keeps
+    nothing for `net.backward` and no gradient is computed.
     """
-    taps = at_cfg.layers if at_cfg else ()
-    logits, tapped = net.forward(xb, train=train, rng=rng, taps=taps,
-                                 record=record)
+    layers = at_cfg.layers if at_cfg else ()
+    # a zero-weight term reads no aggregate (`at_term`), so none is taken
+    reduce = {k: partial(aggregate_with_pullback, kind=at_cfg.aggregation)
+              for k in layers if at_cfg.beta}
+    logits, agg_t = net.forward(xb, train=train, rng=rng, record=record,
+                                reduce=reduce)
     ce, dlogits = cross_entropy_and_grad(logits, yb)
-    at_vals, tap_grads = {}, {}
-    for k in taps:
-        at_vals[k], grad = _at_term(tapped[k], aggs[k][rows], at_cfg, sign,
+    at_vals, agg_grads = {}, {}
+    for k in layers:
+        at_vals[k], grad = _at_term(agg_t.get(k), aggs[k][rows], at_cfg, sign,
                                     record)
         if grad is not None:
-            tap_grads[k] = grad
-    return logits, ce, at_vals, dlogits, tap_grads
+            agg_grads[k] = grad
+    return logits, ce, at_vals, dlogits, agg_grads
 
 
 def _fold(batches, layers: Sequence[int]):
@@ -418,7 +430,7 @@ def _fit(config: TrainConfig, net: Network, xs, labels,
             idx = order[start:start + config.batch_size]
             yb = y[idx]
             net.finite_checks = start == 0
-            logits, ce, at_vals, dlogits, inject = batch_objective(
+            logits, ce, at_vals, dlogits, agg_grads = batch_objective(
                 net, x[idx], yb, at_cfg, aggs.get("train"), idx,
                 train=True, rng=rng_dropout, sign=sign)
             batch_at = sum(at_vals.values(), 0.0)
@@ -427,7 +439,7 @@ def _fit(config: TrainConfig, net: Network, xs, labels,
                     f"non-finite loss at epoch {epoch}, samples "
                     f"{start}..{start + len(idx)} (ce={ce}, at={batch_at})")
             correct = int((logits.argmax(axis=1) == yb).sum())
-            net.backward(dlogits, tap_grad_in=inject or None)
+            net.backward(dlogits, reduced_grad_in=agg_grads)
             optimizer.step(params, grads)
             yield len(idx), ce, correct, at_vals
         net.finite_checks = True

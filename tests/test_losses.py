@@ -7,8 +7,9 @@ import pytest
 from antitransfer import layers as L
 from antitransfer.layers import ShapeError
 from antitransfer.losses import (AGGREGATIONS, ATConfig, aggregate,
-                                 at_loss_and_grad, cross_entropy_and_grad,
-                                 estimate_memory, gram, similarity)
+                                 at_loss_and_grad, at_term,
+                                 cross_entropy_and_grad, estimate_memory, gram,
+                                 similarity)
 from antitransfer.network import ArchConfig, build, preset
 from antitransfer.training import batch_objective
 
@@ -252,25 +253,39 @@ class TestTotalLoss:
         assert cross_entropy_and_grad(scores, labels)[0] == \
             pytest.approx(np.log(4.0))
 
-    def test_objective_is_ce_plus_at_terms(self):
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    def test_objective_is_ce_plus_at_terms(self, aggregation):
+        """batch_objective's values are cross-entropy and at_loss_and_grad's
+        terms, its gradients at_term's w.r.t. the aggregates of the tapped
+        maps, and a backward with them as `reduced_grad_in` gives the
+        weight gradients of one with at_loss_and_grad's map gradients as
+        `tap_grad_in`, byte for byte."""
         net, extractor = tiny_net(1), tiny_net(2)
         x = np.random.default_rng(6).standard_normal((5, 1, 6, 7))
         labels = np.array([0, 1, 2, 0, 1])
-        cfg = ATConfig(layers=(1, 2), beta=0.7)
+        cfg = ATConfig(layers=(1, 2), beta=0.7, aggregation=aggregation)
         aggs = {k: aggregate(f, cfg.aggregation)
                 for k, f in extractor.tap_features(x, cfg.layers).items()}
         rows = np.array([4, 0, 2])
-        logits, ce, at_vals, dlogits, tap_grads = batch_objective(
+        logits, ce, at_vals, dlogits, agg_grads = batch_objective(
             net, x[rows], labels[rows], cfg, aggs, rows)
+        net.backward(dlogits, reduced_grad_in=agg_grads)
+        got = {n: g.copy() for n, g in net.grads.items()}
         _, tapped = net.forward(x[rows], taps=cfg.layers)
         want_ce, want_dlogits = cross_entropy_and_grad(logits, labels[rows])
         assert ce == want_ce and np.array_equal(dlogits, want_dlogits)
-        assert list(at_vals) == list(tap_grads) == [1, 2]
+        assert list(at_vals) == list(agg_grads) == [1, 2]
+        tap_grads = {}
         for k in cfg.layers:
-            val, grad = at_loss_and_grad(tapped[k], aggs[k][rows], cfg)
+            val, tap_grads[k] = at_loss_and_grad(tapped[k], aggs[k][rows], cfg)
             assert at_vals[k] == val > 0
-            assert np.array_equal(tap_grads[k], grad)
-        # without recording, the same values and no tap gradient
+            want = at_term(aggregate(tapped[k], aggregation), aggs[k][rows],
+                           cfg)[1]
+            assert np.array_equal(agg_grads[k], want)
+        net.backward(dlogits, tap_grad_in=tap_grads)
+        for name, g in net.grads.items():
+            assert g.tobytes() == got[name].tobytes(), name
+        # without recording, the same values and no gradient
         _, ce_eval, at_eval, _, no_grads = batch_objective(
             net, x[rows], labels[rows], cfg, aggs, rows, record=False)
         assert (ce_eval, at_eval, no_grads) == (ce, at_vals, {})

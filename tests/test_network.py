@@ -1,13 +1,16 @@
 """Network-level geometry and gradient plumbing: preset shapes, tap points,
-gradient injection, and freezing."""
+gradient injection, reduced taps, and freezing."""
+
+import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from antitransfer import layers as L
 from antitransfer import network
-from antitransfer.losses import (ATConfig, aggregate, at_loss_and_grad,
-                                 cross_entropy_and_grad)
+from antitransfer.losses import (ATConfig, aggregate, aggregate_with_pullback,
+                                 at_loss_and_grad, cross_entropy_and_grad)
 from antitransfer.network import (ArchConfig, build, conv_feature_shapes,
                                   preset)
 
@@ -49,6 +52,14 @@ class TestPresetShapes:
             conv_feature_shapes(arch)
         with pytest.raises(L.ShapeError):
             build(arch)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_a_batch_of_no_samples_is_a_shape_error(self, record):
+        """Named by the input's shape, not numpy's reshape error in the
+        head."""
+        net = build(preset("vgg-tiny", (32, 37), 4), dtype=np.float32)
+        with pytest.raises(L.ShapeError, match=r"input shape \(0, 1, 32, 37\)"):
+            net.forward(np.zeros((0, 1, 32, 37), np.float32), record=record)
 
     def test_preset_conv_counts(self):
         assert preset("vgg16", (32, 32), 2).conv_count == 13
@@ -170,6 +181,107 @@ def _out_of_place_twin(arch, seed, dtype):
     for layer in net.layers:
         layer.inplace = False
     return net
+
+
+class TestReducedTaps:
+    """A reduced tap has no whole-batch map: each block of samples reduces
+    its own rows (`forward`'s `reduce`), and `backward` pulls each block's
+    rows of the reduction's gradient back through that block's pullback."""
+
+    GRAM = partial(aggregate_with_pullback, kind="gram")
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_a_reduced_tap_gives_the_bytes_of_its_whole_batch_map(
+            self, block, monkeypatch):
+        """Over blocks of 1, 2 and 5 of 13 samples on two threads, the
+        reductions are those of the whole-batch maps of one block, and a
+        backward with their gradients gives the weight gradients of one with
+        the pulled-back map gradients as `tap_grad_in`, byte for byte."""
+        arch = preset("vgg-tiny", (32, 37), 4)
+        net = build(arch, seed=3, dtype=np.float32)
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((13, *arch.input_shape)).astype(np.float32)
+        assert net.sample_block >= len(x)
+        logits, taps = net.forward(x, taps=(1, 2))
+        dlogits = np.ones_like(logits) / len(x)
+        aggs = {k: aggregate(taps[k], "gram") for k in taps}
+        agg_grads = {k: rng.standard_normal(a.shape).astype(np.float32)
+                     for k, a in aggs.items()}
+        net.backward(dlogits, tap_grad_in={
+            k: self.GRAM(taps[k])[1](g) for k, g in agg_grads.items()})
+        want = {n: g.tobytes() for n, g in net.grads.items()}
+
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
+                            block * net._sample_bytes)
+        monkeypatch.setattr(L, "_workers", lambda: 2)
+        got, reduced = net.forward(x, reduce=dict.fromkeys(taps, self.GRAM))
+        assert got.tobytes() == logits.tobytes()
+        assert sorted(reduced) == [1, 2]
+        for k in taps:
+            assert reduced[k].tobytes() == aggs[k].tobytes()
+        net.backward(dlogits, reduced_grad_in=agg_grads)
+        assert {n: g.tobytes() for n, g in net.grads.items()} == want
+
+    def test_a_forward_s_pullbacks_serve_one_backward(self):
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
+        x = np.random.default_rng(4).standard_normal((3, 1, 32, 37)).astype(np.float32)
+        with pytest.raises(ValueError, match="both tapped and reduced"):
+            net.forward(x, taps=(1, 2), reduce={2: self.GRAM})
+        logits, reduced = net.forward(x, reduce={1: self.GRAM})
+        dlogits = np.ones_like(logits)
+        grad = {1: np.ones_like(reduced[1])}
+        with pytest.raises(RuntimeError, match="conv 2: no reduction left"):
+            net.backward(dlogits, reduced_grad_in={2: grad[1]})
+        net.forward(x, reduce={1: self.GRAM})
+        net.backward(dlogits, reduced_grad_in=grad)
+        with pytest.raises(RuntimeError, match="conv 1: no reduction left"):
+            net.backward(dlogits, reduced_grad_in=grad)
+        net.forward(x, reduce={1: self.GRAM}, record=False)
+        with pytest.raises(RuntimeError, match="conv 1: no reduction left"):
+            net.backward(dlogits, reduced_grad_in=grad)
+
+    def test_only_the_stack_s_convs_can_be_reduced(self):
+        """A conv after a dropout lies past the stack that runs over
+        blocks, so it has no blocks to reduce its map in."""
+        arch = ArchConfig(
+            layers=[L.conv2d(4), L.relu(), L.dropout(), L.conv2d(4), L.relu(),
+                    L.maxpool2d(), L.flatten(), L.dense(3)],
+            input_shape=(1, 12, 13), n_classes=3)
+        net = build(arch, seed=3, dtype=np.float32)
+        x = np.ones((2, 1, 12, 13), np.float32)
+        net.forward(x, reduce={1: self.GRAM})
+        with pytest.raises(ValueError, match="conv 2 lies past the stack"):
+            net.forward(x, reduce={1: self.GRAM, 2: self.GRAM})
+
+    def test_a_reduction_with_no_gradient_drops_its_maps_before_the_sweep(
+            self, monkeypatch):
+        """A backward given the gradient of conv 1's reduction alone lets go
+        of conv 2's pullbacks, and the maps they hold, before its first
+        layer runs."""
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
+                            2 * net._sample_bytes)
+        x = np.random.default_rng(4).standard_normal((5, 1, 32, 37)).astype(np.float32)
+        refs = {1: [], 2: []}
+
+        def tracked(k):
+            def reduce(fmap):
+                agg, pullback = self.GRAM(fmap)
+                refs[k].append(weakref.ref(pullback))
+                return agg, pullback
+            return reduce
+
+        logits, reduced = net.forward(x, reduce={k: tracked(k) for k in refs})
+        assert [len(r) for r in refs.values()] == [3, 3]
+        head, alive = net.layers[-1], []
+
+        def backward(d, run=head.backward):
+            alive.append([[r() is not None for r in refs[k]] for k in refs])
+            return run(d)
+        monkeypatch.setattr(head, "backward", backward)
+        net.backward(np.ones_like(logits),
+                     reduced_grad_in={1: np.ones_like(reduced[1])})
+        assert alive == [[[True] * 3, [False] * 3]]
 
 
 class TestInPlaceActivations:

@@ -55,3 +55,40 @@ def test_every_training_step_is_attributed_to_train(tiny_data_dir,
     steps = math.ceil(len(data["train"]) / cfg.batch_size) * cfg.max_epochs
     assert m["training.steps"] == m["optim.adam_steps"] == steps
     assert m["training.step_glue_ms"] > 0
+
+
+def test_the_at_term_is_traced_once_per_batch_and_layer(tiny_data_dir,
+                                                        orth_checkpoint,
+                                                        tmp_path):
+    """perfbench's per-layer anti-transfer figures read the spans of
+    `training._at_term`, which must open once per batch and anti-transfer
+    layer in training and in validation (a batch of validation is a block
+    of `sample_block` samples), and of `training.aggregate`, which only
+    the extractor precompute may call: the trained network aggregates
+    inside its blocks through `losses.aggregate_with_pullback`."""
+    data = load_split_dir(tiny_data_dir)
+    at = ATConfig(layers=(1, 2))
+    cfg = training.TrainConfig(strategy="at",
+                               pretrained_checkpoints=(str(orth_checkpoint),),
+                               at=at, max_epochs=2, patience=2)
+    arch = preset("vgg-tiny", data["train"].x.shape[2:], 4)
+    tracer = _load_spans().Tracer(arch)
+    tracer.install()
+    try:
+        with tracer.span("bench.rep"):
+            training.train(cfg, data, tmp_path / "run")
+    finally:
+        tracer.uninstall()
+    m = {k: v["value"] for k, v in tracer.per_layer_metrics(0, 1).items()}
+    block = network.build(arch, dtype=cfg.dtype).sample_block
+    train_batches = math.ceil(len(data["train"]) / cfg.batch_size)
+    val_batches = math.ceil(len(data["val"]) / block)
+    assert m["losses.at_term_calls"] == (
+        (train_batches + val_batches) * cfg.max_epochs * len(at.layers))
+    spans = tracer.spans
+    aggregates = [s for s in spans if s[0] == "losses.extractor_aggregate"]
+    precompute_blocks = sum(math.ceil(len(data[split]) / block)
+                            for split in ("train", "val"))
+    assert len(aggregates) == precompute_blocks * len(at.layers)
+    assert all(spans[s[3]][0] == "training.extractor_precompute"
+               for s in aggregates)
