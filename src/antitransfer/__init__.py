@@ -10,7 +10,7 @@ ablations, Grad-CAM inspection, and a CLI.
 
 from .layers import LayerSpec, ShapeError, NonFiniteError
 from .network import (ArchConfig, Network, build, conv_feature_shapes, preset,
-                      vgg16, vgg_small, vgg_tiny)
+                      vgg16, vgg_tiny)
 from .optim import Adam
 from .losses import (ATConfig, MemoryEstimate, aggregate, at_loss_and_grad,
                      cross_entropy_and_grad, estimate_memory, gram, similarity)

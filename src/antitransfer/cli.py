@@ -85,8 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default 0.01,0.1,0.5,1,2,5,10,20)")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel child runs (default 1)")
-    p.add_argument("--select-by", choices=("val_accuracy", "val_loss"),
-                   default="val_accuracy")
 
     p = sub.add_parser("gradcam", help="class activation heatmap as PGM images")
     p.add_argument("--checkpoint", required=True)
@@ -214,13 +212,12 @@ def cmd_sweep(args) -> int:
                                 mp_context=multiprocessing.get_context("spawn"))
             if args.jobs > 1 else nullcontext())
     with pool as executor:
-        rows = training.sweep(points, label, data, out_dir,
-                              select_by=args.select_by, executor=executor)
-    print(f"{label:>8}  train_acc  val_acc  test_acc  best")
+        rows = training.sweep(points, label, data, out_dir, executor=executor)
+    print(f"{label:>8}  train_acc  val_acc  test_acc  val_loss  best")
     for r in rows:
         mark = "  <-- best" if r.best else ""
         print(f"{r.value:>8g}  {r.train_acc:>9.4f}  {r.val_acc:>7.4f}  "
-              f"{r.test_acc:>8.4f}{mark}")
+              f"{r.test_acc:>8.4f}  {r.val_loss:>8.4f}{mark}")
     print(f"table: {out_dir / 'sweep.csv'}")
     return EXIT_OK
 

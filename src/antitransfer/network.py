@@ -98,16 +98,6 @@ def vgg16(input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
                       n_classes=n_classes, name="vgg16")
 
 
-def vgg_small(input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
-    """8-conv reduction (32x2, 64x2, 128x2, 256x2) for mid-size experiments."""
-    specs: List[LayerSpec] = []
-    for ch in (32, 64, 128, 256):
-        specs += _vgg_block(ch, 2)
-    specs += [flatten(), dense(256), relu(), dropout(), dense(n_classes)]
-    return ArchConfig(layers=specs, input_shape=(1, *input_hw),
-                      n_classes=n_classes, name="vgg-small")
-
-
 def vgg_tiny(input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
     """4-conv desk-scale preset (16/32/64/64 channels, pool after each conv)."""
     specs: List[LayerSpec] = []
@@ -118,7 +108,7 @@ def vgg_tiny(input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
                       n_classes=n_classes, name="vgg-tiny")
 
 
-PRESETS = {"vgg16": vgg16, "vgg-small": vgg_small, "vgg-tiny": vgg_tiny}
+PRESETS = {"vgg16": vgg16, "vgg-tiny": vgg_tiny}
 
 
 def preset(name: str, input_hw: Tuple[int, int], n_classes: int) -> ArchConfig:
@@ -465,14 +455,11 @@ class Network:
                       for pos in reduce}
 
     def backward(self, dout: np.ndarray,
-                 tap_grad_in: Optional[Dict[int, np.ndarray]] = None,
                  tap_grad_out: Iterable[int] = (),
                  reduced_grad_in: Optional[Dict[int, np.ndarray]] = None
                  ) -> Dict[int, np.ndarray]:
         """Reverse sweep from the output gradient.
 
-        tap_grad_in:  extra dL/d(feature map) added at tap points on the way
-                      down.
         reduced_grad_in: extra dL/d(reduction) per conv the last recording
                       forward reduced; each block adds the pullback of its
                       rows at the tap (anti-transfer injection).
@@ -490,7 +477,6 @@ class Network:
         rows of the captured gradients, and the calling thread adds the conv
         gradient terms of the blocks in sample order (`Conv2D.add_grads`).
         """
-        inject = {self.tap_positions[k]: g for k, g in (tap_grad_in or {}).items()}
         # a forward's pullbacks serve one backward, which drops each block's
         # once used, and with it the block's map it holds; those of a
         # reduction with no gradient go at once
@@ -514,14 +500,12 @@ class Network:
         held = [dout]   # arrays the caller keeps
 
         def sweep(g, positions, layers, rows, capture, index):
-            """Inject, capture and run each layer's backward, from the
-            highest of `positions` down to `stop`, pulling a reduction's
-            gradient back through the `index`-th of its pullbacks; returns
+            """Capture and run each layer's backward, from the highest of
+            `positions` down to `stop`, pulling a reduction's gradient back
+            through the `index`-th of its pullbacks and adding it; returns
             the gradient below, and the position and error of the first
             finite check that fails."""
             for pos in positions:
-                if pos in inject:
-                    g = g + inject[pos][rows]
                 if pos in reduced:
                     extra = pullbacks[pos][index](reduced[pos][rows])
                     pullbacks[pos][index] = None   # frees the block's map

@@ -1,7 +1,12 @@
 """Training strategies and protocol: orthogonal pre-training, then scratch /
 weight-initialization / frozen-WI / anti-transfer / inverse / dual runs under
-one shared protocol (Adam, batch 13, early stopping on validation loss with
-patience 5, best-epoch weights restored).
+one shared protocol (Adam, batch 13, early stopping on validation
+cross-entropy with patience 5, best-epoch weights restored).
+
+Validation cross-entropy is the one selection rule: it picks the epoch a run
+stops after and restores, and, at each point's best epoch, a sweep's best
+point. The anti-transfer term is reported but never selects: its scale
+differs by aggregation and its sign flips under at_inverse.
 
 `STRATEGIES` is the one table of what a strategy does: how many pretrained
 checkpoints it takes, whether its convs start from the first one, whether
@@ -412,9 +417,9 @@ def _fit(config: TrainConfig, net: Network, xs, labels,
          ) -> Tuple[List[EpochMetrics], int, Dict[str, np.ndarray]]:
     """The epoch loop: Adam steps over shuffled batches of the train split,
     validation, a metrics.csv row per epoch, and early stopping on the
-    validation total (cross-entropy plus anti-transfer terms) after
-    `config.patience` epochs without a new best. Returns every epoch's
-    metrics, the best epoch and copies of its trainable weights."""
+    validation cross-entropy after `config.patience` epochs without a new
+    lowest. Returns every epoch's metrics, the best epoch (the one with the
+    lowest validation cross-entropy) and copies of its trainable weights."""
     optimizer = Adam(lr=config.lr)
     rng_order = np.random.default_rng([config.seed, 1])
     rng_dropout = np.random.default_rng([config.seed, 2])
@@ -445,7 +450,7 @@ def _fit(config: TrainConfig, net: Network, xs, labels,
         net.finite_checks = True
 
     metrics: List[EpochMetrics] = []
-    best, best_loss, best_weights = -1, np.inf, None
+    best, best_ce, best_weights = -1, np.inf, None
     with open(metrics_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(EpochMetrics.csv_header(taps))
@@ -462,8 +467,8 @@ def _fit(config: TrainConfig, net: Network, xs, labels,
             metrics.append(em)
             writer.writerow(em.csv_row())
             f.flush()
-            if em.val_ce + em.val_at < best_loss:
-                best, best_loss = epoch, em.val_ce + em.val_at
+            if em.val_ce < best_ce:
+                best, best_ce = epoch, em.val_ce
                 best_weights = {n: a.copy() for n, a in params.items()}
             elif epoch - best >= config.patience:
                 break
@@ -530,9 +535,7 @@ class SweepRow:
 def _sweep_point(cfg: TrainConfig, data: Dict[str, Dataset], run_dir: Path
                  ) -> Tuple[float, float, float, float]:
     """Train one sweep point; module-level so a process pool can pickle it.
-    Returns (train_acc, val_acc, test_acc, val_ce), all at the best epoch:
-    the anti-transfer term grows with beta and flips sign under at_inverse,
-    so only the cross-entropy compares points."""
+    Returns (train_acc, val_acc, test_acc, val_ce), all at the best epoch."""
     result = train(cfg, data, run_dir)
     best = result.metrics[result.best_epoch]
     return best.train_acc, result.val_accuracy, result.test_accuracy, best.val_ce
@@ -543,9 +546,14 @@ def sweep_points(base_config: TrainConfig, data: Dict[str, Dataset], label: str,
     """The (value, config) points of a sweep over the anti-transfer layer
     (label "layer": the term on conv v alone) or its weight ("beta"). Every
     point is built and checked here, layers against the network trained on
-    `data`, so a bad point raises ValueError before anything trains."""
+    `data`, so a bad point raises ValueError before anything trains; so
+    does a value given twice, whose points would share a run directory."""
     if not values:
         raise ValueError(f"empty {label} sweep grid")
+    seen = [int(v) if label == "layer" else float(v) for v in values]
+    repeated = [v for i, v in enumerate(seen) if v in seen[:i]]
+    if repeated:
+        raise ValueError(f"{label} {repeated[0]} is given twice")
     if label == "layer":
         check_at_layers(base_config, data, values)
         ats = [replace(base_config.at, layers=(int(v),)) for v in values]
@@ -556,13 +564,12 @@ def sweep_points(base_config: TrainConfig, data: Dict[str, Dataset], label: str,
 
 
 def sweep(points: Sequence[Tuple[float, TrainConfig]], label: str,
-          data: Dict[str, Dataset], out_dir, select_by: str = "val_accuracy",
+          data: Dict[str, Dataset], out_dir,
           executor: Optional[Executor] = None) -> List[SweepRow]:
     """Train each point of `sweep_points` into out_dir/<label>_<value>,
-    write sweep.csv and flag the best row. Points run through executor.map
-    when an executor is given."""
-    if select_by not in ("val_accuracy", "val_loss"):
-        raise ValueError("select_by must be val_accuracy or val_loss")
+    write sweep.csv and flag the best row, the one with the lowest
+    validation cross-entropy at its best epoch. Points run through
+    executor.map when an executor is given."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     run_dirs = [out_dir / f"{label}_{v}" for v, _ in points]
@@ -570,11 +577,7 @@ def sweep(points: Sequence[Tuple[float, TrainConfig]], label: str,
         _sweep_point, [cfg for _, cfg in points], [data] * len(points), run_dirs)
     rows = [SweepRow(float(v), *result, out_dir=str(run_dir))
             for (v, _), result, run_dir in zip(points, results, run_dirs)]
-    if select_by == "val_accuracy":
-        best_i = max(range(len(rows)), key=lambda i: rows[i].val_acc)
-    else:
-        best_i = min(range(len(rows)), key=lambda i: rows[i].val_loss)
-    rows[best_i].best = True
+    min(rows, key=lambda r: r.val_loss).best = True
     with ckpt.atomic_open(out_dir / "sweep.csv", "w") as f:
         w = csv.writer(f)
         w.writerow([label, "train_acc", "val_acc", "test_acc", "val_loss", "best"])

@@ -288,6 +288,17 @@ class TestMalformedCheckpoints:
         assert_weight_table_aliases(net)
 
 
+def eight_convs(input_hw, n_classes):
+    """An 8-conv VGG-style architecture (32x2, 64x2, 128x2, 256x2): one
+    other than vgg-tiny."""
+    layers = []
+    for ch in (32, 64, 128, 256):
+        layers += [L.conv2d(ch), L.relu(), L.conv2d(ch), L.relu(), L.maxpool2d()]
+    layers += [L.flatten(), L.dense(256), L.relu(), L.dropout(), L.dense(n_classes)]
+    return ArchConfig(layers=layers, input_shape=(1, *input_hw),
+                      n_classes=n_classes)
+
+
 class TestFingerprints:
     def test_same_conv_stack_same_fingerprints(self):
         a = preset("vgg-tiny", (16, 17), 3)
@@ -296,13 +307,13 @@ class TestFingerprints:
 
     def test_different_channels_change_fingerprints(self):
         a = preset("vgg-tiny", (16, 17), 3)
-        b = preset("vgg-small", (16, 17), 3)
+        b = eight_convs((16, 17), 3)
         assert a.conv_fingerprints()[0] != b.conv_fingerprints()[0]
 
     def test_incompatible_extractor_rejected(self, tmp_path):
         with pytest.raises(ck.FingerprintMismatchError):
             ck.check_conv_compatible(preset("vgg-tiny", (16, 17), 3),
-                                     preset("vgg-small", (16, 17), 3), up_to=1)
+                                     eight_convs((16, 17), 3), up_to=1)
 
     def test_prefix_compatibility_passes(self):
         a = preset("vgg-tiny", (16, 17), 3)
@@ -341,7 +352,7 @@ class TestInitFrom:
             assert np.array_equal(arr, before[n])
 
     def test_mismatched_source_rejected(self):
-        source = build(preset("vgg-small", (16, 17), 3), seed=1)
+        source = build(eight_convs((16, 17), 3), seed=1)
         target = build(preset("vgg-tiny", (16, 17), 3), seed=2)
         with pytest.raises(ck.FingerprintMismatchError):
             ck.init_from(target, source)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,7 +14,7 @@ import pytest
 
 from antitransfer import checkpoint as ck
 from antitransfer import training
-from antitransfer.cli import _resolve_config, build_parser, main
+from antitransfer.cli import _COMMANDS, _resolve_config, build_parser, main
 from antitransfer.config import DataConfig, ExperimentConfig
 from antitransfer.data import (MANIFEST_NAMES, read_manifest, write_manifest,
                                write_sample)
@@ -308,6 +310,35 @@ class TestSweepCommand:
         assert not (tmp_path / "run" / "sweep.csv").exists()
         assert not list((tmp_path / "run").glob("beta_*"))
 
+    def test_repeated_grid_value_exits_2_before_training(
+            self, tmp_path, orth_checkpoint, tiny_data_dir, capsys):
+        """`--betas 1,1.0` and `--layers 2,2` would give two points one run
+        directory, which two workers of `--jobs 2` write at once."""
+        cfg = write_config(tmp_path, strategy="at",
+                           checkpoints=(orth_checkpoint,),
+                           data_dir=tiny_data_dir)
+        for flag, grid, value in (("--betas", "1,1.0", "beta 1.0"),
+                                  ("--layers", "2,2", "layer 2")):
+            assert main(["sweep", "--config", str(cfg), flag, grid,
+                         "--jobs", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+            assert flag in err and f"{value} is given twice" in err
+        assert not list((tmp_path / "run").glob("*_*"))
+
+    def test_select_by_is_an_unknown_flag(self, tmp_path, orth_checkpoint,
+                                          tiny_data_dir, capsys):
+        """Validation cross-entropy is the one selection rule."""
+        cfg = write_config(tmp_path, strategy="at",
+                           checkpoints=(orth_checkpoint,),
+                           data_dir=tiny_data_dir)
+        with pytest.raises(SystemExit) as exited:
+            main(["sweep", "--config", str(cfg), "--layers", "1..2",
+                  "--select-by", "val_loss"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --select-by" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_layer_grid_checked_before_training(self, tmp_path, orth_checkpoint,
                                                 tiny_data_dir, capsys):
         """A grid point outside the network's convs exits 2 naming 1..K,
@@ -478,3 +509,23 @@ def test_python_dash_m_runs_from_a_checkout():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["per_layer"]["1"]["gram_elems"] == 16 * 16
+
+
+def test_every_readme_command_parses():
+    """Each `antitransfer ...` line of README's bash blocks, its backslash
+    continuations joined, parses with the CLI's parser, so a flag the docs
+    show cannot be gone or renamed; together they show every command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["antitransfer"]:
+                commands.append(words[1:])
+    parser = build_parser()
+    for words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            pytest.fail(f"README: antitransfer {' '.join(words)} does not parse")
+    assert {words[0] for words in commands} == set(_COMMANDS)

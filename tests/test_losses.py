@@ -258,8 +258,8 @@ class TestTotalLoss:
         """batch_objective's values are cross-entropy and at_loss_and_grad's
         terms, its gradients at_term's w.r.t. the aggregates of the tapped
         maps, and a backward with them as `reduced_grad_in` gives the
-        weight gradients of one with at_loss_and_grad's map gradients as
-        `tap_grad_in`, byte for byte."""
+        weight gradients of one with at_loss_and_grad's map gradients given
+        to an identity reduction, byte for byte."""
         net, extractor = tiny_net(1), tiny_net(2)
         x = np.random.default_rng(6).standard_normal((5, 1, 6, 7))
         labels = np.array([0, 1, 2, 0, 1])
@@ -271,7 +271,8 @@ class TestTotalLoss:
             net, x[rows], labels[rows], cfg, aggs, rows)
         net.backward(dlogits, reduced_grad_in=agg_grads)
         got = {n: g.copy() for n, g in net.grads.items()}
-        _, tapped = net.forward(x[rows], taps=cfg.layers)
+        _, tapped = net.forward(x[rows], reduce=dict.fromkeys(
+            cfg.layers, lambda fmap: (fmap, lambda grad: grad)))
         want_ce, want_dlogits = cross_entropy_and_grad(logits, labels[rows])
         assert ce == want_ce and np.array_equal(dlogits, want_dlogits)
         assert list(at_vals) == list(agg_grads) == [1, 2]
@@ -282,7 +283,7 @@ class TestTotalLoss:
             want = at_term(aggregate(tapped[k], aggregation), aggs[k][rows],
                            cfg)[1]
             assert np.array_equal(agg_grads[k], want)
-        net.backward(dlogits, tap_grad_in=tap_grads)
+        net.backward(dlogits, reduced_grad_in=tap_grads)
         for name, g in net.grads.items():
             assert g.tobytes() == got[name].tobytes(), name
         # without recording, the same values and no gradient

@@ -15,6 +15,12 @@ from antitransfer.network import (ArchConfig, build, conv_feature_shapes,
                                   preset)
 
 
+def identity(fmap):
+    """A reduction that keeps the whole map, and its pullback: a test's way
+    to add a gradient of the map itself at a tap."""
+    return fmap, lambda grad: grad
+
+
 class TestPresetShapes:
     def test_vgg16_matches_reference_table(self):
         """Channel/size progression of the 13-conv stack on 224x224x1."""
@@ -63,7 +69,6 @@ class TestPresetShapes:
 
     def test_preset_conv_counts(self):
         assert preset("vgg16", (32, 32), 2).conv_count == 13
-        assert preset("vgg-small", (32, 32), 2).conv_count == 8
         assert preset("vgg-tiny", (32, 32), 2).conv_count == 4
 
     def test_unknown_preset_rejected(self):
@@ -109,9 +114,8 @@ class TestGradientInjection:
         self.net.backward(dlogits)
         plain = self.param_grads()
 
-        self.net.forward(self.x, taps=(2,))
-        inject = {2: np.ones_like(taps[2])}
-        self.net.backward(dlogits, tap_grad_in=inject)
+        self.net.forward(self.x, reduce={2: identity})
+        self.net.backward(dlogits, reduced_grad_in={2: np.ones_like(taps[2])})
         injected = self.param_grads()
 
         # layers above the tap (the dense head) see identical gradients
@@ -134,7 +138,8 @@ class TestGradientInjection:
     def test_full_at_gradient_flow_end_to_end(self):
         extractor = build(self.arch, seed=99)
         cfg = ATConfig(layers=(1, 2), beta=0.8)
-        logits, taps = self.net.forward(self.x, taps=cfg.layers)
+        logits, taps = self.net.forward(
+            self.x, reduce=dict.fromkeys(cfg.layers, identity))
         _, ptaps = extractor.forward(self.x, taps=cfg.layers)
         ce, dlogits = cross_entropy_and_grad(logits, self.labels)
         inject = {}
@@ -142,7 +147,7 @@ class TestGradientInjection:
             _, g = at_loss_and_grad(taps[k], aggregate(ptaps[k], cfg.aggregation),
                                     cfg)
             inject[k] = g
-        self.net.backward(dlogits, tap_grad_in=inject)
+        self.net.backward(dlogits, reduced_grad_in=inject)
         for layer in self.net.layers:
             if layer.params():
                 for g in layer.grads().values():
@@ -196,18 +201,19 @@ class TestReducedTaps:
         """Over blocks of 1, 2 and 5 of 13 samples on two threads, the
         reductions are those of the whole-batch maps of one block, and a
         backward with their gradients gives the weight gradients of one with
-        the pulled-back map gradients as `tap_grad_in`, byte for byte."""
+        the pulled-back map gradients given to an identity reduction, byte
+        for byte."""
         arch = preset("vgg-tiny", (32, 37), 4)
         net = build(arch, seed=3, dtype=np.float32)
         rng = np.random.default_rng(4)
         x = rng.standard_normal((13, *arch.input_shape)).astype(np.float32)
         assert net.sample_block >= len(x)
-        logits, taps = net.forward(x, taps=(1, 2))
+        logits, taps = net.forward(x, reduce=dict.fromkeys((1, 2), identity))
         dlogits = np.ones_like(logits) / len(x)
         aggs = {k: aggregate(taps[k], "gram") for k in taps}
         agg_grads = {k: rng.standard_normal(a.shape).astype(np.float32)
                      for k, a in aggs.items()}
-        net.backward(dlogits, tap_grad_in={
+        net.backward(dlogits, reduced_grad_in={
             k: self.GRAM(taps[k])[1](g) for k, g in agg_grads.items()})
         want = {n: g.tobytes() for n, g in net.grads.items()}
 
@@ -298,8 +304,10 @@ class TestInPlaceActivations:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((5, 1, 32, 37)).astype(dtype)
         x_bytes = x.tobytes()
+        # convs 1 and 3 through an identity reduction, to take a gradient
         outs = [n.forward(x, train=True, rng=np.random.default_rng(2),
-                          taps=(1, 2, 3, 4), record=record) for n in (net, ref)]
+                          taps=(2, 4), reduce=dict.fromkeys((1, 3), identity),
+                          record=record) for n in (net, ref)]
         (logits, taps), (ref_logits, ref_taps) = outs
         assert logits.tobytes() == ref_logits.tobytes()
         for k in (1, 2, 3, 4):
@@ -311,8 +319,8 @@ class TestInPlaceActivations:
         inject = {k: rng.standard_normal(taps[k].shape).astype(dtype)
                   for k in (1, 3)}
         d_bytes = dlogits.tobytes()
-        net.backward(dlogits, tap_grad_in=inject)
-        ref.backward(dlogits, tap_grad_in=inject)
+        net.backward(dlogits, reduced_grad_in=inject)
+        ref.backward(dlogits, reduced_grad_in=inject)
         assert dlogits.tobytes() == d_bytes
         for name, g in net.grads.items():
             assert g.tobytes() == ref.grads[name].tobytes(), name

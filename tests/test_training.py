@@ -18,7 +18,8 @@ from antitransfer import losses, network, training
 from antitransfer.data import load_split_dir
 from antitransfer.losses import ATConfig
 from antitransfer.training import TrainConfig, evaluate
-from antitransfer.network import build, conv_feature_shapes, preset
+from antitransfer.network import (ArchConfig, build, conv_feature_shapes,
+                                  preset)
 
 
 @pytest.fixture
@@ -28,6 +29,17 @@ def eval_workers(monkeypatch):
     def pin(n):
         monkeypatch.setattr(L, "_workers", lambda: n)
     return pin
+
+
+def eight_convs(input_hw, n_classes):
+    """An 8-conv VGG-style architecture (32x2, 64x2, 128x2, 256x2): one
+    other than vgg-tiny."""
+    layers = []
+    for ch in (32, 64, 128, 256):
+        layers += [L.conv2d(ch), L.relu(), L.conv2d(ch), L.relu(), L.maxpool2d()]
+    layers += [L.flatten(), L.dense(256), L.relu(), L.dropout(), L.dense(n_classes)]
+    return ArchConfig(layers=layers, input_shape=(1, *input_hw),
+                      n_classes=n_classes)
 
 
 def cfg_for(strategy, checkpoint=None, layers=(2,), seed=3, epochs=3, **kw):
@@ -143,7 +155,7 @@ class TestScratch:
         cfg = cfg_for("scratch", epochs=12)
         r = training.train(cfg, load_split_dir(tiny_data_dir), tmp_path / "run")
         assert len(r.metrics) - 1 - r.best_epoch <= cfg.patience
-        vals = [m.val_ce + m.val_at for m in r.metrics]
+        vals = [m.val_ce for m in r.metrics]
         assert r.best_epoch == int(np.argmin(vals))
 
     def test_checkpoint_holds_the_best_epochs_weights(self, tiny_data_dir,
@@ -293,8 +305,37 @@ class TestAntiTransfer:
         assert ck.load(r.checkpoint_path).provenance["strategy"] == \
             "at_inverse"
 
+    def test_validation_cross_entropy_alone_selects_the_epoch(
+            self, tiny_data_dir, orth_checkpoint, tmp_path, monkeypatch):
+        """With scripted validation losses whose cross-entropy is lowest at
+        epoch 2 and whose cross-entropy plus anti-transfer term is lowest
+        at epoch 3, the run stops one epoch after epoch 2 (patience 1) and
+        keeps epoch 2: in its result, summary.json and model.atck."""
+        script = [(1.0, 0.5), (0.9, 0.4), (0.8, 0.3), (0.85, 0.1), (0.95, 0.2)]
+
+        def run(name, epochs):
+            values = iter([(ce, 0.5, {2: at}) for ce, at in script])
+            monkeypatch.setattr(training, "_eval_losses",
+                                lambda *args: next(values))
+            return training.train(cfg_for("at", orth_checkpoint, epochs=epochs,
+                                          patience=1),
+                                  load_split_dir(tiny_data_dir), tmp_path / name)
+
+        r = run("stopped", epochs=6)
+        totals = [ce + at for ce, at in script]
+        assert int(np.argmin(totals)) == 3
+        assert r.best_epoch == 2 and len(r.metrics) == 4
+        assert [m.val_ce for m in r.metrics] == [ce for ce, _ in script[:4]]
+        summary = json.loads((tmp_path / "stopped" / "summary.json").read_text())
+        assert summary["best_epoch"] == 2 and summary["epochs_run"] == 4
+        at_best = run("at_best", epochs=3)
+        assert at_best.best_epoch == 2
+        want = at_best.network.weight_hash()
+        assert r.network.weight_hash() == want
+        assert ck.load(r.checkpoint_path).weight_hash() == want
+
     def test_incompatible_extractor_rejected(self, tiny_data_dir, tmp_path):
-        other = build(preset("vgg-small", (16, 17), 4), seed=0, dtype=np.float32)
+        other = build(eight_convs((16, 17), 4), seed=0, dtype=np.float32)
         ck.save(other, tmp_path / "other.atck")
         with pytest.raises(ck.FingerprintMismatchError):
             training.train(cfg_for("at", tmp_path / "other.atck"),
@@ -692,13 +733,19 @@ class TestForwardWithoutRecording:
         assert got[1] == want[1]
 
 
+def identity(fmap):
+    """A reduction that keeps the whole map, and its pullback: a test's way
+    to add a gradient of the map itself at a tap."""
+    return fmap, lambda grad: grad
+
+
 def _step(net, x, at_layer=1):
     """One recording forward and backward with an anti-transfer gradient
     injected at `at_layer`."""
     logits, taps = net.forward(x, train=True, rng=np.random.default_rng(1),
-                               taps=(at_layer,))
+                               reduce={at_layer: identity})
     net.backward(np.ones_like(logits) / len(x),
-                 tap_grad_in={at_layer: taps[at_layer] * 1e-3})
+                 reduced_grad_in={at_layer: taps[at_layer] * 1e-3})
 
 
 class TestTrainingStepOverBlocks:
@@ -848,10 +895,10 @@ class TestTrainingStepOverBlocks:
             return map_blocks(fn, n, block)
         monkeypatch.setattr(network, "_map_blocks", spy)
         logits, taps = net.forward(x, train=True, rng=np.random.default_rng(1),
-                                   taps=(1,))
+                                   reduce={1: identity})
         assert calls == [(13, 2)]
         net.backward(np.ones_like(logits) / len(x),
-                     tap_grad_in={1: taps[1] * 1e-3})
+                     reduced_grad_in={1: taps[1] * 1e-3})
         assert calls == [(13, 2)] * 2
 
     @pytest.mark.parametrize("fails", [None, 0, -1])
@@ -867,7 +914,7 @@ class TestTrainingStepOverBlocks:
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 2 * net._sample_bytes)
         x = np.random.default_rng(7).standard_normal((8, 1, 32, 37)).astype(np.float32)
         rng = np.random.default_rng(0)
-        logits, taps = net.forward(x, train=True, rng=rng, taps=(1,))
+        logits, taps = net.forward(x, train=True, rng=rng, reduce={1: identity})
         threads, map_blocks = set(), network._map_blocks
 
         def spy(fn, n, block):
@@ -879,10 +926,11 @@ class TestTrainingStepOverBlocks:
             return map_blocks(run, n, block)
         monkeypatch.setattr(network, "_map_blocks", spy)
         if direction == "forward":
-            call = lambda: net.forward(x, train=True, rng=rng, taps=(1,))
+            call = lambda: net.forward(x, train=True, rng=rng,
+                                       reduce={1: identity})
         else:
             call = lambda: net.backward(np.ones_like(logits),
-                                        tap_grad_in={1: taps[1]})
+                                        reduced_grad_in={1: taps[1]})
         if fails is None:
             call()
         else:
@@ -992,6 +1040,16 @@ class TestSweeps:
                            data, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    def test_a_repeated_grid_value_is_rejected(self, tiny_data_dir,
+                                               orth_checkpoint):
+        """Two points of one value would train into one directory."""
+        data = load_split_dir(tiny_data_dir)
+        cfg = cfg_for("at", orth_checkpoint)
+        with pytest.raises(ValueError, match=r"beta 1\.0 is given twice"):
+            training.sweep_points(cfg, data, "beta", [0.5, 1, 1.0])
+        with pytest.raises(ValueError, match="layer 2 is given twice"):
+            training.sweep_points(cfg, data, "layer", [2, 1, 2])
+
     def test_val_loss_selects_the_lowest_best_epoch_cross_entropy(
             self, tiny_data_dir, orth_checkpoint, tmp_path):
         """Under at_inverse the AT term is negative and grows with beta, so
@@ -1001,8 +1059,7 @@ class TestSweeps:
         points = training.sweep_points(cfg_for("at_inverse", orth_checkpoint,
                                                epochs=2),
                                        data, "beta", [0.5, 20.0])
-        rows = training.sweep(points, "beta", data, tmp_path / "sweep",
-                              select_by="val_loss")
+        rows = training.sweep(points, "beta", data, tmp_path / "sweep")
         best_ce, objective = [], []
         for r in rows:
             run = tmp_path / "sweep" / f"beta_{r.value}"
