@@ -7,6 +7,10 @@ The geometry is the paper's and is fixed (module constants, no options):
 yields a 126 x 129 spectrogram of linear magnitudes. Framing is centered
 (the signal is zero-padded by half a window on both ends), so the frame count
 is floor(N / hop) + 1.
+
+Resampling is the only step that uses scipy: `resample` imports
+`scipy.signal` on its first call, so `import antitransfer` loads numpy
+alone (scipy.signal costs about 74 MB resident and most of a second).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from pathlib import Path
 from typing import List, Sequence
 
 import numpy as np
-from scipy.signal import firwin, resample_poly
 
 
 @dataclass
@@ -161,7 +164,9 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     up/down with its default Kaiser window. Designed once per rate pair:
     for 22,050 -> 16,000 Hz it has 8,821 taps and took most of a clip's
     resampling time. resample_poly copies the array before scaling it; the
-    cached one is read-only all the same."""
+    cached one is read-only all the same. scipy.signal is imported here and
+    in `resample`, on first use, not with the package."""
+    from scipy.signal import firwin
     m = max(up, down)
     h = firwin(20 * m + 1, 1.0 / m, window=("kaiser", 5.0))
     h.setflags(write=False)
@@ -170,13 +175,14 @@ def _lowpass(up: int, down: int) -> np.ndarray:
 
 def resample(clip: AudioClip) -> AudioClip:
     """Polyphase (linear-phase) resample to TARGET_RATE; pass-through when
-    already at rate."""
+    already at rate. The first call that resamples imports scipy.signal."""
     if len(clip.samples) == 0:
         raise ValueError("cannot resample an empty clip")
     if clip.sample_rate == TARGET_RATE:
         return clip
     g = math.gcd(clip.sample_rate, TARGET_RATE)
     up, down = TARGET_RATE // g, clip.sample_rate // g
+    from scipy.signal import resample_poly
     y = resample_poly(clip.samples, up, down, window=_lowpass(up, down))
     return AudioClip(samples=y, sample_rate=TARGET_RATE)
 

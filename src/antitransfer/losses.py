@@ -98,8 +98,9 @@ def aggregate_with_pullback(feature: np.ndarray, kind: str):
     dL/d(aggregated) back to dL/d(feature), in the feature's dtype. Each
     sample's rows depend on that sample alone, so a map can be aggregated
     and pulled back in blocks of samples with the bytes of one call. The
-    pullback of gram and max holds on to the feature map; that of mean
-    does not."""
+    gram pullback holds on to the feature map, the max pullback to its
+    channel argmax (one index per pixel, taken here) and the mean pullback
+    to neither."""
     out = aggregate(feature, kind)
     b, c, x, y = feature.shape
     dtype = feature.dtype
@@ -114,10 +115,11 @@ def aggregate_with_pullback(feature: np.ndarray, kind: str):
             return np.repeat(da[:, None] / c, c, axis=1).astype(dtype,
                                                                 copy=False)
     else:  # max
+        idx = feature.argmax(axis=1)[:, None]
+
         def pullback(da):
-            df = np.zeros_like(feature)
-            np.put_along_axis(df, feature.argmax(axis=1)[:, None], da[:, None],
-                              axis=1)
+            df = np.zeros((b, c, x, y), dtype=dtype)
+            np.put_along_axis(df, idx, da[:, None], axis=1)
             return df
     return out, pullback
 

@@ -511,6 +511,53 @@ def test_python_dash_m_runs_from_a_checkout():
     assert json.loads(proc.stdout)["per_layer"]["1"]["gram_elems"] == 16 * 16
 
 
+# Run in a fresh interpreter: this test process has scipy.signal loaded
+# already (tests/test_audio.py imports it).
+SCIPY_SIGNAL_ON_FIRST_RESAMPLE = """
+import json, sys
+import numpy as np
+import antitransfer, antitransfer.cli
+from antitransfer import audio, training
+from antitransfer.data import load_split_dir
+from antitransfer.losses import ATConfig
+from antitransfer.training import TrainConfig
+
+data_dir, orth_checkpoint, out_dir = sys.argv[1:]
+loaded = {"import": "scipy.signal" in sys.modules}
+code = antitransfer.cli.main(["estimate-memory", "--arch", "vgg-tiny",
+                              "--at-layer", "1", "--json"])
+loaded["estimate-memory"] = "scipy.signal" in sys.modules
+cfg = TrainConfig(strategy="at", pretrained_checkpoints=(orth_checkpoint,),
+                  at=ATConfig(layers=(1,)), seed=3, max_epochs=1,
+                  arch_preset="vgg-tiny")
+epochs = len(training.train(cfg, load_split_dir(data_dir), out_dir).metrics)
+loaded["train"] = "scipy.signal" in sys.modules
+tone = np.sin(np.arange(22050) * 0.05)
+rate = audio.resample(audio.AudioClip(tone, 22050)).sample_rate
+loaded["resample"] = "scipy.signal" in sys.modules
+print(json.dumps({"code": code, "epochs": epochs, "rate": rate,
+                  "loaded": loaded}))
+"""
+
+
+def test_scipy_signal_loads_on_the_first_resample_only(
+        tiny_data_dir, orth_checkpoint, tmp_path):
+    """Importing the package and the CLI, a command and a 1-epoch
+    anti-transfer training load numpy but not scipy.signal (74 MB resident
+    and most of a second); the first resample loads it."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_SIGNAL_ON_FIRST_RESAMPLE,
+         str(tiny_data_dir), str(orth_checkpoint), str(tmp_path / "run")],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["code"], result["epochs"], result["rate"]) == (0, 1, 16000)
+    assert result["loaded"] == {"import": False, "estimate-memory": False,
+                                "train": False, "resample": True}
+
+
 def test_every_readme_command_parses():
     """Each `antitransfer ...` line of README's bash blocks, its backslash
     continuations joined, parses with the CLI's parser, so a flag the docs

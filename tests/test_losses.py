@@ -7,9 +7,9 @@ import pytest
 from antitransfer import layers as L
 from antitransfer.layers import ShapeError
 from antitransfer.losses import (AGGREGATIONS, ATConfig, aggregate,
-                                 at_loss_and_grad, at_term,
-                                 cross_entropy_and_grad, estimate_memory, gram,
-                                 similarity)
+                                 aggregate_with_pullback, at_loss_and_grad,
+                                 at_term, cross_entropy_and_grad,
+                                 estimate_memory, gram, similarity)
 from antitransfer.network import ArchConfig, build, preset
 from antitransfer.training import batch_objective
 
@@ -86,6 +86,24 @@ class TestAggregate:
     def test_max(self):
         f = np.array([[[1.0, 2.0]], [[3.0, 4.0]]]).reshape(1, 2, 1, 2)
         assert np.allclose(aggregate(f, "max"), [[[3.0, 4.0]]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_max_pullback_is_the_scatter_at_the_channel_argmax(self, dtype):
+        """The max pullback, which keeps only the argmax it took while
+        aggregating, gives the bytes of zeros with the gradient put at
+        `feature.argmax(axis=1)`, on a map with tied channels and a NaN
+        (which argmax picks)."""
+        rng = np.random.default_rng(11)
+        f = rng.integers(0, 3, (3, 4, 5, 6)).astype(dtype)   # many ties
+        f[1, 2, 3, 4] = np.nan
+        agg, pullback = aggregate_with_pullback(f, "max")
+        da = rng.standard_normal(agg.shape).astype(dtype)
+        want = np.zeros_like(f)
+        np.put_along_axis(want, f.argmax(axis=1)[:, None], da[:, None], axis=1)
+        f[:] = 0.0   # the pullback must not read the map again
+        got = pullback(da)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["sum", "comp_mul"])
     def test_removed_aggregations_rejected(self, kind):

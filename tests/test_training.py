@@ -961,6 +961,29 @@ class TestTrainingStepOverBlocks:
     # term ran over a whole-batch tapped map and tap gradient
     WHOLE_BATCH_TERM_PEAK = {"gram": 42.24, "mean": 45.57, "max": 59.94}
 
+    @staticmethod
+    def _at_step_peak(aggregation, between=lambda: None):
+        """tracemalloc's peak of `batch_objective` and the backward of a
+        13x126x129 float32 vgg-tiny step (blocks of 2 samples) with the
+        anti-transfer term at conv 1 under `aggregation`, on the caller's
+        workers; `between()` runs between the two passes."""
+        net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
+        assert net.sample_block == 2
+        extractor = build(net.arch, seed=1, dtype=np.float32)
+        x = np.random.default_rng(0).standard_normal(
+            (13, 1, 126, 129)).astype(np.float32)
+        y = np.arange(len(x)) % 4
+        at_cfg = ATConfig(layers=(1,), aggregation=aggregation)
+        aggs = training._precompute_extractor_aggs(extractor, x, at_cfg)
+
+        def step():
+            _, _, _, dlogits, agg_grads = training.batch_objective(
+                net, x, y, at_cfg, aggs, train=True,
+                rng=np.random.default_rng(1))
+            between()
+            net.backward(dlogits, reduced_grad_in=agg_grads)
+        return _peak_bytes(step)
+
     @pytest.mark.parametrize("aggregation", losses.AGGREGATIONS)
     def test_an_at_step_at_126x129_builds_no_whole_batch_tap_map(
             self, aggregation, eval_workers):
@@ -978,31 +1001,29 @@ class TestTrainingStepOverBlocks:
         until each block's backward reaches conv 1, and two blocks'
         backward temporaries come on top."""
         eval_workers(2)
-        net = build(preset("vgg-tiny", (126, 129), 4), seed=0, dtype=np.float32)
-        assert net.sample_block == 2
-        extractor = build(net.arch, seed=1, dtype=np.float32)
-        x = np.random.default_rng(0).standard_normal(
-            (13, 1, 126, 129)).astype(np.float32)
-        y = np.arange(len(x)) % 4
-        at_cfg = ATConfig(layers=(1,), aggregation=aggregation)
-        aggs = training._precompute_extractor_aggs(extractor, x, at_cfg)
         largest = []
 
-        def step():
-            _, _, _, dlogits, agg_grads = training.batch_objective(
-                net, x, y, at_cfg, aggs, train=True,
-                rng=np.random.default_rng(1))
+        def between():
             if tracemalloc.is_tracing():
                 largest.append(max(t.size for t in
                                    tracemalloc.take_snapshot().traces))
-            net.backward(dlogits, reduced_grad_in=agg_grads)
 
         # less one 13.6 MB map, but for the Gram
         bound = (self.WHOLE_BATCH_TERM_PEAK[aggregation]
                  - (0.0 if aggregation == "gram" else 13.6))
-        assert _peak_bytes(step) < bound * 1e6
-        c, h, w = conv_feature_shapes(net.arch)[0]
-        assert largest[0] <= net.sample_block * c * h * w * x.itemsize
+        assert self._at_step_peak(aggregation, between) < bound * 1e6
+        c, h, w = conv_feature_shapes(preset("vgg-tiny", (126, 129), 4))[0]
+        assert largest[0] <= 2 * c * h * w * 4   # one block's float32 map
+
+    def test_a_max_at_step_at_126x129_peaks_below_the_gram_step(
+            self, eval_workers):
+        """The step above under the max aggregation peaks below the same
+        step under the Gram: the max pullback keeps each block's channel
+        argmax, not its conv 1 map, which the Gram pullback has to read.
+        When the max pullback kept the map, the max step peaked at
+        41.4-43.7 MB against the Gram's 38.8 MB."""
+        eval_workers(2)
+        assert self._at_step_peak("max") < self._at_step_peak("gram")
 
 
 def sweep_layers(base_config, data, out_dir, layers):
