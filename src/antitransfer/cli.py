@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-size", default="126x129", metavar="FRAMESxBINS")
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--at-layer", type=int, action="append", required=True)
-    p.add_argument("--classes", type=int, default=10)
     p.add_argument("--bytes-per-number", type=int, default=4)
     p.add_argument("--json", action="store_true", dest="as_json")
     return parser
@@ -251,7 +250,8 @@ def cmd_estimate_memory(args) -> int:
     with _setup("--input-size must look like 126x129"):
         frames, bins = (int(t) for t in args.input_size.lower().split("x"))
     with _setup():
-        est = estimate_memory(preset(args.arch, (frames, bins), args.classes),
+        # the estimate counts only the conv stack: any class count will do
+        est = estimate_memory(preset(args.arch, (frames, bins), 2),
                               args.batch, args.at_layer,
                               bytes_per_number=args.bytes_per_number)
     if args.as_json:

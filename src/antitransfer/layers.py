@@ -51,9 +51,9 @@ def check_finite(x: np.ndarray, where: str) -> None:
 # ---------------------------------------------------------------------------
 
 # A pass over a batch (a network's forward or backward through its conv
-# stack, and evaluation's passes over the network) runs over blocks of whole
-# samples, spread over every CPU the process may run on. The caller picks
-# the blocks, so they do not depend on how many CPUs there are; each block
+# stack; `Network` is the one caller) runs over blocks of whole samples,
+# spread over every CPU the process may run on. The caller picks the
+# blocks, so they do not depend on how many CPUs there are; each block
 # writes only its own samples' slices and keeps its own temporaries, and
 # results come back in block order, so neither do the outputs.
 
@@ -67,7 +67,7 @@ def _workers() -> int:
 
 def _map_blocks(fn, n: int, block: int) -> list:
     """[fn(rows) for each slice `rows` of `block` consecutive samples of n],
-    in block order.
+    in block order: one pass of a `Network` over its blocks.
 
     The calling thread runs the first contiguous share of the blocks, and a
     pool thread per further worker (`_workers`) the next share each; numpy

@@ -139,14 +139,13 @@ _FINITE_FORWARD = ("relu", "maxpool2d", "flatten")
 _FINITE_BACKWARD = ("relu", "flatten")
 
 # Every pass runs over blocks of whole samples whose largest activation takes
-# about this many bytes (or one sample; `Network.sample_block`): evaluation,
-# validation and the extractor precompute run the network over such blocks,
-# and a training step runs each such block through the whole stack, forward
-# and then backward, so that a block's maps stay in cache instead of going
+# about this many bytes (or one sample; `Network.sample_block`): every
+# forward runs each such block through the whole stack, and a backward runs
+# it back down, so that a block's maps stay in cache instead of going
 # through DRAM. 2 MB is the private L2 of one core of the VM measured below.
 # A pass spread over several CPUs gives each thread whole blocks of this
-# size, so the blocks, and with them the outputs, do not depend on the
-# number of CPUs.
+# size. Whatever mixes samples runs over the whole batch, so the outputs
+# depend neither on the number of CPUs nor on this constant.
 # Measured when the conv stack alone ran in such blocks: `training.evaluate`
 # of vgg-tiny, float32, 1 BLAS thread, 2-vCPU VM
 # (medians of two interleaved runs of 15 and 30 calls), whole batch against
@@ -199,15 +198,15 @@ class Network:
     which drops each once it is used.
 
     Passes that do not record (evaluation, validation, the extractor
-    precompute) give the network one block at a time. A sample's conv,
-    ReLU and pool maps do not depend on the batch it is in, so they keep
-    their bytes; the dense head's logits can change in their last bits with
-    the number of rows, as the BLAS takes another GEMM path for a few rows.
+    precompute) are blocked the same way, and keep no pullback. A sample's
+    conv, ReLU and pool maps do not depend on the batch it is in, so they
+    keep their bytes; the dense head's logits can change in their last bits
+    with the number of rows, as the BLAS takes another GEMM path for a few.
 
     Forwards that do not record may run concurrently on one network, as
-    evaluation runs its blocks on several threads: they only read the
-    weights and write nothing to the layers but the cleared caches. A
-    recording forward, and the backward after it, must run alone."""
+    their blocks do: they only read the weights and write nothing to the
+    layers but the cleared caches. A recording forward, and the backward
+    after it, must run alone."""
 
     def __init__(self, arch: ArchConfig, seed: int = 0, dtype=np.float64):
         self.arch = arch
@@ -342,12 +341,14 @@ class Network:
         return self._run(x, train, rng, taps, record, last_tap_only=False,
                          reduce=reduce or {})
 
-    def tap_features(self, x: np.ndarray, taps: Iterable[int]) -> Dict[int, np.ndarray]:
-        """Eval-mode feature map per tapped conv, from a forward that does not
-        record. Stops after the deepest tap, since no later layer changes
-        them; the maps equal forward's."""
+    def tap_features(self, x: np.ndarray, taps: Iterable[int] = (),
+                     reduce: Optional[Mapping[int, Callable]] = None
+                     ) -> Dict[int, np.ndarray]:
+        """Eval-mode map per tapped conv and reduction per reduced one
+        (`forward`'s), from a forward that does not record. Stops after the
+        deepest of them, since no later layer changes them."""
         return self._run(x, False, None, taps, False, last_tap_only=True,
-                         reduce={})[1]
+                         reduce=reduce or {})[1]
 
     def _run(self, x, train, rng, taps, record: bool, last_tap_only: bool,
              reduce: Mapping[int, Callable]):
@@ -376,13 +377,16 @@ class Network:
         check_finite(x, "network input")
         tap_at = {self.tap_positions[k]: k for k in taps}
         reduce_at = {self.tap_positions[k]: fn for k, fn in reduce.items()}
-        stop = max(tap_at, default=-1) + 1 if last_tap_only else len(self.layers)
+        stop = (max([*tap_at, *reduce_at], default=-1) + 1 if last_tap_only
+                else len(self.layers))
         top = min(self._stack, stop)
         self._blocks = None
         self._pullbacks = {}
-        kept, reduced = self._stack_forward(
-            x, train, rng, record, top,
-            {pos for pos in tap_at if pos < top} | {top - 1}, reduce_at)
+        keep = {pos for pos in tap_at if pos < top}
+        if stop > top:   # the stack's output, only when layers follow it
+            keep.add(top - 1)
+        kept, reduced = self._stack_forward(x, train, rng, record, top, keep,
+                                            reduce_at)
         out = kept.get(top - 1, x)
         tapped = {tap_at[pos]: kept[pos] for pos in tap_at if pos < top}
         tapped.update((k, reduced[self.tap_positions[k]]) for k in reduce)
@@ -402,7 +406,8 @@ class Network:
         output of each position in `keep`, which the blocks write, and the
         reduction of each position in `reduce` by its function, which each
         block takes of its own rows and the calling thread concatenates. A
-        recording forward keeps each block's pullbacks in `_pullbacks`.
+        recording forward keeps each block's pullbacks in `_pullbacks`; any
+        other drops them in the block, and with them the maps they hold.
 
         One block runs on the layers themselves, and its maps are the
         batch's. Over several, a recording forward gives each block its own
@@ -439,7 +444,9 @@ class Network:
                     else:
                         kept[pos][rows] = out
                 if pos in reduce:
-                    reductions[pos], pullbacks[pos] = reduce[pos](out)
+                    reductions[pos], pullback = reduce[pos](out)
+                    if record:
+                        pullbacks[pos] = pullback
             return layers, reductions, pullbacks, None
 
         blocks = _map_blocks(run, n, block)

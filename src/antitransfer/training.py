@@ -17,8 +17,9 @@ two stages.
 
 A single-stage run (`_train_single`) is set-up, one epoch loop (`_fit`) and
 finish. `_fit` alone owns the optimizer, the shuffling and dropout RNGs,
-validation, `metrics.csv` and early stopping; the training epoch and
-validation total their per-batch losses through one fold (`_fold`).
+validation, `metrics.csv` and early stopping; the training epoch totals its
+per-batch losses through `_fold`, and validation scores the whole split in
+one pass.
 
 The frozen extractor's aggregated representations (Gram matrices by default)
 are precomputed once per split before the epoch loop: they are constants of
@@ -47,7 +48,6 @@ from . import checkpoint as ckpt
 from .audio import NormStats, compute_norm_stats, normalize
 from .checkpoint import DTYPES
 from .data import DEFAULT_FRACTIONS, LABEL_FIELDS, SPLIT_POLICIES, Dataset
-from .layers import _map_blocks
 from .losses import (ATConfig, aggregate, aggregate_with_pullback,
                      cross_entropy_and_grad)
 from .losses import at_term as _at_term
@@ -200,29 +200,21 @@ class TrainResult:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-# Evaluation, validation and the extractor precompute run the network over
-# blocks of `Network.sample_block` samples and reduce each block's logits and
-# tapped maps before the next, so no whole-batch map is built. The blocks are
-# spread over every CPU the process may run on (`layers._map_blocks`), with
-# the bytes of a run on one.
+# Evaluation, validation and the extractor precompute hand the network whole
+# batches in forwards that do not record; `Network` runs each over its blocks
+# of samples on every CPU and reduces each block's tapped maps before the
+# next, so no whole-batch map is built.
 
 def evaluate(net: Network, x: np.ndarray, labels: np.ndarray,
              batch_size: int = 64) -> Tuple[float, np.ndarray]:
-    """Eval-mode accuracy and confusion matrix (rows = true class), over
-    blocks of at most `batch_size` samples."""
+    """Eval-mode accuracy and confusion matrix (rows = true class), from
+    one forward per batch of `batch_size` samples."""
     n_classes = net.arch.n_classes
-
-    def block_confusion(rows):
-        pred = net.forward(x[rows], record=False)[0].argmax(axis=1)
-        confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-        np.add.at(confusion, (labels[rows], pred), 1)
-        return confusion
-
-    confusion = sum(_map_blocks(block_confusion, len(x),
-                                min(batch_size, net.sample_block)),
-                    np.zeros((n_classes, n_classes), dtype=np.int64))
-    correct = int(np.trace(confusion))
-    return correct / max(len(x), 1), confusion
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for a in range(0, len(x), batch_size):
+        pred = net.forward(x[a:a + batch_size], record=False)[0].argmax(axis=1)
+        np.add.at(confusion, (labels[a:a + batch_size], pred), 1)
+    return int(np.trace(confusion)) / max(len(x), 1), confusion
 
 
 def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
@@ -260,8 +252,9 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
 
 
 def _fold(batches, layers: Sequence[int]):
-    """Sample-weighted means of per-batch (rows, ce, correct, {layer: at}),
-    added in batch order: (ce, accuracy, {layer: at})."""
+    """Sample-weighted means of the training epoch's per-batch (rows, ce,
+    correct, {layer: at}), added in batch order: (ce, accuracy, {layer:
+    at})."""
     n, ce_sum, correct = 0, 0.0, 0
     at_sums = {k: 0.0 for k in layers}
     for rows, ce, right, at_vals in batches:
@@ -276,17 +269,12 @@ def _fold(batches, layers: Sequence[int]):
 
 def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
                  agg_cache: Optional[Dict[int, np.ndarray]], sign: float = 1.0):
-    """Validation cross-entropy, accuracy and per-layer anti-transfer terms."""
-
-    def block_losses(rows):
-        yb = labels[rows]
-        logits, ce, at_vals, _, _ = batch_objective(net, x[rows], yb, at_cfg,
-                                                    agg_cache, rows, record=False,
-                                                    sign=sign)
-        return len(yb), ce, int((logits.argmax(axis=1) == yb).sum()), at_vals
-
-    return _fold(_map_blocks(block_losses, len(x), net.sample_block),
-                 at_cfg.layers if at_cfg else ())
+    """Validation cross-entropy, accuracy and per-layer anti-transfer terms,
+    from one `batch_objective` over the whole split."""
+    logits, ce, at_vals, _, _ = batch_objective(net, x, labels, at_cfg,
+                                                agg_cache, record=False,
+                                                sign=sign)
+    return ce, int((logits.argmax(axis=1) == labels).sum()) / len(x), at_vals
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +283,13 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
 
 def _precompute_extractor_aggs(extractor: Network, x: np.ndarray,
                                at_cfg: ATConfig) -> Dict[int, np.ndarray]:
-    """Per-sample aggregated representations of the frozen extractor."""
+    """Per-sample aggregated representations of the frozen extractor, which
+    each of its blocks takes of its own rows."""
 
-    def block_aggs(rows):
-        tapped = extractor.tap_features(x[rows], at_cfg.layers)
-        return {k: aggregate(fmap, at_cfg.aggregation) for k, fmap in tapped.items()}
+    def reduce(fmap):
+        return aggregate(fmap, at_cfg.aggregation), None
 
-    blocks = _map_blocks(block_aggs, len(x), extractor.sample_block)
-    return {k: np.concatenate([b[k] for b in blocks]) for k in at_cfg.layers}
+    return extractor.tap_features(x, reduce=dict.fromkeys(at_cfg.layers, reduce))
 
 
 def _check_extractor_compatible(net: Network, extractor: Network,

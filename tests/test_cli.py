@@ -475,6 +475,15 @@ class TestEstimateMemoryCommand:
         assert payload["per_layer"]["1"]["gram_elems"] == 13 * 64 * 64
         assert payload["per_layer"]["13"]["feature_elems"] == 13 * 512 * 7 * 8
 
+    def test_classes_is_an_unknown_flag(self, capsys):
+        """The estimate counts only the conv stack, which the class count
+        does not change."""
+        with pytest.raises(SystemExit) as exited:
+            main(["estimate-memory", "--arch", "vgg16", "--at-layer", "1",
+                  "--classes", "4"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --classes" in capsys.readouterr().err
+
     def test_bad_input_size_exits_2(self):
         assert main(["estimate-memory", "--arch", "vgg16", "--batch", "1",
                      "--at-layer", "1", "--input-size", "banana"]) == 2

@@ -59,19 +59,26 @@ def test_every_training_step_is_attributed_to_train(tiny_data_dir,
 
 def test_the_at_term_is_traced_once_per_batch_and_layer(tiny_data_dir,
                                                         orth_checkpoint,
-                                                        tmp_path):
+                                                        tmp_path, monkeypatch):
     """perfbench's per-layer anti-transfer figures read the spans of
     `training._at_term`, which must open once per batch and anti-transfer
-    layer in training and in validation (a batch of validation is a block
-    of `sample_block` samples), and of `training.aggregate`, which only
-    the extractor precompute may call: the trained network aggregates
-    inside its blocks through `losses.aggregate_with_pullback`."""
+    layer in training and once per layer in each validation, which scores
+    the whole split over several blocks, and of `training.aggregate`,
+    which only the extractor precompute may call, once per block of it:
+    the trained network aggregates inside its blocks through
+    `losses.aggregate_with_pullback`. The tracer keeps one span stack for
+    every thread, so the blocks run on the calling thread alone."""
     data = load_split_dir(tiny_data_dir)
     at = ATConfig(layers=(1, 2))
     cfg = training.TrainConfig(strategy="at",
                                pretrained_checkpoints=(str(orth_checkpoint),),
                                at=at, max_epochs=2, patience=2)
     arch = preset("vgg-tiny", data["train"].x.shape[2:], 4)
+    net = network.build(arch, dtype=cfg.dtype)
+    monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 5 * net._sample_bytes)
+    monkeypatch.setattr(layers, "_workers", lambda: 1)
+    block = net.sample_block
+    assert math.ceil(len(data["val"]) / block) >= 2
     tracer = _load_spans().Tracer(arch)
     tracer.install()
     try:
@@ -80,11 +87,9 @@ def test_the_at_term_is_traced_once_per_batch_and_layer(tiny_data_dir,
     finally:
         tracer.uninstall()
     m = {k: v["value"] for k, v in tracer.per_layer_metrics(0, 1).items()}
-    block = network.build(arch, dtype=cfg.dtype).sample_block
     train_batches = math.ceil(len(data["train"]) / cfg.batch_size)
-    val_batches = math.ceil(len(data["val"]) / block)
     assert m["losses.at_term_calls"] == (
-        (train_batches + val_batches) * cfg.max_epochs * len(at.layers))
+        (train_batches + 1) * cfg.max_epochs * len(at.layers))
     spans = tracer.spans
     aggregates = [s for s in spans if s[0] == "losses.extractor_aggregate"]
     precompute_blocks = sum(math.ceil(len(data[split]) / block)

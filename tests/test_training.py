@@ -476,12 +476,14 @@ def _conv1_blocks(net, x, monkeypatch):
 class TestForwardWithoutRecording:
     def test_eval_loops_run_blocks_of_sample_block_samples(self, monkeypatch,
                                                             eval_workers):
-        """evaluate, _eval_losses and the extractor precompute each run the
-        network over blocks of `sample_block` samples (13 = 5 + 5 + 3), here
-        on two threads. The aggregates they score and the maps they aggregate
-        keep the bytes of a whole-batch recording forward's; confusion and
-        accuracy equal its, and the cross-entropy and anti-transfer terms
-        agree within rtol 1e-6."""
+        """evaluate, _eval_losses and the extractor precompute each hand the
+        network the whole batch in one pass, which it runs over blocks of
+        `sample_block` samples (13 = 5 + 5 + 3), here on two threads;
+        `_at_term` scores each layer once, over all 13 rows. The aggregates
+        it scores and the maps they aggregate keep the bytes of a
+        whole-batch recording forward's; confusion and accuracy equal its,
+        and the cross-entropy and anti-transfer terms agree within rtol
+        1e-6."""
         eval_workers(2)
         hw = (32, 37)
         net = build(preset("vgg-tiny", hw, 4), seed=3, dtype=np.float32)
@@ -507,19 +509,33 @@ class TestForwardWithoutRecording:
             return at_term(agg, agg_rows, *a)
         monkeypatch.setattr(training, "_at_term", score)
         seen = [_conv1_blocks(n, x, monkeypatch) for n in (net, extractor)]
+        passes, map_blocks = [], network._map_blocks
 
-        aggs = training._precompute_extractor_aggs(extractor, x, at_cfg)
-        val_ce, val_acc, val_at = training._eval_losses(net, x, y, at_cfg, aggs)
-        acc, confusion = evaluate(net, x, y)
+        def spy(fn, n, block):
+            passes.append((n, block))
+            return map_blocks(fn, n, block)
+        monkeypatch.setattr(network, "_map_blocks", spy)
+
+        def one_pass(run):
+            """run(), which must map the blocks of its 13 samples once."""
+            passes.clear()
+            out = run()
+            assert passes == [(13, 5)], run
+            return out
+
+        aggs = one_pass(lambda: training._precompute_extractor_aggs(
+            extractor, x, at_cfg))
+        val_ce, val_acc, val_at = one_pass(
+            lambda: training._eval_losses(net, x, y, at_cfg, aggs))
+        acc, confusion = one_pass(lambda: evaluate(net, x, y))
         blocks = [(0, 5), (5, 5), (10, 3)]
         assert sorted(b[:2] for b in seen[0]) == sorted(blocks * 2)
         assert sorted(b[:2] for b in seen[1]) == blocks
         for k in at_cfg.layers:
             assert aggs[k].tobytes() == want_aggs[k].tobytes()
-            parts = sorted(((row, agg) for layer, row, agg in scored
-                            if layer == k), key=lambda part: part[0])
-            assert [row for row, _ in parts] == [0, 5, 10]
-            got = np.concatenate([agg for _, agg in parts])
+            parts = [(row, agg) for layer, row, agg in scored if layer == k]
+            assert [(row, len(agg)) for row, agg in parts] == [(0, 13)]
+            got = parts[0][1]
             assert got.tobytes() == losses.aggregate(
                 taps[k], at_cfg.aggregation).tobytes()
             np.testing.assert_allclose(
@@ -638,11 +654,11 @@ class TestForwardWithoutRecording:
             net, x, y, at_cfg, aggs)) < len(x) * sample_map
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_evaluation_stops_at_the_first_block_that_fails(self, monkeypatch,
-                                                            eval_workers):
+    def test_evaluation_names_the_lowest_layer_any_sample_fails_at(
+            self, monkeypatch, eval_workers):
         """Sample 0 overflows only at conv 2, the last sample at conv 1.
-        Over blocks of one sample, evaluation names conv 2, where its first
-        block fails; a forward of the whole batch names conv 1."""
+        Over blocks of one sample, evaluation names conv 1, as a forward of
+        the whole batch does: it is one such forward."""
         net = build(preset("vgg-tiny", (32, 37), 4), seed=2, dtype=np.float32)
         for conv in net.conv_layers()[:2]:
             conv.W[0] = 1.0
@@ -651,7 +667,7 @@ class TestForwardWithoutRecording:
         x[-1] = 1e38
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 1)
         eval_workers(2)
-        with pytest.raises(L.NonFiniteError, match="after conv2$"):
+        with pytest.raises(L.NonFiniteError, match="after conv1$"):
             evaluate(net, x, np.arange(6) % 4)
         with pytest.raises(L.NonFiniteError, match="after conv1$"):
             net.forward(x, record=False)
@@ -702,7 +718,8 @@ class TestForwardWithoutRecording:
         extractor = ck.load(orth_checkpoint)
         at_cfg = ATConfig(layers=(1, 3), beta=1.0)
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 7 * net._sample_bytes)
-        dlogits = np.ones((len(x) % 7, net.arch.n_classes), np.float32)
+        # the last recording forward below is validation's, over the split
+        dlogits = np.ones((len(x), net.arch.n_classes), np.float32)
 
         _, recorded = extractor.forward(x, taps=at_cfg.layers)
         feats = extractor.tap_features(x, at_cfg.layers)
@@ -753,13 +770,6 @@ class TestTrainingStepOverBlocks:
     whole conv stack, forward and then backward, on every CPU
     (`layers._map_blocks`)."""
 
-    # (strategy, aggregation) -> the block sizes at which val_ce moves by
-    # one unit of its last printed digit. Validation scores blocks of
-    # `sample_block` samples and folds their mean cross-entropies, and that
-    # sum can round differently with the block size; in these cases it does.
-    VAL_CE_MOVES = {("at", "mean"): (1,), ("at", "max"): (1, 2, 5),
-                    ("at_inverse", "mean"): (1, 2, 5)}
-
     @pytest.mark.parametrize("aggregation", losses.AGGREGATIONS)
     @pytest.mark.parametrize("strategy", ["at", "at_inverse"])
     def test_run_bytes_do_not_depend_on_blocks_or_workers(
@@ -768,25 +778,20 @@ class TestTrainingStepOverBlocks:
         """An `at` or `at_inverse` run, under each aggregation, gives the
         weights and metrics.csv (but its seconds) of a run whose every
         batch is one block, over blocks of 1, 2 and 5 samples on 1, 2 and 3
-        threads switching every 10 us. Only where `VAL_CE_MOVES` lists the
-        case and block size may val_ce differ, by one unit of its last
-        printed digit, and then still not with the thread count."""
+        threads switching every 10 us. Validation scores the whole split in
+        one pass, so its val_ce keeps its bytes too."""
         data = load_split_dir(tiny_data_dir)
         cfg = cfg_for(strategy, orth_checkpoint, layers=(1, 2), epochs=2,
                       aggregation=aggregation)
         sample_bytes = build(preset("vgg-tiny", (16, 17), 4),
                              dtype=np.float32)._sample_bytes
-        moves = self.VAL_CE_MOVES.get((strategy, aggregation), ())
 
         def run(tag):
-            """(weights, metrics.csv but seconds and val_ce, val_ce)"""
+            """(weights, metrics.csv but seconds)"""
             result = training.train(cfg, data, tmp_path / tag)
             with open(tmp_path / tag / "metrics.csv") as f:
                 rows = [row[:7] + row[8:] for row in csv.reader(f)]
-            val_ce = rows[0].index("val_ce")
-            return (result.network.weight_hash(),
-                    [row[:val_ce] + row[val_ce + 1:] for row in rows],
-                    [row[val_ce] for row in rows[1:]])
+            return result.network.weight_hash(), rows
 
         assert network._STACK_BLOCK_BYTES // sample_bytes >= cfg.batch_size
         want = run("one-block")
@@ -801,13 +806,7 @@ class TestTrainingStepOverBlocks:
                     eval_workers(workers)
                     got.append(run(f"b{block}w{workers}"))
                     assert got[-1] == got[0], (block, workers)
-                if block not in moves:
-                    assert got[0] == want, block
-                    continue
-                assert got[0][:2] == want[:2], block
-                np.testing.assert_allclose(
-                    np.array(got[0][2], float), np.array(want[2], float),
-                    rtol=0, atol=1.5e-6)
+                assert got[0] == want, block
         finally:
             sys.setswitchinterval(interval)
 
