@@ -8,21 +8,24 @@ yields a 126 x 129 spectrogram of linear magnitudes. Framing is centered
 (the signal is zero-padded by half a window on both ends), so the frame count
 is floor(N / hop) + 1.
 
-Resampling is the only step that uses scipy: `resample` imports
-`scipy.signal` on its first call, so `import antitransfer` loads numpy
-alone (scipy.signal costs about 74 MB resident and most of a second).
+Resampling is numpy code that gives `scipy.signal.resample_poly`'s bytes:
+its Kaiser-window FIR design (`firwin`, with scipy's `i0`) and its
+polyphase sum in `upfirdn`'s order of adds. The package imports numpy
+alone; scipy is only the tests' oracle.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass
@@ -32,8 +35,13 @@ class AudioClip:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate <= 0:
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Integral):
+            raise ValueError(f"sample_rate must be an integer number of Hz, "
+                             f"got {rate!r}")
+        if rate <= 0:
             raise ValueError("sample_rate must be positive")
+        self.sample_rate = int(rate)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("audio samples must be finite")
 
@@ -158,32 +166,140 @@ WINDOW_S = 0.016      # seconds per STFT window
 OVERLAP = 0.5         # fraction of a window shared with the next
 
 
-@functools.lru_cache(maxsize=None)
+# Cephes' Chebyshev coefficients of exp(-x) I0(x) on [0, 8], the series
+# scipy.special.i0 sums there
+_I0_CHEBYSHEV = (
+    -4.41534164647933937950e-18, 3.33079451882223809783e-17,
+    -2.43127984654795469359e-16, 1.71539128555513303061e-15,
+    -1.16853328779934516808e-14, 7.67618549860493561688e-14,
+    -4.85644678311192946090e-13, 2.95505266312963983461e-12,
+    -1.72682629144155570723e-11, 9.67580903537323691224e-11,
+    -5.18979560163526290666e-10, 2.65982372468238665035e-9,
+    -1.30002500998624804212e-8, 6.04699502254191894932e-8,
+    -2.67079385394061173391e-7, 1.11738753912010371815e-6,
+    -4.41673835845875056359e-6, 1.64484480707288970893e-5,
+    -5.75419501008210370398e-5, 1.88502885095841655729e-4,
+    -5.76375574538582365885e-4, 1.63947561694133579842e-3,
+    -4.32430999505057594430e-3, 1.05464603945949983183e-2,
+    -2.37374148058994688156e-2, 4.93052842396707084878e-2,
+    -9.49010970480476444210e-2, 1.71620901522208775349e-1,
+    -3.04682672343198398683e-1, 6.76795274409476084995e-1,
+)
+
+
+def _i0(x: np.ndarray) -> np.ndarray:
+    """Modified Bessel function of order 0 on [0, 8], evaluated as
+    scipy.special.i0 does: libm's exp (`math.exp`) times the Chebyshev
+    series. `np.i0` differs in the last bit where `np.exp` does."""
+    y = x / 2.0 - 2.0
+    b0, b1 = np.full_like(y, _I0_CHEBYSHEV[0]), np.zeros_like(y)
+    for c in _I0_CHEBYSHEV[1:]:
+        b0, b1, b2 = y * b0 - b1 + c, b0, b1
+    return np.array([math.exp(v) for v in x.tolist()]) * (0.5 * (b0 - b2))
+
+
 def _lowpass(up: int, down: int) -> np.ndarray:
-    """The anti-aliasing FIR filter `resample_poly` designs for coprime
-    up/down with its default Kaiser window. Designed once per rate pair:
-    for 22,050 -> 16,000 Hz it has 8,821 taps and took most of a clip's
-    resampling time. resample_poly copies the array before scaling it; the
-    cached one is read-only all the same. scipy.signal is imported here and
-    in `resample`, on first use, not with the package."""
-    from scipy.signal import firwin
+    """The anti-aliasing filter `resample_poly` designs for coprime up/down:
+    `firwin(20 * m + 1, 1 / m, window=("kaiser", 5.0))` with m = max(up,
+    down), in firwin's arithmetic (for 22,050 -> 16,000 Hz, 8,821 taps)."""
     m = max(up, down)
-    h = firwin(20 * m + 1, 1.0 / m, window=("kaiser", 5.0))
-    h.setflags(write=False)
-    return h
+    n = 20 * m + 1
+    alpha = (n - 1) / 2.0
+    t = np.arange(n, dtype=np.float64) - alpha
+    h = 1.0 / m * np.sinc(1.0 / m * t)
+    h *= (_i0(5.0 * np.sqrt(1 - (t / alpha) ** 2.0))
+          / _i0(np.array([5.0]))[0])
+    return h / np.sum(h)
+
+
+@functools.lru_cache(maxsize=None)
+def _polyphase(up: int, down: int):
+    """`resample_poly`'s filter for coprime up/down in polyphase form.
+
+    The input is laid out as rows of `down` samples, row `x_row` starting
+    at x[0]. Kept output `cycle * up + phase` is the sum over i (oldest
+    input first) of `coef[i, phase]` times the input in column
+    `residue[i, phase]` of row `cycle + quotient[i, phase]`; `skip` is the
+    number of leading outputs of the filtered signal `resample_poly` drops.
+    Returns (residue, quotient, coef[..., None], skip, x_row), read-only."""
+    h = _lowpass(up, down)
+    half = (len(h) - 1) // 2
+    pad = down - half % down           # resample_poly's zeros before h
+    g = np.zeros(-(-(pad + len(h)) // up) * up)
+    g[pad:pad + len(h)] = h * up
+    g = g.reshape(-1, up)[::-1]        # row i: taps of input len(g)-1-i back
+    skip = (half + pad) // down
+    # x index of the oldest input the first kept output reads; negative,
+    # as the filter is centred
+    lo = skip // up * down - (len(g) - 1)
+    phase = np.arange(up)
+    shift = np.arange(len(g))[:, None] + phase * down // up + lo % down
+    coef = np.ascontiguousarray(g[:, phase * down % up, None])
+    residue, quotient = shift % down, shift // down
+    for a in (residue, quotient, coef):
+        a.setflags(write=False)
+    return residue, quotient, coef, skip, -(lo // down)
+
+
+# Products per block of the polyphase sum (256 KiB of float64, so a block's
+# temporaries stay in cache), and the output cycles a block spans at least:
+# a block copies one run of cycles per (row, phase), and short runs cost
+# more than their length.
+_BLOCK = 1 << 15
+_MIN_CYCLES = 128
+
+
+def _resample_poly(x: np.ndarray, up: int, down: int) -> np.ndarray:
+    """`scipy.signal.resample_poly(x, up, down)` for coprime up/down, byte
+    for byte.
+
+    upfirdn starts each output at +0.0 and adds input times tap from the
+    oldest input to the newest; so does this sum, as one multiply and one
+    add per row over a block of outputs. The input is laid out as `down`
+    polyphase components, so the inputs one (row, phase) reads over a run
+    of cycles are one contiguous slice: a block gathers those slices,
+    scales each by its tap and adds the rows in order (numpy reduces the
+    leading axis row by row). The zeros around x add only signed zeros,
+    which leave a sum that starts at +0.0 as it is."""
+    residue, quotient, coef, skip, x_row = _polyphase(up, down)
+    rows = len(coef)
+    n_out = -(-len(x) * up // down)
+    first = skip // up                             # cycle of the first kept output
+    cycles = -(-(skip + n_out) // up) - first
+    blocks = -(-cycles // max(_MIN_CYCLES, _BLOCK // (rows * up)))
+    run = -(-cycles // blocks)                     # cycles per block
+    phases = max(1, _BLOCK // (rows * run))        # phases per block
+    width = blocks * run + int(quotient[-1, -1]) + 1
+    grid = np.zeros((down, width)).T               # rows of `down` inputs
+    whole = min(len(x) // down, width - x_row)
+    grid[x_row:x_row + whole] = x[:whole * down].reshape(whole, down)
+    tail = x[whole * down:(width - x_row) * down]
+    if len(tail):
+        grid[x_row + whole, :len(tail)] = tail
+    poly = grid.T.ravel()                          # polyphase components
+    runs = as_strided(poly, (len(poly) - run + 1, run), poly.strides * 2,
+                      writeable=False)
+    start = residue * width + quotient
+    y = np.empty((blocks * run, up))
+    for c in range(0, blocks * run, run):
+        for p in range(0, up, phases):
+            prod = runs[c:][start[:, p:p + phases]]   # (rows, phases, run)
+            prod *= coef[:, p:p + phases]
+            y[c:c + run, p:p + phases] = np.add.reduce(prod, axis=0,
+                                                       initial=0.0).T
+    return y.ravel()[skip - first * up:][:n_out]
 
 
 def resample(clip: AudioClip) -> AudioClip:
-    """Polyphase (linear-phase) resample to TARGET_RATE; pass-through when
-    already at rate. The first call that resamples imports scipy.signal."""
+    """Polyphase (linear-phase) resample to TARGET_RATE, with
+    `scipy.signal.resample_poly`'s output bytes; pass-through when already
+    at rate."""
     if len(clip.samples) == 0:
         raise ValueError("cannot resample an empty clip")
     if clip.sample_rate == TARGET_RATE:
         return clip
     g = math.gcd(clip.sample_rate, TARGET_RATE)
-    up, down = TARGET_RATE // g, clip.sample_rate // g
-    from scipy.signal import resample_poly
-    y = resample_poly(clip.samples, up, down, window=_lowpass(up, down))
+    y = _resample_poly(clip.samples, TARGET_RATE // g, clip.sample_rate // g)
     return AudioClip(samples=y, sample_rate=TARGET_RATE)
 
 

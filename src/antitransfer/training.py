@@ -237,7 +237,7 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
     """
     layers = at_cfg.layers if at_cfg else ()
     # a zero-weight term reads no aggregate (`at_term`), so none is taken
-    reduce = {k: partial(aggregate_with_pullback, kind=at_cfg.aggregation)
+    reduce = {k: _reduction(at_cfg.aggregation, record)
               for k in layers if at_cfg.beta}
     logits, agg_t = net.forward(xb, train=train, rng=rng, record=record,
                                 reduce=reduce)
@@ -281,14 +281,25 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
 # Anti-transfer plumbing
 # ---------------------------------------------------------------------------
 
+def _reduction(kind: str, record: bool, agg=aggregate):
+    """The reduction a pass hands the blocks of an anti-transfer conv: with
+    `record`, each block's aggregates and their pullback
+    (`aggregate_with_pullback`); without, `agg(map, kind)` and no pullback,
+    so no max argmax is taken for a pullback no one keeps. `agg` defaults to
+    `losses.aggregate` as bound when this module loaded, not looked up by
+    this module's `aggregate` name, which perfbench traces as the
+    extractor's aggregation alone."""
+    if record:
+        return partial(aggregate_with_pullback, kind=kind)
+    return lambda fmap: (agg(fmap, kind), None)
+
+
 def _precompute_extractor_aggs(extractor: Network, x: np.ndarray,
                                at_cfg: ATConfig) -> Dict[int, np.ndarray]:
     """Per-sample aggregated representations of the frozen extractor, which
-    each of its blocks takes of its own rows."""
-
-    def reduce(fmap):
-        return aggregate(fmap, at_cfg.aggregation), None
-
+    each of its blocks takes of its own rows, calling `aggregate` by this
+    module's name at call time (see `_reduction`)."""
+    reduce = _reduction(at_cfg.aggregation, False, aggregate)
     return extractor.tap_features(x, reduce=dict.fromkeys(at_cfg.layers, reduce))
 
 

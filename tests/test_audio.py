@@ -6,10 +6,12 @@ import struct
 
 import numpy as np
 import pytest
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
+from scipy.special import i0
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from antitransfer import audio
 from antitransfer.audio import (AudioClip, NormStats, WavFormatError,
                                 compute_norm_stats, normalize,
                                 preprocess_clip, read_wav, resample,
@@ -26,6 +28,22 @@ WAV_HEADER_FIELDS = [(4, "<I"), (16, "<I"), (20, "<H"), (22, "<H"), (24, "<I"),
 def sine(freq, rate, seconds, amp=0.5):
     t = np.arange(int(rate * seconds)) / rate
     return amp * np.sin(2 * np.pi * freq * t)
+
+
+class TestAudioClip:
+    def test_bool_sample_rate_rejected(self):
+        """True is not 1 Hz: it would resample to 16,000 times its length."""
+        with pytest.raises(ValueError, match="sample_rate"):
+            AudioClip(samples=np.zeros(8), sample_rate=True)
+
+    @pytest.mark.parametrize("rate", [22050.0, 22050.5, "22050"])
+    def test_non_integer_sample_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="sample_rate"):
+            AudioClip(samples=np.zeros(8), sample_rate=rate)
+
+    def test_numpy_integer_sample_rate_becomes_int(self):
+        clip = AudioClip(samples=np.zeros(8), sample_rate=np.int64(22050))
+        assert type(clip.sample_rate) is int and clip.sample_rate == 22050
 
 
 class TestWavIO:
@@ -118,6 +136,12 @@ class TestWavIO:
             assert np.all(np.isfinite(clip.samples))
 
 
+# rates with small and large up/down factors for 16 kHz: 16000/22050 is
+# 320/441, 16000/17000 is 16/17, 16000/96000 is 1/6
+RESAMPLE_RATES = [8000, 11025, 12000, 17000, 22050, 24000, 32000, 44100,
+                  48000, 96000]
+
+
 class TestResample:
     @pytest.mark.parametrize("rate", [22050, 44100, 8000])
     def test_bytes_of_resample_poly(self, rate):
@@ -129,6 +153,31 @@ class TestResample:
         clip = AudioClip(samples=x, sample_rate=rate)
         for _ in range(2):
             assert resample(clip).samples.tobytes() == want
+
+    @pytest.mark.parametrize("rate", RESAMPLE_RATES)
+    def test_bytes_of_resample_poly_at_every_length_and_signal(self, rate):
+        """Short, long, all-zero and negative-constant clips: the numpy sum
+        adds in upfirdn's order and gives its signed zeros."""
+        g = math.gcd(rate, 16000)
+        rng = np.random.default_rng(rate)
+        for n in (1, 7, 200, rate // 5, rate, int(2.3 * rate)):
+            for x in (rng.uniform(-1, 1, n), np.zeros(n), np.full(n, -0.37)):
+                want = resample_poly(x, 16000 // g, rate // g)
+                got = resample(AudioClip(samples=x, sample_rate=rate)).samples
+                assert got.tobytes() == want.tobytes(), (n, x[0])
+
+    @pytest.mark.parametrize("rate", RESAMPLE_RATES)
+    def test_filter_bytes_of_firwin(self, rate):
+        g = math.gcd(rate, 16000)
+        up, down = 16000 // g, rate // g
+        m = max(up, down)
+        want = firwin(20 * m + 1, 1.0 / m, window=("kaiser", 5.0))
+        assert audio._lowpass(up, down).tobytes() == want.tobytes()
+
+    def test_i0_bytes_of_scipy_special_i0(self):
+        """The Kaiser window's argument spans [0, 5]."""
+        x = np.linspace(0.0, 5.0, 200_001)
+        assert audio._i0(x).tobytes() == i0(x).tobytes()
 
     def test_passthrough_at_target_rate(self):
         clip = AudioClip(samples=sine(440, 16000, 0.1), sample_rate=16000)

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, flag overrides, persisted configs."""
 
+import ast
 import json
 import os
 import re
@@ -520,9 +521,9 @@ def test_python_dash_m_runs_from_a_checkout():
     assert json.loads(proc.stdout)["per_layer"]["1"]["gram_elems"] == 16 * 16
 
 
-# Run in a fresh interpreter: this test process has scipy.signal loaded
-# already (tests/test_audio.py imports it).
-SCIPY_SIGNAL_ON_FIRST_RESAMPLE = """
+# Run in a fresh interpreter: this test process has scipy loaded already
+# (tests/test_audio.py uses it as the resampler's oracle).
+NO_SCIPY_AT_RUN_TIME = """
 import json, sys
 import numpy as np
 import antitransfer, antitransfer.cli
@@ -532,39 +533,63 @@ from antitransfer.losses import ATConfig
 from antitransfer.training import TrainConfig
 
 data_dir, orth_checkpoint, out_dir = sys.argv[1:]
-loaded = {"import": "scipy.signal" in sys.modules}
 code = antitransfer.cli.main(["estimate-memory", "--arch", "vgg-tiny",
                               "--at-layer", "1", "--json"])
-loaded["estimate-memory"] = "scipy.signal" in sys.modules
 cfg = TrainConfig(strategy="at", pretrained_checkpoints=(orth_checkpoint,),
                   at=ATConfig(layers=(1,)), seed=3, max_epochs=1,
                   arch_preset="vgg-tiny")
 epochs = len(training.train(cfg, load_split_dir(data_dir), out_dir).metrics)
-loaded["train"] = "scipy.signal" in sys.modules
 tone = np.sin(np.arange(22050) * 0.05)
 rate = audio.resample(audio.AudioClip(tone, 22050)).sample_rate
-loaded["resample"] = "scipy.signal" in sys.modules
+shapes = [s.values.shape
+          for s in audio.preprocess_clip(audio.AudioClip(tone, 44100))]
 print(json.dumps({"code": code, "epochs": epochs, "rate": rate,
-                  "loaded": loaded}))
+                  "shapes": shapes,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_scipy_signal_loads_on_the_first_resample_only(
-        tiny_data_dir, orth_checkpoint, tmp_path):
-    """Importing the package and the CLI, a command and a 1-epoch
-    anti-transfer training load numpy but not scipy.signal (74 MB resident
-    and most of a second); the first resample loads it."""
+def test_no_scipy_module_loads_at_run_time(tiny_data_dir, orth_checkpoint,
+                                           tmp_path):
+    """Importing the package and the CLI, a command, a 1-epoch anti-transfer
+    training, a resample and a clip's preprocessing load no scipy module:
+    the package runs on numpy alone."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_SIGNAL_ON_FIRST_RESAMPLE,
+        [sys.executable, "-c", NO_SCIPY_AT_RUN_TIME,
          str(tiny_data_dir), str(orth_checkpoint), str(tmp_path / "run")],
         cwd=root, env={**os.environ, "PYTHONPATH": "src"},
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["code"], result["epochs"], result["rate"]) == (0, 1, 16000)
-    assert result["loaded"] == {"import": False, "estimate-memory": False,
-                                "train": False, "resample": True}
+    assert result["shapes"] == [[126, 129]]
+    assert result["scipy"] == []
+
+
+def test_the_package_imports_only_stdlib_numpy_and_itself():
+    """Every import in `src/antitransfer` names a standard-library module,
+    numpy or the package, and pyproject's runtime dependencies are numpy
+    alone: scipy stays a test-only dependency."""
+    root = Path(__file__).resolve().parents[1]
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for path in sorted((root / "src" / "antitransfer").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert foreign == []
+    pyproject = (root / "pyproject.toml").read_text()
+    deps = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)[1]
+    assert [re.split(r"[<>=!~ ]", d)[0]
+            for d in re.findall(r'"([^"]+)"', deps)] == ["numpy"]
 
 
 def test_every_readme_command_parses():

@@ -245,6 +245,29 @@ class TestAntiTransfer:
         assert at_vals == {1: 0.0, 2: 0.0} and agg_grads == {}
         net.backward(dlogits, reduced_grad_in=agg_grads)
 
+    @pytest.mark.parametrize("aggregation", losses.AGGREGATIONS)
+    def test_a_pass_that_does_not_record_takes_no_pullback(self, aggregation,
+                                                           monkeypatch):
+        """Validation's forward reduces its blocks by the aggregation alone:
+        no pullback (the max one takes a channel argmax) and no call of
+        `training.aggregate`, the name perfbench traces as the extractor's
+        aggregation. Its terms keep the bytes of a recording pass."""
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=0, dtype=np.float32)
+        x = np.random.default_rng(0).standard_normal(
+            (3, 1, 32, 37)).astype(np.float32)
+        at_cfg = ATConfig(layers=(1, 2), aggregation=aggregation)
+        aggs = training._precompute_extractor_aggs(
+            build(net.arch, seed=1, dtype=np.float32), x, at_cfg)
+        want = training.batch_objective(net, x, np.arange(3), at_cfg, aggs)[2]
+
+        def not_called(*a, **kw):
+            raise AssertionError("validation took a pullback or traced call")
+        monkeypatch.setattr(training, "aggregate_with_pullback", not_called)
+        monkeypatch.setattr(training, "aggregate", not_called)
+        got = training.batch_objective(net, x, np.arange(3), at_cfg, aggs,
+                                       record=False)[2]
+        assert got == want and list(got) == [1, 2]
+
     def test_every_aggregation_changes_training(self, tiny_data_dir,
                                                 orth_checkpoint, tmp_path):
         """Each accepted aggregation trains weights of its own: none is
