@@ -221,6 +221,10 @@ def _polyphase(up: int, down: int):
     input first) of `coef[i, phase]` times the input in column
     `residue[i, phase]` of row `cycle + quotient[i, phase]`; `skip` is the
     number of leading outputs of the filtered signal `resample_poly` drops.
+    The rows whose every tap is zero (resample_poly's zero padding: 1 of 29
+    at 22,050 Hz, 2 of 58 at 44,100 Hz, 3 of 64 at 48,000 Hz) are left out:
+    on finite input they add only signed zeros, which leave a sum that
+    starts at +0.0 as it is.
     Returns (residue, quotient, coef[..., None], skip, x_row), read-only."""
     h = _lowpass(up, down)
     half = (len(h) - 1) // 2
@@ -234,8 +238,10 @@ def _polyphase(up: int, down: int):
     lo = skip // up * down - (len(g) - 1)
     phase = np.arange(up)
     shift = np.arange(len(g))[:, None] + phase * down // up + lo % down
-    coef = np.ascontiguousarray(g[:, phase * down % up, None])
-    residue, quotient = shift % down, shift // down
+    coef = g[:, phase * down % up, None]
+    live = coef.any(axis=(1, 2))
+    coef = np.ascontiguousarray(coef[live])
+    residue, quotient = shift[live] % down, shift[live] // down
     for a in (residue, quotient, coef):
         a.setflags(write=False)
     return residue, quotient, coef, skip, -(lo // down)

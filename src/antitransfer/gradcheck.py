@@ -17,7 +17,7 @@ import numpy as np
 from . import layers as L
 from .losses import (AGGREGATIONS, ATConfig, aggregate, at_loss_and_grad,
                      cross_entropy_and_grad)
-from .network import ArchConfig, Network, build
+from .network import ArchConfig, Network, _rebuilds_map, build
 from .training import _precompute_extractor_aggs, batch_objective
 
 
@@ -116,9 +116,10 @@ def _layer_check(name, layer, x, rng_proj, tolerance=1e-6, h=1e-5,
     return gradcheck(loss_fn, params, analytic, h=h, tolerance=tolerance, name=name)
 
 
-def _two_conv_net(seed: int = 0, n_classes: int = 3) -> Network:
+def _two_conv_net(seed: int = 0, n_classes: int = 3,
+                  conv1_channels: int = 3) -> Network:
     """Miniature two-conv network (no dropout) used for whole-loss checks."""
-    specs = [L.conv2d(3), L.relu(), L.maxpool2d(),
+    specs = [L.conv2d(conv1_channels), L.relu(), L.maxpool2d(),
              L.conv2d(4), L.relu(), L.maxpool2d(),
              L.flatten(), L.dense(8), L.relu(), L.dense(n_classes)]
     arch = ArchConfig(layers=specs, input_shape=(1, 8, 9), n_classes=n_classes,
@@ -128,14 +129,17 @@ def _two_conv_net(seed: int = 0, n_classes: int = 3) -> Network:
 
 def total_loss_gradcheck(at_layer: int, seed: int = 0, tolerance: float = 1e-4,
                          h: float = 1e-5, beta: float = 1.0,
-                         sign: float = 1.0) -> GradCheckReport:
+                         sign: float = 1.0,
+                         conv1_channels: int = 3) -> GradCheckReport:
     """Check d(total objective)/d(every trainable parameter) on a two-conv
     network with the anti-transfer term of sign `sign` (-1 for at_inverse)
     on one layer. Both the loss and the analytic gradient come from
     `training.batch_objective`, the objective the trainer runs, against the
-    extractor aggregates of the trainer's precompute."""
-    net = _two_conv_net(seed=seed)
-    extractor = _two_conv_net(seed=seed + 101)
+    extractor aggregates of the trainer's precompute. With 9 or more
+    `conv1_channels` conv 1 is cheap to re-run, and the backward rebuilds
+    its Gram tap's map (`network._rebuilds_map`); the name says so."""
+    net = _two_conv_net(seed=seed, conv1_channels=conv1_channels)
+    extractor = _two_conv_net(seed=seed + 101, conv1_channels=conv1_channels)
     rng = np.random.default_rng(seed + 7)
     x = rng.standard_normal((2, 1, 8, 9))
     labels = np.array([0, 2])
@@ -152,7 +156,11 @@ def total_loss_gradcheck(at_layer: int, seed: int = 0, tolerance: float = 1e-4,
                                               sign=sign)
     net.backward(dce, reduced_grad_in=agg_grads)
     inverse = ", at_inverse sign" if sign < 0 else ""
-    name = f"total objective (AT layer {at_layer}, squared_cosine{inverse})"
+    conv = net.conv_layers()[at_layer - 1]
+    rebuilt = (", map rebuilt" if _rebuilds_map(conv.in_channels, conv.spec)
+               else "")
+    name = (f"total objective (AT layer {at_layer}, squared_cosine{inverse}"
+            f"{rebuilt})")
     return gradcheck(loss_fn, list(net.params.values()),
                      list(net.grads.values()), h=h, tolerance=tolerance,
                      name=name)
@@ -223,9 +231,11 @@ def run_oracle_suite() -> List[GradCheckReport]:
             name=f"anti-transfer loss ({aggregation} + squared_cosine)"))
 
     # whole objective through a small network, each conv layer in turn,
-    # then once with the at_inverse sign
+    # then once with the at_inverse sign, and once with a conv 1 whose map
+    # the backward rebuilds
     for at_layer in (1, 2):
         reports.append(total_loss_gradcheck(at_layer))
     reports.append(total_loss_gradcheck(1, sign=-1.0))
+    reports.append(total_loss_gradcheck(1, conv1_channels=9))
 
     return reports

@@ -374,6 +374,18 @@ class Conv2D(Layer):
         self._xp = (x if padded is None else padded) if record else None
         return out.reshape(n, oc, oh, ow)
 
+    def rerun(self) -> np.ndarray:
+        """The output of the last recording forward again, from the input
+        it recorded, which stays recorded: a forward that does not record,
+        on a copy. Its GEMMs have the first one's shapes, so it has its
+        bytes."""
+        xp = self._xp
+        if xp is None:
+            raise RuntimeError(f"{self.name}: rerun without a recording forward")
+        p = self.pad
+        x = xp[:, :, p:xp.shape[2] - p, p:xp.shape[3] - p] if p else xp
+        return self.block_copy().forward(x, False, None, record=False)
+
     def backward(self, dout):
         xp = self._xp
         if xp is None:

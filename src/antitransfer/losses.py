@@ -31,6 +31,9 @@ from .layers import ShapeError
 from .network import ArchConfig, conv_feature_shapes
 
 AGGREGATIONS = ("gram", "mean", "max")
+# the aggregations whose pullback reads the feature map again
+# (`aggregate_with_pullback`)
+MAP_PULLBACKS = ("gram",)
 
 DEGENERATE_NORM = 1e-12  # below this a Gram/aggregate is treated as all-zero
 
@@ -94,30 +97,32 @@ def aggregate(feature: np.ndarray, kind: str) -> np.ndarray:
 
 
 def aggregate_with_pullback(feature: np.ndarray, kind: str):
-    """Returns (aggregate(feature, kind), pullback) where pullback maps
-    dL/d(aggregated) back to dL/d(feature), in the feature's dtype. Each
-    sample's rows depend on that sample alone, so a map can be aggregated
-    and pulled back in blocks of samples with the bytes of one call. The
-    gram pullback holds on to the feature map, the max pullback to its
-    channel argmax (one index per pixel, taken here) and the mean pullback
-    to neither."""
+    """Returns (aggregate(feature, kind), pullback) where pullback(grad,
+    fmap) maps dL/d(aggregated) back to dL/d(feature), in the feature's
+    dtype. Each sample's rows depend on that sample alone, so a map can be
+    aggregated and pulled back in blocks of samples with the bytes of one
+    call. The gram pullback holds nothing: it reads `fmap`, the feature
+    map's bytes handed to it again (`MAP_PULLBACKS`), which a `Network`
+    either kept since the forward or rebuilds in the backward. The max
+    pullback holds the map's channel argmax (one index per pixel, taken
+    here) and the mean pullback nothing; neither reads `fmap`, which may
+    be None."""
     out = aggregate(feature, kind)
     b, c, x, y = feature.shape
     dtype = feature.dtype
     if kind == "gram":
-        flat = feature.reshape(b, c, x * y)
-
-        def pullback(dg):
+        def pullback(dg, fmap):
             m = dg + dg.transpose(0, 2, 1)
-            return (m @ flat).reshape(b, c, x, y).astype(dtype, copy=False)
+            return (m @ fmap.reshape(b, c, x * y)).reshape(b, c, x, y).astype(
+                dtype, copy=False)
     elif kind == "mean":
-        def pullback(da):
+        def pullback(da, fmap):
             return np.repeat(da[:, None] / c, c, axis=1).astype(dtype,
                                                                 copy=False)
     else:  # max
         idx = feature.argmax(axis=1)[:, None]
 
-        def pullback(da):
+        def pullback(da, fmap):
             df = np.zeros((b, c, x, y), dtype=dtype)
             np.put_along_axis(df, idx, da[:, None], axis=1)
             return df
@@ -197,7 +202,7 @@ def at_loss_and_grad(trained: np.ndarray, agg_pretrained: np.ndarray,
     and pullback in the network's blocks of samples."""
     agg_t, pullback = aggregate_with_pullback(trained, config.aggregation)
     loss, dagg = at_term(agg_t, agg_pretrained, config, sign, with_grad)
-    return loss, None if dagg is None else pullback(dagg)
+    return loss, None if dagg is None else pullback(dagg, trained)
 
 
 # ---------------------------------------------------------------------------

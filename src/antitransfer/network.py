@@ -7,8 +7,11 @@ it that each block of samples takes while its rows are in cache (the
 anti-transfer aggregation, `losses.aggregate_with_pullback`). Backward adds
 extra gradients at tap points, given for the map or for its reduction, which
 each block then pulls back through its own rows: that is how the
-anti-transfer loss reaches into the trained network. It can also report the
-gradient flowing through a tap (used by Grad-CAM).
+anti-transfer loss reaches into the trained network. A pullback that reads
+the map again (the Gram's) gets the block's map, kept since the forward or,
+at a conv cheap to re-run (`_rebuilds_map`), rebuilt by the backward from
+the conv's recorded input. It can also report the gradient flowing through
+a tap (used by Grad-CAM).
 """
 
 from __future__ import annotations
@@ -166,6 +169,24 @@ _STACK_BLOCK_BYTES = 2 << 20
 _STACK_KINDS = ("conv2d", "relu", "maxpool2d")
 
 
+def _rebuilds_map(in_channels: int, spec: LayerSpec) -> bool:
+    """Whether a reduced tap at this conv, whose pullback reads the map
+    again, rebuilds the map in the backward instead of keeping it from the
+    forward: when a re-run of the conv spends no more multiply-adds per map
+    element, in_channels * k * k, than the out channels that the Gram and
+    its pullback each spend. vgg-tiny rebuilds at conv 1 (9 <= 16) and
+    keeps its map at convs 2-4 (144 > 32, 288 > 64, 576 > 64); vgg16
+    rebuilds at conv 1 alone.
+    Measured on the 13x126x129 float32 vgg-tiny step with the Gram term at
+    conv 1 (2-vCPU VM, 2 threads, 1 BLAS thread): tracemalloc's peak of
+    `batch_objective` and the backward fell from 38.86 to 26.2-28.5 MB (to
+    21.5-23.4 MB once the backward also let go of each block's layer
+    copies), and a step took about 6 % longer (99.5 against 105.7 ms,
+    medians of 4 alternating rounds of 30 steps) for its extra conv 1
+    forward per block of 2 samples."""
+    return in_channels * spec.kernel * spec.kernel <= spec.channels
+
+
 class Network:
     """A built network: layer objects with weights, plus tap bookkeeping.
 
@@ -193,9 +214,20 @@ class Network:
     32x37 is one) runs on the calling thread alone, on the layers
     themselves. Over several blocks, a recording forward gives each block
     its own copies of the stack's layers (`Layer.block_copy`), which keep
-    that block's recording until the next forward; the layers themselves
-    then hold no recording of it. A block's pullbacks serve one backward,
-    which drops each once it is used.
+    that block's recording for one backward; the layers themselves then
+    hold no recording of it. That backward lets go of each copy once the
+    copy's backward has run, keeping only a conv's gradient terms, so a
+    second backward raises RuntimeError. A block's pullbacks serve one
+    backward too, which drops each once it is used.
+
+    A reduction whose pullback reads the map (the Gram's: its `reads_map`
+    is true) is handed the block's map in the backward. At a conv cheap to
+    re-run (`_rebuilds_map`: vgg-tiny's and vgg16's conv 1) no block keeps
+    that map, nor the tap ReLU's mask, from the forward: the backward
+    re-runs the conv on the input it recorded for its own weight gradient
+    (`Conv2D.rerun`, the same GEMMs and so the same bytes) and the tap
+    ReLU on that, which records its mask then. At any other conv each block
+    keeps its map until its backward reaches the tap.
 
     Passes that do not record (evaluation, validation, the extractor
     precompute) are blocked the same way, and keep no pullback. A sample's
@@ -242,17 +274,21 @@ class Network:
         # (samples per block, each block's layer copies) of the last
         # recording forward, when it ran over several blocks
         self._blocks = None
-        # position -> the pullbacks of its reduction in the last recording
-        # forward, one per block
+        # position -> (pullback, the map it reads or None) of its reduction
+        # in the last recording forward, one per block; and the positions
+        # whose maps the backward rebuilds instead (`_rebuilds_map`)
         self._pullbacks: Dict[int, list] = {}
+        self._rebuilt: set = set()
         # the positions whose output (forward) or input gradient (backward)
         # a finite check scans
         self._checked_forward = {pos for pos, spec in enumerate(arch.layers)
                                  if spec.kind not in _FINITE_FORWARD}
         self._checked_backward = {pos for pos, spec in enumerate(arch.layers)
                                   if spec.kind not in _FINITE_BACKWARD}
-        # conv index k (1-based) -> position of its post-activation output
+        # conv index k (1-based) -> position of its post-activation output,
+        # and that position -> the conv's
         self.tap_positions: Dict[int, int] = {}
+        self._tap_conv: Dict[int, int] = {}
         k = 0
         for pos, spec in enumerate(arch.layers):
             if spec.kind == "conv2d":
@@ -261,6 +297,7 @@ class Network:
                 if pos + 1 < len(arch.layers) and arch.layers[pos + 1].kind == "relu":
                     tap = pos + 1
                 self.tap_positions[k] = tap
+                self._tap_conv[tap] = pos
         self.params: Dict[str, np.ndarray] = {
             n: layer.params()[p] for layer, p, n in self._weights()}
         self.grads: Dict[str, np.ndarray] = {
@@ -331,11 +368,13 @@ class Network:
         `reduce` maps conv indices, none of them in `taps` and each in the
         stack that runs over blocks of samples, to a function of a block of
         samples' feature map that returns the block's per-sample
-        reduction and the pullback from a gradient of that reduction to one
-        of the map (`losses.aggregate_with_pullback`). No whole-batch map is
-        built for a reduced conv: its reduction is the concatenation of its
-        blocks', and a recording forward keeps each block's pullback for
-        `backward`'s `reduced_grad_in`.
+        reduction and the pullback, `pullback(grad, fmap)`, from a gradient
+        of that reduction to one of the map (`losses.aggregate_with_pullback`).
+        A function whose pullback reads `fmap`, the block's map, says so
+        with a true `reads_map` attribute; any other pullback gets None. No
+        whole-batch map is built for a reduced conv: its reduction is the
+        concatenation of its blocks', and a recording forward keeps each
+        block's pullback for `backward`'s `reduced_grad_in`.
         With `record` false the layers keep nothing for a backward, which
         then raises RuntimeError; the outputs are the same."""
         return self._run(x, train, rng, taps, record, last_tap_only=False,
@@ -381,7 +420,7 @@ class Network:
                 else len(self.layers))
         top = min(self._stack, stop)
         self._blocks = None
-        self._pullbacks = {}
+        self._pullbacks, self._rebuilt = {}, set()
         keep = {pos for pos in tap_at if pos < top}
         if stop > top:   # the stack's output, only when layers follow it
             keep.add(top - 1)
@@ -407,7 +446,12 @@ class Network:
         reduction of each position in `reduce` by its function, which each
         block takes of its own rows and the calling thread concatenates. A
         recording forward keeps each block's pullbacks in `_pullbacks`; any
-        other drops them in the block, and with them the maps they hold.
+        other drops them in the block, and with them what they hold. A
+        pullback that reads the map (the reduction's `reads_map`) is kept
+        with the block's map, unless the conv is cheap to re-run
+        (`_rebuilds_map`): then the block keeps neither the map nor the tap
+        ReLU's mask, whose layer runs without recording, and `backward`
+        rebuilds both.
 
         One block runs on the layers themselves, and its maps are the
         batch's. Over several, a recording forward gives each block its own
@@ -418,6 +462,13 @@ class Network:
             return {}, {}
         n, block = len(x), self.sample_block
         whole = n <= block
+        reads = {pos for pos, fn in reduce.items()
+                 if record and getattr(fn, "reads_map", False)}
+        rebuilt = {pos for pos in reads if _rebuilds_map(
+            self._shapes[self._tap_conv[pos]][0],
+            self.arch.layers[self._tap_conv[pos]])}
+        # the tap ReLUs of rebuilt maps, which record no mask
+        quiet = {pos for pos in rebuilt if pos != self._tap_conv[pos]}
         kept = {} if whole else {
             pos: np.empty((n, *self._shapes[pos + 1]), dtype=self.dtype)
             for pos in keep}
@@ -431,7 +482,7 @@ class Network:
             reductions, pullbacks = {}, {}
             out = x[rows]
             for pos, layer in enumerate(layers):
-                out = layer.forward(out, train, rng, record)
+                out = layer.forward(out, train, rng, record and pos not in quiet)
                 if self.finite_checks and pos in self._checked_forward:
                     try:
                         check_finite(out, "activations after "
@@ -446,7 +497,8 @@ class Network:
                 if pos in reduce:
                     reductions[pos], pullback = reduce[pos](out)
                     if record:
-                        pullbacks[pos] = pullback
+                        held = pos in reads and pos not in rebuilt
+                        pullbacks[pos] = (pullback, out if held else None)
             return layers, reductions, pullbacks, None
 
         blocks = _map_blocks(run, n, block)
@@ -458,6 +510,7 @@ class Network:
                 self._blocks = (block, [layers for layers, *_ in blocks])
             for pos in reduce:
                 self._pullbacks[pos] = [pb[pos] for _, _, pb, _ in blocks]
+            self._rebuilt = rebuilt
         return kept, {pos: np.concatenate([r[pos] for _, r, _, _ in blocks])
                       for pos in reduce}
 
@@ -485,9 +538,10 @@ class Network:
         gradient terms of the blocks in sample order (`Conv2D.add_grads`).
         """
         # a forward's pullbacks serve one backward, which drops each block's
-        # once used, and with it the block's map it holds; those of a
-        # reduction with no gradient go at once
+        # once used, and with it what it holds and the block's map; those of
+        # a reduction with no gradient go at once
         pullbacks, self._pullbacks = self._pullbacks, {}
+        rebuilt, self._rebuilt = self._rebuilt, set()
         reduced = {}
         for k, g in (reduced_grad_in or {}).items():
             pos = self.tap_positions[k]
@@ -505,17 +559,31 @@ class Network:
                    if layer.params() and layer.trainable])
         stop = min(needed) if needed else len(self.layers)
         held = [dout]   # arrays the caller keeps
+        # position -> each block's gradient terms of a trainable conv, when
+        # the blocks ran on copies of the layers
+        terms: Dict[int, list] = {}
 
         def sweep(g, positions, layers, rows, capture, index):
             """Capture and run each layer's backward, from the highest of
             `positions` down to `stop`, pulling a reduction's gradient back
             through the `index`-th of its pullbacks and adding it; returns
             the gradient below, and the position and error of the first
-            finite check that fails."""
+            finite check that fails. A rebuilt map is the conv's output
+            again (`Conv2D.rerun`), through the tap ReLU, which records the
+            mask its forward did not."""
             for pos in positions:
+                fmap = None
+                if pos in rebuilt:
+                    conv = self._tap_conv[pos]
+                    fmap = layers[conv].rerun()
+                    if pos != conv:
+                        fmap = layers[pos].forward(fmap, False, None)
                 if pos in reduced:
-                    extra = pullbacks[pos][index](reduced[pos][rows])
-                    pullbacks[pos][index] = None   # frees the block's map
+                    pullback, kept = pullbacks[pos][index]
+                    pullbacks[pos][index] = None
+                    extra = pullback(reduced[pos][rows],
+                                     kept if fmap is None else fmap)
+                    del pullback, kept, fmap   # frees the block's map
                     # in place, unless the caller holds g, and let go before
                     # the layers below run: one array of the block's map
                     # size less at a time, per thread
@@ -529,9 +597,18 @@ class Network:
                 if pos < stop:
                     break
                 layer = layers[pos]
+                if layer is None:
+                    raise RuntimeError("backward without a recording forward: "
+                                       "the last one's blocks were spent")
                 if layer.inplace and any(np.may_share_memory(g, a) for a in held):
                     g = g.copy()
                 g = layer.backward(g)
+                if layers is not self.layers:
+                    # a block's copy, whose recording nothing reads again:
+                    # keep a conv's gradient terms and let go of the rest
+                    if pos in terms:
+                        terms[pos][index] = layer.terms
+                    layers[pos] = None
                 if self.finite_checks and pos in self._checked_backward:
                     try:
                         check_finite(g, "gradient through "
@@ -555,6 +632,8 @@ class Network:
         # layers, or one, on the layers themselves
         block, copies = self._blocks or (len(g), None)
         if copies is not None:
+            terms.update((pos, [None] * len(copies)) for pos in range(stop, top)
+                         if self.layers[pos].params() and self.layers[pos].trainable)
             for pos, k in want.items():
                 if pos < top:
                     captured[k] = np.empty((len(g), *self._shapes[pos + 1]),
@@ -574,11 +653,8 @@ class Network:
         failed = [f for f in _map_blocks(run, len(g), block) if f is not None]
         if failed:
             raise max(failed, key=lambda f: f[0])[1]
-        if copies is not None:
-            for pos in range(stop, top):
-                layer = self.layers[pos]
-                if layer.params() and layer.trainable:
-                    layer.add_grads([layers[pos].terms for layers in copies])
+        for pos, blocks in terms.items():
+            self.layers[pos].add_grads(blocks)
         return captured
 
 

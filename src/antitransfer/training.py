@@ -48,8 +48,8 @@ from . import checkpoint as ckpt
 from .audio import NormStats, compute_norm_stats, normalize
 from .checkpoint import DTYPES
 from .data import DEFAULT_FRACTIONS, LABEL_FIELDS, SPLIT_POLICIES, Dataset
-from .losses import (ATConfig, aggregate, aggregate_with_pullback,
-                     cross_entropy_and_grad)
+from .losses import (MAP_PULLBACKS, ATConfig, aggregate,
+                     aggregate_with_pullback, cross_entropy_and_grad)
 from .losses import at_term as _at_term
 from .network import ArchConfig, Network, build, conv_feature_shapes, preset
 from .optim import Adam
@@ -284,13 +284,16 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
 def _reduction(kind: str, record: bool, agg=aggregate):
     """The reduction a pass hands the blocks of an anti-transfer conv: with
     `record`, each block's aggregates and their pullback
-    (`aggregate_with_pullback`); without, `agg(map, kind)` and no pullback,
-    so no max argmax is taken for a pullback no one keeps. `agg` defaults to
-    `losses.aggregate` as bound when this module loaded, not looked up by
-    this module's `aggregate` name, which perfbench traces as the
-    extractor's aggregation alone."""
+    (`aggregate_with_pullback`), whose `reads_map` tells the network
+    whether the pullback reads the block's map again; without, `agg(map,
+    kind)` and no pullback, so no max argmax is taken for a pullback no one
+    keeps. `agg` defaults to `losses.aggregate` as bound when this module
+    loaded, not looked up by this module's `aggregate` name, which
+    perfbench traces as the extractor's aggregation alone."""
     if record:
-        return partial(aggregate_with_pullback, kind=kind)
+        reduction = partial(aggregate_with_pullback, kind=kind)
+        reduction.reads_map = kind in MAP_PULLBACKS
+        return reduction
     return lambda fmap: (agg(fmap, kind), None)
 
 

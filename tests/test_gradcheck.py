@@ -70,11 +70,30 @@ class TestOracleSuite:
         assert failed
         assert all("anti-transfer" in n or "total objective" in n for n in failed)
         # the per-op check of every aggregation and every whole-objective
-        # check, the at_inverse sign included, sees the flip
+        # check, the at_inverse sign and the rebuilt map included, sees the
+        # flip
         at = [r.name for r in reports if "anti-transfer" in r.name]
         total = [r.name for r in reports if "total objective" in r.name]
         assert len(at) == len(AGGREGATIONS) and set(at) <= set(failed)
-        assert len(total) == 3 and set(total) <= set(failed)
+        assert len(total) == 4 and set(total) <= set(failed)
+        assert sum("map rebuilt" in n for n in total) == 1
+
+    def test_the_rebuilt_map_check_runs_the_rebuild(self, monkeypatch):
+        """With 9 channels at conv 1 the whole-objective check's backward
+        rebuilds conv 1's map, and passes; with 3 it keeps it."""
+        reruns, rerun = [], L.Conv2D.rerun
+
+        def spy(conv):
+            reruns.append(conv.name)
+            return rerun(conv)
+        monkeypatch.setattr(L.Conv2D, "rerun", spy)
+        report = total_loss_gradcheck(1, conv1_channels=9)
+        assert report.passed and "map rebuilt" in report.name, report.line()
+        assert reruns == ["conv1"]
+        reruns.clear()
+        report = total_loss_gradcheck(1)
+        assert report.passed and "map rebuilt" not in report.name
+        assert reruns == []
 
     def test_total_loss_gradcheck_both_layers(self):
         for layer in (1, 2):

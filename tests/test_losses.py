@@ -101,7 +101,7 @@ class TestAggregate:
         want = np.zeros_like(f)
         np.put_along_axis(want, f.argmax(axis=1)[:, None], da[:, None], axis=1)
         f[:] = 0.0   # the pullback must not read the map again
-        got = pullback(da)
+        got = pullback(da, None)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -290,7 +290,7 @@ class TestTotalLoss:
         net.backward(dlogits, reduced_grad_in=agg_grads)
         got = {n: g.copy() for n, g in net.grads.items()}
         _, tapped = net.forward(x[rows], reduce=dict.fromkeys(
-            cfg.layers, lambda fmap: (fmap, lambda grad: grad)))
+            cfg.layers, lambda fmap: (fmap, lambda grad, fmap: grad)))
         want_ce, want_dlogits = cross_entropy_and_grad(logits, labels[rows])
         assert ce == want_ce and np.array_equal(dlogits, want_dlogits)
         assert list(at_vals) == list(agg_grads) == [1, 2]

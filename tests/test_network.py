@@ -2,15 +2,14 @@
 gradient injection, reduced taps, and freezing."""
 
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
 
 from antitransfer import layers as L
-from antitransfer import network
-from antitransfer.losses import (ATConfig, aggregate, aggregate_with_pullback,
-                                 at_loss_and_grad, cross_entropy_and_grad)
+from antitransfer import network, training
+from antitransfer.losses import (ATConfig, aggregate, at_loss_and_grad,
+                                 cross_entropy_and_grad)
 from antitransfer.network import (ArchConfig, build, conv_feature_shapes,
                                   preset)
 
@@ -18,7 +17,7 @@ from antitransfer.network import (ArchConfig, build, conv_feature_shapes,
 def identity(fmap):
     """A reduction that keeps the whole map, and its pullback: a test's way
     to add a gradient of the map itself at a tap."""
-    return fmap, lambda grad: grad
+    return fmap, lambda grad, fmap: grad
 
 
 class TestPresetShapes:
@@ -193,7 +192,7 @@ class TestReducedTaps:
     its own rows (`forward`'s `reduce`), and `backward` pulls each block's
     rows of the reduction's gradient back through that block's pullback."""
 
-    GRAM = partial(aggregate_with_pullback, kind="gram")
+    GRAM = training._reduction("gram", True)
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_a_reduced_tap_gives_the_bytes_of_its_whole_batch_map(
@@ -214,7 +213,7 @@ class TestReducedTaps:
         agg_grads = {k: rng.standard_normal(a.shape).astype(np.float32)
                      for k, a in aggs.items()}
         net.backward(dlogits, reduced_grad_in={
-            k: self.GRAM(taps[k])[1](g) for k, g in agg_grads.items()})
+            k: self.GRAM(taps[k])[1](g, taps[k]) for k, g in agg_grads.items()})
         want = {n: g.tobytes() for n, g in net.grads.items()}
 
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
@@ -275,6 +274,7 @@ class TestReducedTaps:
                 agg, pullback = self.GRAM(fmap)
                 refs[k].append(weakref.ref(pullback))
                 return agg, pullback
+            reduce.reads_map = True
             return reduce
 
         logits, reduced = net.forward(x, reduce={k: tracked(k) for k in refs})
@@ -288,6 +288,60 @@ class TestReducedTaps:
         net.backward(np.ones_like(logits),
                      reduced_grad_in={1: np.ones_like(reduced[1])})
         assert alive == [[[True] * 3, [False] * 3]]
+
+    def test_the_rule_rebuilds_where_a_conv_costs_at_most_its_out_channels(
+            self):
+        """A conv is cheap to re-run when in_channels * k * k <= out
+        channels: vgg-tiny's conv 1 (9 <= 16) and vgg16's (9 <= 64), and
+        no other conv of either."""
+        def rebuilt(arch):
+            shapes = network._propagate_shapes(arch)
+            return [network._rebuilds_map(shapes[pos][0], spec)
+                    for pos, spec in enumerate(arch.layers)
+                    if spec.kind == "conv2d"]
+        assert rebuilt(preset("vgg-tiny", (126, 129), 4)) == [True] + [False] * 3
+        assert rebuilt(preset("vgg16", (126, 129), 4)) == [True] + [False] * 12
+
+    def test_a_rebuilt_tap_keeps_neither_map_nor_mask_between_the_passes(
+            self, monkeypatch):
+        """Over blocks of 2 samples, a Gram tap at conv 1 keeps no map for
+        its pullback and its ReLU no mask, which each block's backward
+        rebuilds from conv 1's recorded input; conv 2 keeps both. The
+        backward lets go of each block's copy of a layer once it has run,
+        so a second backward raises."""
+        net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
+                            2 * net._sample_bytes)
+        x = np.random.default_rng(4).standard_normal((5, 1, 32, 37)).astype(np.float32)
+        logits, reduced = net.forward(x, reduce=dict.fromkeys((1, 2), self.GRAM))
+        taps = {k: net.tap_positions[k] for k in (1, 2)}
+        _, copies = net._blocks
+        assert len(copies) == 3
+        for k, held in ((1, False), (2, True)):
+            assert [fmap is not None for _, fmap in net._pullbacks[taps[k]]] \
+                == [held] * 3
+            assert [layers[taps[k]]._mask is not None for layers in copies] \
+                == [held] * 3
+        reruns, rerun = [], L.Conv2D.rerun
+
+        def spy(conv):
+            reruns.append(conv.name)
+            return rerun(conv)
+        monkeypatch.setattr(L.Conv2D, "rerun", spy)
+        grads = {k: np.ones_like(r) for k, r in reduced.items()}
+        net.backward(np.ones_like(logits), reduced_grad_in=grads)
+        assert reruns == ["conv1"] * 3
+        assert all(layer is None for layers in copies for layer in layers)
+        with pytest.raises(RuntimeError, match="blocks were spent"):
+            net.backward(np.ones_like(logits))
+        # with no gradient for its reduction, the tap ReLU still gets its
+        # mask: the backward is that of a forward that reduced nothing
+        net.forward(x)
+        net.backward(np.ones_like(logits))
+        want = {n: g.tobytes() for n, g in net.grads.items()}
+        net.forward(x, reduce={1: self.GRAM})
+        net.backward(np.ones_like(logits))
+        assert {n: g.tobytes() for n, g in net.grads.items()} == want
 
 
 class TestInPlaceActivations:

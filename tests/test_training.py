@@ -776,7 +776,7 @@ class TestForwardWithoutRecording:
 def identity(fmap):
     """A reduction that keeps the whole map, and its pullback: a test's way
     to add a gradient of the map itself at a tap."""
-    return fmap, lambda grad: grad
+    return fmap, lambda grad, fmap: grad
 
 
 def _step(net, x, at_layer=1):
@@ -802,7 +802,11 @@ class TestTrainingStepOverBlocks:
         weights and metrics.csv (but its seconds) of a run whose every
         batch is one block, over blocks of 1, 2 and 5 samples on 1, 2 and 3
         threads switching every 10 us. Validation scores the whole split in
-        one pass, so its val_ce keeps its bytes too."""
+        one pass, so its val_ce keeps its bytes too. Under the Gram, whose
+        pullback reads the map, so does a run that rebuilds the map at
+        both anti-transfer convs, and one that keeps it at both
+        (`network._rebuilds_map` forced each way; by the rule conv 1
+        rebuilds and conv 2 keeps)."""
         data = load_split_dir(tiny_data_dir)
         cfg = cfg_for(strategy, orth_checkpoint, layers=(1, 2), epochs=2,
                       aggregation=aggregation)
@@ -830,6 +834,26 @@ class TestTrainingStepOverBlocks:
                     got.append(run(f"b{block}w{workers}"))
                     assert got[-1] == got[0], (block, workers)
                 assert got[0] == want, block
+            if aggregation in losses.MAP_PULLBACKS:
+                reruns, rerun = set(), L.Conv2D.rerun
+
+                def spy(conv):
+                    reruns.add(conv.name)
+                    return rerun(conv)
+                monkeypatch.setattr(L.Conv2D, "rerun", spy)
+                # blocks of 2 on 2 threads, and one block
+                eval_workers(2)
+                for block in (2, cfg.batch_size):
+                    monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
+                                        block * sample_bytes)
+                    for rebuild in (True, False):
+                        monkeypatch.setattr(network, "_rebuilds_map",
+                                            lambda *a, r=rebuild: r)
+                        reruns.clear()
+                        assert run(f"b{block}r{rebuild}") == want, \
+                            (block, rebuild)
+                        assert reruns == ({"conv1", "conv2"} if rebuild
+                                          else set())
         finally:
             sys.setswitchinterval(interval)
 
@@ -1016,12 +1040,13 @@ class TestTrainingStepOverBlocks:
         map or gradient for the backward.
         The same step with the term over a whole-batch tapped map and tap
         gradient, measured the same way, peaked at 42.24 MB (Gram), 45.57
-        MB (mean) and 59.94 MB (max). Under mean and max this step peaks
-        below those less one 13.6 MB map. Under the Gram it only peaks
-        below 42.24 MB: its pullback reads the blocks' conv 1 maps (13.5 MB
-        in all), which stay live, beside the layers' recordings (15.2 MB),
-        until each block's backward reaches conv 1, and two blocks'
-        backward temporaries come on top."""
+        MB (mean) and 59.94 MB (max). Under each aggregation this step
+        peaks below those less one 13.6 MB map. The Gram pullback reads
+        the blocks' conv 1 maps, which no block keeps: conv 1 is cheap to
+        re-run, and each block's backward rebuilds its map (with the Gram
+        pullback keeping the maps it peaked at 38.86 MB). The max pullback
+        keeps only its channel argmax (41.4-43.7 MB when it kept the
+        map)."""
         eval_workers(2)
         largest = []
 
@@ -1030,22 +1055,11 @@ class TestTrainingStepOverBlocks:
                 largest.append(max(t.size for t in
                                    tracemalloc.take_snapshot().traces))
 
-        # less one 13.6 MB map, but for the Gram
-        bound = (self.WHOLE_BATCH_TERM_PEAK[aggregation]
-                 - (0.0 if aggregation == "gram" else 13.6))
+        # less one 13.6 MB map
+        bound = self.WHOLE_BATCH_TERM_PEAK[aggregation] - 13.6
         assert self._at_step_peak(aggregation, between) < bound * 1e6
         c, h, w = conv_feature_shapes(preset("vgg-tiny", (126, 129), 4))[0]
         assert largest[0] <= 2 * c * h * w * 4   # one block's float32 map
-
-    def test_a_max_at_step_at_126x129_peaks_below_the_gram_step(
-            self, eval_workers):
-        """The step above under the max aggregation peaks below the same
-        step under the Gram: the max pullback keeps each block's channel
-        argmax, not its conv 1 map, which the Gram pullback has to read.
-        When the max pullback kept the map, the max step peaked at
-        41.4-43.7 MB against the Gram's 38.8 MB."""
-        eval_workers(2)
-        assert self._at_step_peak("max") < self._at_step_peak("gram")
 
 
 def sweep_layers(base_config, data, out_dir, layers):
