@@ -467,6 +467,7 @@ class Network:
         rebuilt = {pos for pos in reads if _rebuilds_map(
             self._shapes[self._tap_conv[pos]][0],
             self.arch.layers[self._tap_conv[pos]])}
+        hold = reads - rebuilt
         # the tap ReLUs of rebuilt maps, which record no mask
         quiet = {pos for pos in rebuilt if pos != self._tap_conv[pos]}
         kept = {} if whole else {
@@ -497,8 +498,7 @@ class Network:
                 if pos in reduce:
                     reductions[pos], pullback = reduce[pos](out)
                     if record:
-                        held = pos in reads and pos not in rebuilt
-                        pullbacks[pos] = (pullback, out if held else None)
+                        pullbacks[pos] = (pullback, out if pos in hold else None)
             return layers, reductions, pullbacks, None
 
         blocks = _map_blocks(run, n, block)
