@@ -17,9 +17,11 @@ caller's output gradient, nor one it has captured for the caller.
 
 Every layer runs over the batch it is given, on the calling thread. A
 `Network` spreads a pass over blocks of whole samples on every CPU
-(`_map_blocks`): each block runs its own copies of the conv, ReLU and
-max-pool layers (`Layer.block_copy`), which share the weights but keep their
-own recordings.
+(`_map_blocks`). A recording pass over several blocks runs each block on its
+own copies of the conv, ReLU and max-pool layers (`Layer.block_copy`), which
+share the weights but keep their own recordings, and whose convs keep their
+gradient terms for `Conv2D.add_grads`; a pass of one block, and every pass
+that does not record, runs on the layers themselves.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,9 +32,6 @@ from .layers import ShapeError
 from .network import ArchConfig, conv_feature_shapes
 
 AGGREGATIONS = ("gram", "mean", "max")
-# the aggregations whose pullback reads the feature map again
-# (`aggregate_with_pullback`)
-MAP_PULLBACKS = ("gram",)
 
 DEGENERATE_NORM = 1e-12  # below this a Gram/aggregate is treated as all-zero
 
@@ -102,11 +100,11 @@ def aggregate_with_pullback(feature: np.ndarray, kind: str):
     dtype. Each sample's rows depend on that sample alone, so a map can be
     aggregated and pulled back in blocks of samples with the bytes of one
     call. The gram pullback holds nothing: it reads `fmap`, the feature
-    map's bytes handed to it again (`MAP_PULLBACKS`), which a `Network`
-    either kept since the forward or rebuilds in the backward. The max
-    pullback holds the map's channel argmax (one index per pixel, taken
-    here) and the mean pullback nothing; neither reads `fmap`, which may
-    be None."""
+    map's bytes handed to it again (`reduction`'s `reads_map`), which a
+    `Network` either kept since the forward or rebuilds in the backward.
+    The max pullback holds the map's channel argmax (one index per pixel,
+    taken here) and the mean pullback nothing; neither reads `fmap`, which
+    may be None."""
     out = aggregate(feature, kind)
     b, c, x, y = feature.shape
     dtype = feature.dtype
@@ -127,6 +125,20 @@ def aggregate_with_pullback(feature: np.ndarray, kind: str):
             np.put_along_axis(df, idx, da[:, None], axis=1)
             return df
     return out, pullback
+
+
+def reduction(kind: str, record: bool):
+    """The reduction a `Network` pass hands the blocks of an anti-transfer
+    conv: with `record`, each block's aggregates and their pullback
+    (`aggregate_with_pullback`), whose true `reads_map` says that the
+    pullback reads the block's map again (the Gram's alone); without,
+    `aggregate(map, kind)` and no pullback, so no max argmax is taken for a
+    pullback no one keeps."""
+    if record:
+        fn = partial(aggregate_with_pullback, kind=kind)
+        fn.reads_map = kind == "gram"
+        return fn
+    return lambda fmap: (aggregate(fmap, kind), None)
 
 
 # ---------------------------------------------------------------------------

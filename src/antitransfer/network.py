@@ -4,14 +4,16 @@ Conv layers are numbered 1..K in network order. A "tap" at conv k yields the
 post-activation feature map of that conv (output of the ReLU that immediately
 follows it). A forward can return a tap's map, or a per-sample reduction of
 it that each block of samples takes while its rows are in cache (the
-anti-transfer aggregation, `losses.aggregate_with_pullback`). Backward adds
-extra gradients at tap points, given for the map or for its reduction, which
-each block then pulls back through its own rows: that is how the
-anti-transfer loss reaches into the trained network. A pullback that reads
-the map again (the Gram's) gets the block's map, kept since the forward or,
-at a conv cheap to re-run (`_rebuilds_map`), rebuilt by the backward from
-the conv's recorded input. It can also report the gradient flowing through
-a tap (used by Grad-CAM).
+anti-transfer aggregation, `losses.reduction`). A recording forward leaves
+one record of its blocks, their layers and their pullbacks, which the one
+backward after it takes. Backward adds extra gradients at tap points, given
+for the map or for its reduction, which each block then pulls back through
+its own rows: that is how the anti-transfer loss reaches into the trained
+network. A pullback that reads the map again (the Gram's) gets the block's
+map, kept since the forward or, at a conv cheap to re-run
+(`_rebuilds_map`), rebuilt by the backward from the conv's recorded input.
+Backward can also report the gradient flowing through a tap (used by
+Grad-CAM).
 """
 
 from __future__ import annotations
@@ -210,15 +212,23 @@ class Network:
     sum of the conv gradient terms, which the blocks return per sample and
     the calling thread adds in sample order (`Conv2D.add_grads`), run on the
     calling thread over the whole batch, so no byte depends on the blocks
-    or the CPUs. A batch of at most one block (vgg-tiny's batch of 13 at
-    32x37 is one) runs on the calling thread alone, on the layers
-    themselves. Over several blocks, a recording forward gives each block
-    its own copies of the stack's layers (`Layer.block_copy`), which keep
-    that block's recording for one backward; the layers themselves then
-    hold no recording of it. That backward lets go of each copy once the
-    copy's backward has run, keeping only a conv's gradient terms, so a
-    second backward raises RuntimeError. A block's pullbacks serve one
-    backward too, which drops each once it is used.
+    or the CPUs.
+
+    A recording forward leaves one record (`_recording`): the samples per
+    block, the positions whose maps the backward rebuilds, and each block's
+    layers and pullbacks. The one backward after it takes the record and
+    runs every block down the same path, so a second backward raises
+    RuntimeError. Only the choice of layers depends on the block count: a
+    batch of at most one block (vgg-tiny's batch of 13 at 32x37 is one)
+    runs on the calling thread, on the layers themselves; over several
+    blocks each block runs on its own copies of the stack's layers
+    (`Layer.block_copy`), which keep that block's recording, and its conv
+    copies keep their gradient terms for `add_grads`. One block on copies
+    too made a 13x32x37 step (Gram term at conv 2, 2-vCPU VM, medians of
+    300 steps) take 18.2-20.3 ms against 14.7-15.0 ms, mostly for the
+    copies' recordings, freed at each backward and faulted back in at the
+    next step. The backward lets go of each pullback once used and of each
+    copy once its backward has run.
 
     A reduction whose pullback reads the map (the Gram's: its `reads_map`
     is true) is handed the block's map in the backward. At a conv cheap to
@@ -237,8 +247,8 @@ class Network:
 
     Forwards that do not record may run concurrently on one network, as
     their blocks do: they only read the weights and write nothing to the
-    layers but the cleared caches. A recording forward, and the backward
-    after it, must run alone."""
+    network but the cleared caches and record. A recording forward, and the
+    backward after it, must run alone."""
 
     def __init__(self, arch: ArchConfig, seed: int = 0, dtype=np.float64):
         self.arch = arch
@@ -271,14 +281,11 @@ class Network:
         # the stack: layers 0.._stack-1, which run over blocks of samples
         self._stack = next((pos for pos, spec in enumerate(arch.layers)
                             if spec.kind not in _STACK_KINDS), len(arch.layers))
-        # (samples per block, each block's layer copies) of the last
-        # recording forward, when it ran over several blocks
-        self._blocks = None
-        # position -> (pullback, the map it reads or None) of its reduction
-        # in the last recording forward, one per block; and the positions
-        # whose maps the backward rebuilds instead (`_rebuilds_map`)
-        self._pullbacks: Dict[int, list] = {}
-        self._rebuilt: set = set()
+        # the last recording forward's record, until a backward takes it:
+        # (samples per block, the positions whose maps the backward rebuilds
+        # (`_rebuilds_map`), and per block its stack layers and {position:
+        # (pullback, the map it reads or None)} of each reduction)
+        self._recording = None
         # the positions whose output (forward) or input gradient (backward)
         # a finite check scans
         self._checked_forward = {pos for pos, spec in enumerate(arch.layers)
@@ -369,7 +376,7 @@ class Network:
         stack that runs over blocks of samples, to a function of a block of
         samples' feature map that returns the block's per-sample
         reduction and the pullback, `pullback(grad, fmap)`, from a gradient
-        of that reduction to one of the map (`losses.aggregate_with_pullback`).
+        of that reduction to one of the map (`losses.reduction`).
         A function whose pullback reads `fmap`, the block's map, says so
         with a true `reads_map` attribute; any other pullback gets None. No
         whole-batch map is built for a reduced conv: its reduction is the
@@ -419,10 +426,9 @@ class Network:
         stop = (max([*tap_at, *reduce_at], default=-1) + 1 if last_tap_only
                 else len(self.layers))
         top = min(self._stack, stop)
-        self._blocks = None
-        self._pullbacks, self._rebuilt = {}, set()
+        self._recording = None
         keep = {pos for pos in tap_at if pos < top}
-        if stop > top:   # the stack's output, only when layers follow it
+        if stop > top > 0:   # the stack's output, only when layers follow it
             keep.add(top - 1)
         kept, reduced = self._stack_forward(x, train, rng, record, top, keep,
                                             reduce_at)
@@ -442,26 +448,24 @@ class Network:
                        ) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
         """Layers 0..top-1, each block of `sample_block` samples through all
         of them in turn, in one `_map_blocks` call; returns the whole-batch
-        output of each position in `keep`, which the blocks write, and the
-        reduction of each position in `reduce` by its function, which each
-        block takes of its own rows and the calling thread concatenates. A
-        recording forward keeps each block's pullbacks in `_pullbacks`; any
-        other drops them in the block, and with them what they hold. A
-        pullback that reads the map (the reduction's `reads_map`) is kept
-        with the block's map, unless the conv is cheap to re-run
-        (`_rebuilds_map`): then the block keeps neither the map nor the tap
-        ReLU's mask, whose layer runs without recording, and `backward`
-        rebuilds both.
+        output of each position in `keep`, whose rows the blocks write, and
+        the reduction of each position in `reduce` by its function, which
+        each block takes of its own rows and the calling thread
+        concatenates.
 
-        One block runs on the layers themselves, and its maps are the
-        batch's. Over several, a recording forward gives each block its own
-        copies of the layers (`Layer.block_copy`), which keep its recording
-        for `backward`; a forward that does not record runs every block on
-        the layers themselves, which only clear their caches."""
-        if top == 0:
-            return {}, {}
+        A recording forward leaves its record in `_recording` for one
+        `backward`: each block's layers and its pullbacks, each kept with
+        the block's map when it reads the map (the reduction's `reads_map`),
+        unless the conv is cheap to re-run (`_rebuilds_map`): then the block
+        keeps neither the map nor the tap ReLU's mask, whose layer runs
+        without recording, and `backward` rebuilds both. Any other forward
+        drops the pullbacks in the block, and with them what they hold.
+        A recording forward over several blocks runs each on its own copies
+        of the layers (`Layer.block_copy`), which keep its recording; every
+        other forward runs on the layers themselves, which a forward that
+        does not record only clears."""
         n, block = len(x), self.sample_block
-        whole = n <= block
+        copies = record and n > block
         reads = {pos for pos, fn in reduce.items()
                  if record and getattr(fn, "reads_map", False)}
         rebuilt = {pos for pos in reads if _rebuilds_map(
@@ -470,16 +474,14 @@ class Network:
         hold = reads - rebuilt
         # the tap ReLUs of rebuilt maps, which record no mask
         quiet = {pos for pos in rebuilt if pos != self._tap_conv[pos]}
-        kept = {} if whole else {
-            pos: np.empty((n, *self._shapes[pos + 1]), dtype=self.dtype)
-            for pos in keep}
+        kept = {pos: np.empty((n, *self._shapes[pos + 1]), dtype=self.dtype)
+                for pos in keep}
 
         def run(rows):
             """The block's layers, reductions and pullbacks, and the
             position and error of the first finite check it fails."""
-            layers = self.layers[:top]
-            if record and not whole:
-                layers = [layer.block_copy() for layer in layers]
+            layers = [layer.block_copy() if copies else layer
+                      for layer in self.layers[:top]]
             reductions, pullbacks = {}, {}
             out = x[rows]
             for pos, layer in enumerate(layers):
@@ -491,10 +493,7 @@ class Network:
                     except NonFiniteError as err:
                         return layers, reductions, pullbacks, (pos, err)
                 if pos in keep:
-                    if whole:
-                        kept[pos] = out
-                    else:
-                        kept[pos][rows] = out
+                    kept[pos][rows] = out
                 if pos in reduce:
                     reductions[pos], pullback = reduce[pos](out)
                     if record:
@@ -506,11 +505,8 @@ class Network:
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
         if record:
-            if not whole:
-                self._blocks = (block, [layers for layers, *_ in blocks])
-            for pos in reduce:
-                self._pullbacks[pos] = [pb[pos] for _, _, pb, _ in blocks]
-            self._rebuilt = rebuilt
+            self._recording = (block, rebuilt,
+                               [(layers, pb) for layers, _, pb, _ in blocks])
         return kept, {pos: np.concatenate([r[pos] for _, r, _, _ in blocks])
                       for pos in reduce}
 
@@ -535,21 +531,24 @@ class Network:
         over the blocks of the forward, each block down through all of its
         layers, in one `_map_blocks` call. Each block writes its samples'
         rows of the captured gradients, and the calling thread adds the conv
-        gradient terms of the blocks in sample order (`Conv2D.add_grads`).
+        gradient terms that the blocks' copies keep in sample order
+        (`Conv2D.add_grads`). A backward takes the last recording forward's
+        record, so a second one raises RuntimeError; it lets go of each
+        block's pullback once used, those of a reduction with no gradient at
+        once, and of each layer copy once its backward has run.
         """
-        # a forward's pullbacks serve one backward, which drops each block's
-        # once used, and with it what it holds and the block's map; those of
-        # a reduction with no gradient go at once
-        pullbacks, self._pullbacks = self._pullbacks, {}
-        rebuilt, self._rebuilt = self._rebuilt, set()
+        if self._recording is None:
+            raise RuntimeError("backward without a recording forward")
+        (block, rebuilt, blocks), self._recording = self._recording, None
         reduced = {}
         for k, g in (reduced_grad_in or {}).items():
             pos = self.tap_positions[k]
-            if pos not in pullbacks:
+            if pos not in blocks[0][1]:
                 raise RuntimeError(f"conv {k}: no reduction left from a "
                                    "recording forward")
             reduced[pos] = g
-        pullbacks = {pos: pullbacks[pos] for pos in reduced}
+        blocks = [(layers, {pos: pb[pos] for pos in reduced})
+                  for layers, pb in blocks]
         want = {self.tap_positions[k]: k for k in tap_grad_out}
         captured: Dict[int, np.ndarray] = {}
         # the lowest layer whose backward must run: the one above the lowest
@@ -559,18 +558,20 @@ class Network:
                    if layer.params() and layer.trainable])
         stop = min(needed) if needed else len(self.layers)
         held = [dout]   # arrays the caller keeps
-        # position -> each block's gradient terms of a trainable conv, when
-        # the blocks ran on copies of the layers
-        terms: Dict[int, list] = {}
+        top = self._stack
+        # position -> each block's gradient terms of a trainable conv
+        terms = {pos: [None] * len(blocks) for pos in range(stop, top)
+                 if self.layers[pos].params() and self.layers[pos].trainable}
 
-        def sweep(g, positions, layers, rows, capture, index):
+        def sweep(g, positions, layers, pullbacks, rows, capture, index):
             """Capture and run each layer's backward, from the highest of
             `positions` down to `stop`, pulling a reduction's gradient back
-            through the `index`-th of its pullbacks and adding it; returns
-            the gradient below, and the position and error of the first
-            finite check that fails. A rebuilt map is the conv's output
-            again (`Conv2D.rerun`), through the tap ReLU, which records the
-            mask its forward did not."""
+            through its pullback and adding it, and letting go of each
+            entry of `layers` once its backward has run; returns the
+            gradient below, and the position and error of the first finite
+            check that fails. A rebuilt map is the conv's output again
+            (`Conv2D.rerun`), through the tap ReLU, which records the mask
+            its forward did not."""
             for pos in positions:
                 fmap = None
                 if pos in rebuilt:
@@ -579,8 +580,7 @@ class Network:
                     if pos != conv:
                         fmap = layers[pos].forward(fmap, False, None)
                 if pos in reduced:
-                    pullback, kept = pullbacks[pos][index]
-                    pullbacks[pos][index] = None
+                    pullback, kept = pullbacks.pop(pos)
                     extra = pullback(reduced[pos][rows],
                                      kept if fmap is None else fmap)
                     del pullback, kept, fmap   # frees the block's map
@@ -597,18 +597,14 @@ class Network:
                 if pos < stop:
                     break
                 layer = layers[pos]
-                if layer is None:
-                    raise RuntimeError("backward without a recording forward: "
-                                       "the last one's blocks were spent")
                 if layer.inplace and any(np.may_share_memory(g, a) for a in held):
                     g = g.copy()
                 g = layer.backward(g)
-                if layers is not self.layers:
-                    # a block's copy, whose recording nothing reads again:
-                    # keep a conv's gradient terms and let go of the rest
-                    if pos in terms:
-                        terms[pos][index] = layer.terms
-                    layers[pos] = None
+                # nothing reads the layer's recording again: keep a block
+                # copy's gradient terms and let go of the rest
+                if pos in terms:
+                    terms[pos][index] = layer.terms
+                layers[pos] = None
                 if self.finite_checks and pos in self._checked_backward:
                     try:
                         check_finite(g, "gradient through "
@@ -621,40 +617,32 @@ class Network:
             captured[k] = g
             held.append(g)
 
-        top = self._stack
+        # the head's layers, in a list the sweep may empty
         g, failed = sweep(dout, range(len(self.layers) - 1, top - 1, -1),
-                          self.layers, slice(None), keep, None)
+                          list(self.layers), {}, slice(None), keep, None)
         if failed:
             raise failed[1]
         if top == 0 or stop > top:
             return captured
-        # the blocks of the recording forward: several, on copies of the
-        # layers, or one, on the layers themselves
-        block, copies = self._blocks or (len(g), None)
-        if copies is not None:
-            terms.update((pos, [None] * len(copies)) for pos in range(stop, top)
-                         if self.layers[pos].params() and self.layers[pos].trainable)
-            for pos, k in want.items():
-                if pos < top:
-                    captured[k] = np.empty((len(g), *self._shapes[pos + 1]),
-                                           dtype=g.dtype)
+        for pos, k in want.items():
+            if pos < top:
+                captured[k] = np.empty((len(g), *self._shapes[pos + 1]),
+                                       dtype=g.dtype)
 
         def put(k, rows, g_rows):
             captured[k][rows] = g_rows
 
         def run(rows):
-            if copies is None:
-                layers, capture = self.layers, keep
-            else:
-                layers, capture = copies[rows.start // block], put
-            return sweep(g[rows], range(top - 1, -1, -1), layers, rows,
-                         capture, rows.start // block)[1]
+            index = rows.start // block
+            return sweep(g[rows], range(top - 1, -1, -1), *blocks[index],
+                         rows, put, index)[1]
 
         failed = [f for f in _map_blocks(run, len(g), block) if f is not None]
         if failed:
             raise max(failed, key=lambda f: f[0])[1]
-        for pos, blocks in terms.items():
-            self.layers[pos].add_grads(blocks)
+        for pos, parts in terms.items():
+            if parts[0] is not None:   # the layers themselves added theirs
+                self.layers[pos].add_grads(parts)
         return captured
 
 

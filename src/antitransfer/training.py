@@ -38,7 +38,6 @@ import math
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, asdict, replace
-from functools import partial
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -48,8 +47,8 @@ from . import checkpoint as ckpt
 from .audio import NormStats, compute_norm_stats, normalize
 from .checkpoint import DTYPES
 from .data import DEFAULT_FRACTIONS, LABEL_FIELDS, SPLIT_POLICIES, Dataset
-from .losses import (MAP_PULLBACKS, ATConfig, aggregate,
-                     aggregate_with_pullback, cross_entropy_and_grad)
+from .losses import (ATConfig, aggregate, cross_entropy_and_grad,
+                     reduction)
 from .losses import at_term as _at_term
 from .network import ArchConfig, Network, build, conv_feature_shapes, preset
 from .optim import Adam
@@ -237,7 +236,7 @@ def batch_objective(net: Network, xb: np.ndarray, yb: np.ndarray,
     """
     layers = at_cfg.layers if at_cfg else ()
     # a zero-weight term reads no aggregate (`at_term`), so none is taken
-    reduce = {k: _reduction(at_cfg.aggregation, record)
+    reduce = {k: reduction(at_cfg.aggregation, record)
               for k in layers if at_cfg.beta}
     logits, agg_t = net.forward(xb, train=train, rng=rng, record=record,
                                 reduce=reduce)
@@ -281,29 +280,16 @@ def _eval_losses(net: Network, x, labels, at_cfg: Optional[ATConfig],
 # Anti-transfer plumbing
 # ---------------------------------------------------------------------------
 
-def _reduction(kind: str, record: bool, agg=aggregate):
-    """The reduction a pass hands the blocks of an anti-transfer conv: with
-    `record`, each block's aggregates and their pullback
-    (`aggregate_with_pullback`), whose `reads_map` tells the network
-    whether the pullback reads the block's map again; without, `agg(map,
-    kind)` and no pullback, so no max argmax is taken for a pullback no one
-    keeps. `agg` defaults to `losses.aggregate` as bound when this module
-    loaded, not looked up by this module's `aggregate` name, which
-    perfbench traces as the extractor's aggregation alone."""
-    if record:
-        reduction = partial(aggregate_with_pullback, kind=kind)
-        reduction.reads_map = kind in MAP_PULLBACKS
-        return reduction
-    return lambda fmap: (agg(fmap, kind), None)
-
-
 def _precompute_extractor_aggs(extractor: Network, x: np.ndarray,
                                at_cfg: ATConfig) -> Dict[int, np.ndarray]:
     """Per-sample aggregated representations of the frozen extractor, which
     each of its blocks takes of its own rows, calling `aggregate` by this
-    module's name at call time (see `_reduction`)."""
-    reduce = _reduction(at_cfg.aggregation, False, aggregate)
-    return extractor.tap_features(x, reduce=dict.fromkeys(at_cfg.layers, reduce))
+    module's name at call time: perfbench traces that name as the
+    extractor's aggregation alone, so validation's reduction
+    (`losses.reduction`) calls `losses.aggregate` instead."""
+    kind = at_cfg.aggregation
+    return extractor.tap_features(x, reduce=dict.fromkeys(
+        at_cfg.layers, lambda fmap: (aggregate(fmap, kind), None)))
 
 
 def _check_extractor_compatible(net: Network, extractor: Network,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from antitransfer import layers as L
-from antitransfer import training
+from antitransfer import network, training
 from antitransfer.losses import AGGREGATIONS
 from antitransfer.gradcheck import (GradCheckReport, _layer_check,
                                     central_differences, gradcheck,
@@ -99,6 +99,37 @@ class TestOracleSuite:
         for layer in (1, 2):
             report = total_loss_gradcheck(layer)
             assert report.passed, report.line()
+
+    @pytest.mark.parametrize("at_layer,conv1_channels",
+                             [(1, 3), (2, 3), (1, 9)],
+                             ids=["AT layer 1", "AT layer 2", "map rebuilt"])
+    def test_total_loss_gradcheck_over_blocks_of_one_sample(
+            self, at_layer, conv1_channels, monkeypatch):
+        """Over blocks of one sample on two threads, the whole objective's
+        gradient runs the path a training step over several blocks runs:
+        each block's copies of the stack's layers and its own pullbacks,
+        `Conv2D.rerun` on a copy at a rebuilt map, and `add_grads` over the
+        blocks' gradient terms. It still matches central differences."""
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES", 1)
+        monkeypatch.setattr(L, "_workers", lambda: 2)
+        added, add_grads = [], L.Conv2D.add_grads
+        reruns, rerun = [], L.Conv2D.rerun
+
+        def spy_add(conv, blocks):
+            added.append((conv.name, len(blocks)))
+            return add_grads(conv, blocks)
+
+        def spy_rerun(conv):
+            reruns.append(conv.name)
+            return rerun(conv)
+        monkeypatch.setattr(L.Conv2D, "add_grads", spy_add)
+        monkeypatch.setattr(L.Conv2D, "rerun", spy_rerun)
+        report = total_loss_gradcheck(at_layer, conv1_channels=conv1_channels)
+        assert report.passed, report.line()
+        assert ("map rebuilt" in report.name) == (conv1_channels == 9)
+        # the one backward before the central differences
+        assert sorted(added) == [("conv1", 2), ("conv2", 2)]
+        assert reruns == (["conv1"] * 2 if conv1_channels == 9 else [])
 
     def test_oracle_checks_the_trainers_objective(self, monkeypatch):
         """A sign error in the anti-transfer gradient the trainer injects

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from antitransfer import layers as L
-from antitransfer import network, training
+from antitransfer import network
 from antitransfer.losses import (ATConfig, aggregate, at_loss_and_grad,
-                                 cross_entropy_and_grad)
+                                 cross_entropy_and_grad, reduction)
 from antitransfer.network import (ArchConfig, build, conv_feature_shapes,
                                   preset)
 
@@ -192,7 +192,7 @@ class TestReducedTaps:
     its own rows (`forward`'s `reduce`), and `backward` pulls each block's
     rows of the reduction's gradient back through that block's pullback."""
 
-    GRAM = training._reduction("gram", True)
+    GRAM = reduction("gram", True)
 
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_a_reduced_tap_gives_the_bytes_of_its_whole_batch_map(
@@ -227,22 +227,40 @@ class TestReducedTaps:
         net.backward(dlogits, reduced_grad_in=agg_grads)
         assert {n: g.tobytes() for n, g in net.grads.items()} == want
 
-    def test_a_forward_s_pullbacks_serve_one_backward(self):
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_a_forward_s_pullbacks_serve_one_backward(self, blocks,
+                                                      monkeypatch):
+        """A recording forward over one block, on the layers themselves, or
+        over two, on copies of them, serves exactly one backward: a second
+        raises, as does one after a forward that does not record."""
         net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
-        x = np.random.default_rng(4).standard_normal((3, 1, 32, 37)).astype(np.float32)
+        monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
+                            2 * net._sample_bytes)
+        monkeypatch.setattr(L, "_workers", lambda: 2)
+        x = np.random.default_rng(4).standard_normal(
+            (2 * blocks - 1, 1, 32, 37)).astype(np.float32)
         with pytest.raises(ValueError, match="both tapped and reduced"):
             net.forward(x, taps=(1, 2), reduce={2: self.GRAM})
         logits, reduced = net.forward(x, reduce={1: self.GRAM})
+        recorded = net._recording[2]
+        assert len(recorded) == blocks
+        assert all((mine is layer) == (blocks == 1)
+                   for mine, layer in zip(recorded[0][0], net.layers))
         dlogits = np.ones_like(logits)
         grad = {1: np.ones_like(reduced[1])}
         with pytest.raises(RuntimeError, match="conv 2: no reduction left"):
             net.backward(dlogits, reduced_grad_in={2: grad[1]})
-        net.forward(x, reduce={1: self.GRAM})
-        net.backward(dlogits, reduced_grad_in=grad)
-        with pytest.raises(RuntimeError, match="conv 1: no reduction left"):
-            net.backward(dlogits, reduced_grad_in=grad)
+        for reduce in ({1: self.GRAM}, {}):
+            net.forward(x, reduce=reduce)
+            net.backward(dlogits, reduced_grad_in=grad if reduce else None)
+            assert net._recording is None
+            for again in (grad, None):
+                with pytest.raises(RuntimeError,
+                                   match="backward without a recording forward"):
+                    net.backward(dlogits, reduced_grad_in=again)
         net.forward(x, reduce={1: self.GRAM}, record=False)
-        with pytest.raises(RuntimeError, match="conv 1: no reduction left"):
+        with pytest.raises(RuntimeError,
+                           match="backward without a recording forward"):
             net.backward(dlogits, reduced_grad_in=grad)
 
     def test_only_the_stack_s_convs_can_be_reduced(self):
@@ -308,18 +326,19 @@ class TestReducedTaps:
         its pullback and its ReLU no mask, which each block's backward
         rebuilds from conv 1's recorded input; conv 2 keeps both. The
         backward lets go of each block's copy of a layer once it has run,
-        so a second backward raises."""
+        and takes the forward's record, so a second backward raises."""
         net = build(preset("vgg-tiny", (32, 37), 4), seed=3, dtype=np.float32)
         monkeypatch.setattr(network, "_STACK_BLOCK_BYTES",
                             2 * net._sample_bytes)
         x = np.random.default_rng(4).standard_normal((5, 1, 32, 37)).astype(np.float32)
         logits, reduced = net.forward(x, reduce=dict.fromkeys((1, 2), self.GRAM))
         taps = {k: net.tap_positions[k] for k in (1, 2)}
-        _, copies = net._blocks
-        assert len(copies) == 3
+        block, rebuilt, blocks = net._recording
+        assert block == 2 and rebuilt == {taps[1]} and len(blocks) == 3
+        copies = [layers for layers, _ in blocks]
         for k, held in ((1, False), (2, True)):
-            assert [fmap is not None for _, fmap in net._pullbacks[taps[k]]] \
-                == [held] * 3
+            assert [pullbacks[taps[k]][1] is not None
+                    for _, pullbacks in blocks] == [held] * 3
             assert [layers[taps[k]]._mask is not None for layers in copies] \
                 == [held] * 3
         reruns, rerun = [], L.Conv2D.rerun
@@ -332,7 +351,9 @@ class TestReducedTaps:
         net.backward(np.ones_like(logits), reduced_grad_in=grads)
         assert reruns == ["conv1"] * 3
         assert all(layer is None for layers in copies for layer in layers)
-        with pytest.raises(RuntimeError, match="blocks were spent"):
+        assert net._recording is None
+        with pytest.raises(RuntimeError,
+                           match="backward without a recording forward"):
             net.backward(np.ones_like(logits))
         # with no gradient for its reduction, the tap ReLU still gets its
         # mask: the backward is that of a forward that reduced nothing

@@ -181,7 +181,8 @@ class TestAntiTransfer:
         must call those same objects, and bind the names traced from
         outside."""
         assert training._at_term is losses.at_term
-        assert training.aggregate_with_pullback is losses.aggregate_with_pullback
+        assert training.reduction("gram", True).func \
+            is losses.aggregate_with_pullback
         assert training.aggregate is losses.aggregate
         calls = []
         for name in ("aggregate_with_pullback", "at_term"):
@@ -239,7 +240,7 @@ class TestAntiTransfer:
 
         def not_called(*a, **kw):
             raise AssertionError("a zero-weight term aggregated a map")
-        monkeypatch.setattr(training, "aggregate_with_pullback", not_called)
+        monkeypatch.setattr(losses, "aggregate_with_pullback", not_called)
         _, _, at_vals, dlogits, agg_grads = training.batch_objective(
             net, x, np.arange(3), at_cfg, aggs)
         assert at_vals == {1: 0.0, 2: 0.0} and agg_grads == {}
@@ -262,7 +263,7 @@ class TestAntiTransfer:
 
         def not_called(*a, **kw):
             raise AssertionError("validation took a pullback or traced call")
-        monkeypatch.setattr(training, "aggregate_with_pullback", not_called)
+        monkeypatch.setattr(losses, "aggregate_with_pullback", not_called)
         monkeypatch.setattr(training, "aggregate", not_called)
         got = training.batch_objective(net, x, np.arange(3), at_cfg, aggs,
                                        record=False)[2]
@@ -834,7 +835,7 @@ class TestTrainingStepOverBlocks:
                     got.append(run(f"b{block}w{workers}"))
                     assert got[-1] == got[0], (block, workers)
                 assert got[0] == want, block
-            if aggregation in losses.MAP_PULLBACKS:
+            if losses.reduction(aggregation, True).reads_map:
                 reruns, rerun = set(), L.Conv2D.rerun
 
                 def spy(conv):
